@@ -22,7 +22,8 @@ actions cheap.
 
 from functools import lru_cache
 
-from .scalars import Q, ZERO, format_scalar
+from .scalars import Q, format_scalar
+from .sparse import LinComb, accumulate
 
 GENERATORS = ("f", "fb", "h", "hb", "e", "eb")
 GEN_INDEX = {g: i for i, g in enumerate(GENERATORS)}
@@ -64,10 +65,6 @@ def mono_letters(mono):
     return tuple(out)
 
 
-def mono_degree(mono):
-    return sum(mono)
-
-
 def mono_text(mono):
     if not any(mono):
         return "1"
@@ -106,48 +103,24 @@ def _mono_times_gen(mono, g):
         rest = list(mono)
         rest[top] -= 1
         rest = tuple(rest)
-        result = {}
-        for m2, c2 in _mono_times_gen(rest, g).items():
-            for m3, c3 in _mono_times_gen(m2, y).items():
-                s = result.get(m3, ZERO) + c2 * c3
-                if s:
-                    result[m3] = s
-                else:
-                    del result[m3]
-        for z, cz in bracket(y, g).items():
-            for m3, c3 in _mono_times_gen(rest, z).items():
-                s = result.get(m3, ZERO) + cz * c3
-                if s:
-                    result[m3] = s
-                else:
-                    del result[m3]
+        result = _dict_times_gen(_mono_times_gen(rest, g), y)
+        accumulate(result, ((m3, cz * c3)
+                            for z, cz in bracket(y, g).items()
+                            for m3, c3 in _mono_times_gen(rest, z).items()))
     _STRAIGHTEN[key] = result
     return result
 
 
 def _dict_times_gen(terms, g):
-    out = {}
-    for mono, c in terms.items():
-        for m2, c2 in _mono_times_gen(mono, g).items():
-            s = out.get(m2, ZERO) + c * c2
-            if s:
-                out[m2] = s
-            else:
-                del out[m2]
-    return out
+    return accumulate({}, ((m2, c * c2)
+                           for mono, c in terms.items()
+                           for m2, c2 in _mono_times_gen(mono, g).items()))
 
 
-class UeaElement:
+class UeaElement(LinComb):
     """Element of the universal envelope in PBW normal form."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in terms.items() if c != 0} if terms else {}
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def one(cls):
@@ -165,39 +138,6 @@ class UeaElement:
         c = Q(c)
         return cls({(j, k, q, i, p, m): c}) if c != 0 else cls()
 
-    def __add__(self, other):
-        if not isinstance(other, UeaElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return UeaElement._raw(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, UeaElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) - c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return UeaElement._raw(out)
-
-    def __neg__(self):
-        return UeaElement._raw({m: -c for m, c in self.terms.items()})
-
-    def scale(self, c):
-        c = Q(c)
-        if c == 0:
-            return UeaElement()
-        return UeaElement._raw({m: c * v for m, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, UeaElement):
             out = {}
@@ -205,12 +145,7 @@ class UeaElement:
                 t = self.terms
                 for letter in mono_letters(mono2):
                     t = _dict_times_gen(t, letter)
-                for m, c in t.items():
-                    s = out.get(m, ZERO) + c2 * c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
+                accumulate(out, ((m, c2 * c) for m, c in t.items()))
             return UeaElement._raw(out)
         return self.scale(other)
 
@@ -224,26 +159,6 @@ class UeaElement:
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, UeaElement) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"UeaElement({self.text()!r})"
-
-    @classmethod
-    def _raw(cls, d):
-        u = cls.__new__(cls)
-        u.terms = d
-        return u
-
-    def degree(self):
-        if not self.terms:
-            return None
-        return max(mono_degree(m) for m in self.terms)
 
     def text(self):
         if not self.terms:
@@ -294,33 +209,14 @@ def uea_normalize(word, coeff=1, strategy=None):
             mono = [0] * 6
             for g in w:
                 mono[GEN_INDEX[g]] += 1
-            mono = tuple(mono)
-            s = done.get(mono, ZERO) + c
-            if s:
-                done[mono] = s
-            else:
-                del done[mono]
+            accumulate(done, ((tuple(mono), c),))
             continue
         t = spots[0] if strategy == "leftmost" else spots[-1]
         x, y = w[t], w[t + 1]
-        swapped = w[:t] + (y, x) + w[t + 2:]
-        s = pending.get(swapped, ZERO) + c
-        if s:
-            pending[swapped] = s
-        else:
-            del pending[swapped]
-        for z, cz in bracket(x, y).items():
-            contracted = w[:t] + (z,) + w[t + 2:]
-            s = pending.get(contracted, ZERO) + c * cz
-            if s:
-                pending[contracted] = s
-            else:
-                del pending[contracted]
-    return UeaElement(done)
-
-
-def uea_mul(a, b):
-    return a * b
+        accumulate(pending, ((w[:t] + (y, x) + w[t + 2:], c),))
+        accumulate(pending, ((w[:t] + (z,) + w[t + 2:], c * cz)
+                             for z, cz in bracket(x, y).items()))
+    return UeaElement._raw(done)
 
 
 @lru_cache(maxsize=None)

@@ -26,6 +26,7 @@ from .scalars import Q, format_scalar
 from .poly import BiPoly, UniPoly
 from .skew import SkewOperator
 from .algebra import GENERATORS, bracket
+from .linalg import solve_unique
 from .report import Report, PASS, FAIL
 
 FAMILIES = ("gamma", "theta", "omega")
@@ -59,40 +60,10 @@ def solve_omega_alpha(lam, a, beta):
         [col.terms.get(key, Q(0)) for col in columns] + [-base.terms.get(key, Q(0))]
         for key in keys
     ]
-    sol = _solve_exact(rows, m + 1)
+    sol = solve_unique(rows, m + 1)
     if sol is None:
         raise ValueError("bracket constraint for alpha is not uniquely solvable")
     return UniPoly({i: c for i, c in enumerate(sol)})
-
-
-def _solve_exact(rows, nvars):
-    """Gauss elimination for an (overdetermined) system; None unless the
-    solution exists and is unique."""
-    rows = [r[:] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(nvars):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) != nvars:
-        return None
-    for i in range(r, len(rows)):
-        if rows[i][nvars] != 0:
-            return None
-    sol = [Q(0)] * nvars
-    for row_i, c in enumerate(pivots):
-        sol[c] = rows[row_i][nvars]
-    return sol
 
 
 def eq1_alpha(lam, b, beta):

@@ -20,6 +20,7 @@ from .algebra import bracket, UeaElement
 from .families import FamilyParams
 from .verma import verma_reducible_predicate
 from .report import Report, PASS, FAIL, INCONCLUSIVE
+from .sparse import LinComb, accumulate
 
 BOREL_GENERATORS = {
     "gamma": ("eb", "e", "hb"),
@@ -224,18 +225,11 @@ def borel_reducibility_check(spec, depth):
 # -- the restricted induced basis -------------------------------------------
 
 
-class IndElement:
+class IndElement(LinComb):
     """Element of the induced space in the restricted basis: a sparse
     dict (j, k, q, i) -> Q standing for sum c * f^j fb^k h^q (x) hb^i."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in terms.items() if c != 0} if terms else {}
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def basis(cls, j, k, q, i, c=1):
@@ -243,37 +237,6 @@ class IndElement:
             raise ValueError("negative exponents")
         c = Q(c)
         return cls({(j, k, q, i): c}) if c != 0 else cls()
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return IndElement(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Q(c)
-        if c == 0:
-            return IndElement()
-        return IndElement({k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, IndElement) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"IndElement({self.text()!r})"
-
-    def is_zero(self):
-        return not self.terms
 
     def text(self):
         if not self.terms:
@@ -354,14 +317,9 @@ def ind_act(gen, spec, x):
                 g = borel_act("e", spec, g)
             for _ in range(i2):
                 g = borel_act("hb", spec, g)
-            for n, cn in g.terms.items():
-                key = (j2, k2, q2, n)
-                s = out.get(key, ZERO) + c * c2 * cn
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return IndElement(out)
+            accumulate(out, (((j2, k2, q2, n), c * c2 * cn)
+                             for n, cn in g.terms.items()))
+    return IndElement._raw(out)
 
 
 # -- the realization map ------------------------------------------------------

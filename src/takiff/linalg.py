@@ -1,11 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-Three tools live here.  ``nullspace`` is a dense textbook kernel
-computation for the small systems (singular vectors, parameter
-recovery).  ``Echelon`` is an incremental row-echelon span for the big
-jobs -- submodule closure and Whittaker searches -- where vectors are
-sparse dicts keyed by arbitrary hashable basis labels and insertion
-order matters for performance.  Every stored row keeps its pivot as
+Three tools live here.  ``rref`` is the one dense eliminator for the
+small systems (the Vandermonde inverse), with ``nullspace`` (singular
+vectors) and ``solve_unique`` (the omega alpha constraint) reading
+their answers off it.  ``Echelon`` is an incremental row-echelon span
+for the big jobs -- submodule closure and Whittaker searches -- where
+vectors are sparse dicts keyed by arbitrary hashable basis labels and
+insertion order matters for performance.  Every stored row keeps its pivot as
 the minimum of its support (under the supplied ordering), which makes
 membership reduction a strictly-increasing sweep and hence easy to
 reason about.  ``independent_mod_p`` is a one-sided certificate: it
@@ -46,6 +47,19 @@ def rref(rows):
         if r == len(rows):
             break
     return pivots
+
+
+def solve_unique(rows, nvars):
+    """The unique solution of the augmented system [A | b], or None.
+
+    Each row is [a_1, ..., a_nvars, b].  None when the system is
+    inconsistent (the augmented column takes a pivot) or underdetermined
+    (some variable column takes none).
+    """
+    work = [list(r) for r in rows]
+    if rref(work) != list(range(nvars)):
+        return None
+    return [work[i][nvars] for i in range(nvars)]
 
 
 def nullspace(rows, ncols):
@@ -119,10 +133,6 @@ class Echelon:
                 else:
                     residual.pop(k2, None)
         return residual, combo
-
-    def contains(self, vec):
-        residual, _ = self.reduce(vec)
-        return not residual
 
     def insert(self, vec):
         """Reduce and, if independent, store (normalized to pivot 1).

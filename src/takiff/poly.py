@@ -18,6 +18,7 @@ surviving arithmetic.
 from math import comb
 
 from .scalars import Q, ZERO, format_scalar, parse_scalar, ScalarParseError
+from .sparse import LinComb, accumulate
 
 
 class PolyParseError(ValueError):
@@ -28,23 +29,12 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-def _strip_zeros(d):
-    return {k: c for k, c in d.items() if c != 0}
-
-
-class BiPoly:
+class BiPoly(LinComb):
     """Polynomial in Q[h, hb], sparse dict of (h-exp, hb-exp) -> Q."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _strip_zeros(terms) if terms else {}
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def const(cls, c):
@@ -68,50 +58,18 @@ class BiPoly:
 
     # -- ring structure -----------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return BiPoly._raw(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) - c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return BiPoly._raw(out)
-
-    def __neg__(self):
-        return BiPoly._raw({k: -c for k, c in self.terms.items()})
+    # Bound here, not only inherited, so that BiPoly.__dict__ holds it:
+    # the benchmark tracer wraps the BiPoly methods it finds there.
+    __add__ = LinComb.__add__
 
     def __mul__(self, other):
         if isinstance(other, BiPoly):
-            out = {}
-            for (i1, j1), c1 in self.terms.items():
-                for (i2, j2), c2 in other.terms.items():
-                    k = (i1 + i2, j1 + j2)
-                    s = out.get(k, ZERO) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            return BiPoly._raw(out)
-        # scalar
-        c = Q(other)
-        if c == 0:
-            return BiPoly()
-        return BiPoly._raw({k: c * v for k, v in self.terms.items()})
+            items = other.terms.items()
+            return BiPoly._raw(accumulate({}, (
+                ((i1 + i2, j1 + j2), c1 * c2)
+                for (i1, j1), c1 in self.terms.items()
+                for (i2, j2), c2 in items)))
+        return self.scale(other)
 
     __rmul__ = __mul__
 
@@ -127,21 +85,6 @@ class BiPoly:
             n >>= 1
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"BiPoly({self.text()!r})"
-
-    @classmethod
-    def _raw(cls, d):
-        p = cls.__new__(cls)
-        p.terms = d
-        return p
-
     # -- the three primitive moves --------------------------------------
 
     def shift_h(self, delta):
@@ -151,16 +94,10 @@ class BiPoly:
             return self
         # an integral shift keeps the binomial weights in int arithmetic
         d = int(delta) if delta.denominator == 1 else delta
-        out = {}
-        for (i, j), c in self.terms.items():
-            for t in range(i + 1):
-                k = (t, j)
-                s = out.get(k, ZERO) + c * (comb(i, t) * d ** (i - t))
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return BiPoly._raw(out)
+        return BiPoly._raw(accumulate({}, (
+            ((t, j), c * (comb(i, t) * d ** (i - t)))
+            for (i, j), c in self.terms.items()
+            for t in range(i + 1))))
 
     def dbar(self):
         """Partial derivative in hb."""
@@ -190,9 +127,6 @@ class BiPoly:
         """True iff every term carries a positive hb power (zero counts)."""
         return all(j >= 1 for _, j in self.terms)
 
-    def is_zero(self):
-        return not self.terms
-
     # -- text -----------------------------------------------------------
 
     def text(self):
@@ -209,17 +143,10 @@ class BiPoly:
         return _parse_poly(text, allow_h=True)
 
 
-class UniPoly:
+class UniPoly(LinComb):
     """Polynomial in Q[hb], sparse dict of hb-exp -> Q."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = _strip_zeros(terms) if terms else {}
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def const(cls, c):
@@ -237,49 +164,15 @@ class UniPoly:
     def var_hb(cls):
         return cls({1: Q(1)})
 
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return UniPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UniPoly({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            out = {}
-            for j1, c1 in self.terms.items():
-                for j2, c2 in other.terms.items():
-                    k = j1 + j2
-                    s = out.get(k, ZERO) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            return UniPoly(out)
-        c = Q(other)
-        return UniPoly({k: c * v for k, v in self.terms.items()}) if c else UniPoly()
+            items = other.terms.items()
+            return UniPoly._raw(accumulate({}, (
+                (j1 + j2, c1 * c2)
+                for j1, c1 in self.terms.items() for j2, c2 in items)))
+        return self.scale(other)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"UniPoly({self.text()!r})"
 
     def derivative(self):
         return UniPoly({j - 1: c * j for j, c in self.terms.items() if j})
@@ -291,9 +184,6 @@ class UniPoly:
 
     def coefficient(self, j):
         return self.terms.get(j, ZERO)
-
-    def is_zero(self):
-        return not self.terms
 
     def to_bipoly(self):
         return BiPoly({(0, j): c for j, c in self.terms.items()})
@@ -429,10 +319,5 @@ def _parse_poly(text, allow_h):
                     raise PolyParseError("dangling '*'", tokens[-1][2])
             else:
                 expecting_factor = False
-        key = (exps["h"], exps["hb"])
-        s = result.get(key, ZERO) + coeff
-        if s:
-            result[key] = s
-        else:
-            result.pop(key, None)
-    return BiPoly(result)
+        accumulate(result, (((exps["h"], exps["hb"]), coeff),))
+    return BiPoly._raw(result)

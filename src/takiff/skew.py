@@ -21,8 +21,9 @@ level.
 
 from math import comb
 
-from .scalars import Q, ZERO, format_scalar
+from .scalars import Q, format_scalar
 from .poly import BiPoly
+from .sparse import LinComb, accumulate
 
 
 def _falling(n, t):
@@ -32,19 +33,12 @@ def _falling(n, t):
     return out
 
 
-class SkewOperator:
+class SkewOperator(LinComb):
     """Sum of normal-form words, dict of (i, j, k, m) -> Q."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in terms.items() if c != 0} if terms else {}
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def identity(cls):
@@ -72,40 +66,7 @@ class SkewOperator:
     def sigma(cls, m=1):
         return cls({(0, 0, 0, m): Q(1)})
 
-    # -- linear structure ---------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, SkewOperator):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SkewOperator._raw(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, SkewOperator):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) - c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SkewOperator._raw(out)
-
-    def __neg__(self):
-        return SkewOperator._raw({k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = Q(c)
-        if c == 0:
-            return SkewOperator()
-        return SkewOperator._raw({k: c * v for k, v in self.terms.items()})
+    # -- products ------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, SkewOperator):
@@ -116,26 +77,11 @@ class SkewOperator:
         # other is a scalar (SkewOperator * SkewOperator went to __mul__)
         return self.scale(other)
 
-    def __eq__(self, other):
-        return isinstance(other, SkewOperator) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"SkewOperator({self.text()!r})"
-
-    @classmethod
-    def _raw(cls, d):
-        op = cls.__new__(cls)
-        op.terms = d
-        return op
-
-    # -- composition ----------------------------------------------------
-
     def compose(self, other):
         """self . other in normal form; other acts first."""
-        out = {}
+        return SkewOperator._raw(accumulate({}, self._compose_terms(other)))
+
+    def _compose_terms(self, other):
         for (i1, j1, k1, m1), c1 in self.terms.items():
             for (i2, j2, k2, m2), c2 in other.terms.items():
                 base = c1 * c2
@@ -148,13 +94,7 @@ class SkewOperator:
                         c = cu * comb(k1, t) * _falling(j2, t)
                         if c == 0:
                             continue
-                        key = (i1 + u, j1 + j2 - t, k1 + k2 - t, m1 + m2)
-                        s = out.get(key, ZERO) + c
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
-        return SkewOperator._raw(out)
+                        yield (i1 + u, j1 + j2 - t, k1 + k2 - t, m1 + m2), c
 
     def commutator(self, other):
         return self.compose(other) - other.compose(self)

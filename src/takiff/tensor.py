@@ -28,6 +28,7 @@ from .families import FamilyParams, family_act, family_to_operator
 from .verma import HwModule, annihilation_index, VermaElement
 from .linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p
 from .report import Report, PASS, FAIL, INCONCLUSIVE
+from .sparse import LinComb, accumulate
 
 
 class TensorModule:
@@ -53,9 +54,6 @@ class TensorModule:
     def zero(self):
         return TensorElement({})
 
-    def element(self, terms):
-        return TensorElement(terms)
-
     def pure(self, p, idx=None):
         """p (x) (basis vector); default index is the highest-weight vector."""
         if idx is None:
@@ -70,14 +68,15 @@ class TensorModule:
     # -- the Leibniz action ----------------------------------------------
 
     def act(self, gen, x):
-        out = {}
-        for idx, p in x.terms.items():
-            q = family_act(gen, self.params, p)
-            if q:
-                _merge(out, idx, q)
-            for idx2, c in self.hw.act_basis(gen, idx).items():
-                _merge(out, idx2, c * p)
-        return TensorElement(out)
+        def images():
+            for idx, p in x.terms.items():
+                q = family_act(gen, self.params, p)
+                if q:
+                    yield idx, q
+                for idx2, c in self.hw.act_basis(gen, idx).items():
+                    yield idx2, c * p
+
+        return TensorElement._raw(accumulate({}, images()))
 
     def act_uea(self, u, x):
         """Universal-envelope action: each PBW word acts rightmost-first."""
@@ -120,46 +119,10 @@ class TensorModule:
         return out
 
 
-def _merge(out, idx, p):
-    cur = out.get(idx)
-    s = p if cur is None else cur + p
-    if s.is_zero():
-        out.pop(idx, None)
-    else:
-        out[idx] = s
-
-
-class TensorElement:
+class TensorElement(LinComb):
     """Finite sum of BiPoly (x) L-basis terms; dict idx -> BiPoly."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: p for k, p in terms.items() if not p.is_zero()} if terms else {}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for idx, p in other.terms.items():
-            _merge(out, idx, p)
-        return TensorElement(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Q(c)
-        if c == 0:
-            return TensorElement({})
-        return TensorElement({k: c * p for k, p in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
+    __slots__ = ()
 
     def h_degree(self):
         """Max h-degree over terms; None when zero."""
@@ -184,18 +147,16 @@ class TensorElement:
             cur[(i, j)] = cur.get((i, j), ZERO) + c
         return cls({idx: BiPoly(d) for idx, d in terms.items()})
 
-    def text(self, index_text=None):
+    def text(self):
         if not self.terms:
             return "0"
-        if index_text is None:
-            index_text = _default_index_text
         parts = []
         for idx in sorted(self.terms, key=_idx_sort):
             p = self.terms[idx]
             body = p.text()
             if len(p.terms) > 1:
                 body = f"({body})"
-            parts.append(f"{body} (x) {index_text(idx)}")
+            parts.append(f"{body} (x) {_index_text(idx)}")
         return " + ".join(parts)
 
 
@@ -203,14 +164,10 @@ def _idx_sort(idx):
     return (idx[0] + idx[1], idx[0], idx[1]) if isinstance(idx, tuple) else (idx, idx, 0)
 
 
-def _default_index_text(idx):
+def _index_text(idx):
     if isinstance(idx, tuple):
         return VermaElement.basis(idx[0], idx[1]).text()
     return VermaElement.basis(idx, 0).text()
-
-
-def tensor_act(gen, mod, x):
-    return mod.act(gen, x)
 
 
 # -- Vandermonde reduction ------------------------------------------------
@@ -362,7 +319,7 @@ def make_seeds(mod, count, rng_seed, max_level=2, max_deg=2):
     return seeds[:count]
 
 
-def closure_search(mod, seed, depth, track_tags=False, max_rows=None):
+def closure_search(mod, seed, depth, track_tags=False):
     """Grow the exact span closure of the seed under all six generators.
 
     Only elements inside the window (every term of h-degree, hb-degree
@@ -389,14 +346,13 @@ def closure_search(mod, seed, depth, track_tags=False, max_rows=None):
     rungs.append((depth, depth))
     result = None
     for lvl_cap, deg_cap in rungs:
-        result = _closure_window(mod, seed, lvl_cap, deg_cap,
-                                 track_tags, max_rows)
+        result = _closure_window(mod, seed, lvl_cap, deg_cap, track_tags)
         if result[0]:
             return result
     return result
 
 
-def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags, max_rows):
+def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
     # Pivots sit on the deepest column of each row: breadth-first images
     # concentrate at high level/degree, so eliminating those columns
     # first keeps the stored rows sparse (much less fill-in than pivoting
@@ -447,12 +403,7 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags, max_rows):
         pk = min(row, key=keyfn)
         c = target_res.get(pk)
         if c:
-            for k2, v2 in row.items():
-                s = target_res.get(k2, ZERO) - c * v2
-                if s:
-                    target_res[k2] = s
-                else:
-                    target_res.pop(k2, None)
+            accumulate(target_res, ((k2, -c * v2) for k2, v2 in row.items()))
             if not target_res:
                 return True, True
         row_elt = TensorElement.from_flat(row)
@@ -467,8 +418,6 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags, max_rows):
 
     gens = ("eb", "e", "hb", "h", "fb", "f")
     while heap:
-        if max_rows is not None and len(span) > max_rows:
-            break
         _, _, ridx, elt = heapq.heappop(heap)
         for gen in gens:
             img = mod.act(gen, elt)
@@ -696,23 +645,12 @@ class WhittakerWindow:
         tags = []
         kernel = []
         for t, (img, key) in enumerate(zip(self.images, self.basis)):
-            stacked = dict(img)
-            for block, mu in ((0, mu1), (1, mu2)):
-                k = (block,) + key
-                s = stacked.get(k, ZERO) - mu
-                if s:
-                    stacked[k] = s
-                else:
-                    stacked.pop(k, None)
+            stacked = accumulate(dict(img), (((0,) + key, -mu1),
+                                             ((1,) + key, -mu2)))
             tag = {t: Q(1)}
             ridx, combo, scale = span.insert(stacked)
             for i2, c in combo.items():
-                for t2, c2 in tags[i2].items():
-                    s = tag.get(t2, ZERO) - c * c2
-                    if s:
-                        tag[t2] = s
-                    else:
-                        tag.pop(t2, None)
+                accumulate(tag, ((t2, -c * c2) for t2, c2 in tags[i2].items()))
             if ridx is None:
                 kernel.append(tag)
             else:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .scalars import Q, ZERO, format_scalar
 from .algebra import GENERATORS, bracket, gen_times_lowering, mono_text
 from .linalg import nullspace, Echelon
+from .sparse import LinComb, accumulate
 from .report import Report, PASS, FAIL
 
 
@@ -36,17 +37,10 @@ class HighestWeight:
         return f"(eta={format_scalar(self.eta)},theta={format_scalar(self.theta)})"
 
 
-class VermaElement:
+class VermaElement(LinComb):
     """Element of a Verma module: dict (f-power, fb-power) -> Q."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in terms.items() if c != 0} if terms else {}
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def basis(cls, i, j, c=1):
@@ -58,37 +52,6 @@ class VermaElement:
     @classmethod
     def highest(cls):
         return cls({(0, 0): Q(1)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return VermaElement(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Q(c)
-        if c == 0:
-            return VermaElement()
-        return VermaElement({k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, VermaElement) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"VermaElement({self.text()!r})"
-
-    def is_zero(self):
-        return not self.terms
 
     def level(self):
         """Highest level (total lowering degree) present, None when zero."""
@@ -115,32 +78,18 @@ class VermaElement:
 
 def verma_act_basis(gen, hw, i, j):
     """gen . (f^i fb^j v) as a dict (i', j') -> Q, via PBW straightening."""
-    out = {}
-    for mono, c in gen_times_lowering(gen, i, j).terms.items():
-        jj, kk, qq, ii, pp, mm = mono
-        if pp or mm:
-            continue  # e, eb annihilate the highest weight vector
-        val = c * hw.theta**qq * hw.eta**ii
-        if val:
-            key = (jj, kk)
-            s = out.get(key, ZERO) + val
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
+    # e, eb annihilate the highest weight vector
+    return accumulate({}, (((jj, kk), c * hw.theta**qq * hw.eta**ii)
+                           for (jj, kk, qq, ii, pp, mm), c
+                           in gen_times_lowering(gen, i, j).terms.items()
+                           if not (pp or mm)))
 
 
 def verma_act(gen, hw, x):
-    out = {}
-    for (i, j), c in x.terms.items():
-        for key, v in verma_act_basis(gen, hw, i, j).items():
-            s = out.get(key, ZERO) + c * v
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return VermaElement(out)
+    return VermaElement._raw(accumulate({}, (
+        (key, c * v)
+        for (i, j), c in x.terms.items()
+        for key, v in verma_act_basis(gen, hw, i, j).items())))
 
 
 def annihilation_index(gen, hw, x, bound=None):
@@ -239,13 +188,6 @@ class HwModule:
     def theta_int(self):
         return int(self.weight.theta)
 
-    def index_text(self, idx):
-        if self.kind == "verma":
-            body = mono_text((idx[0], idx[1], 0, 0, 0, 0))
-        else:
-            body = mono_text((idx, 0, 0, 0, 0, 0))
-        return "v" if body == "1" else f"{body} v"
-
     def act_basis(self, gen, idx):
         """gen . (basis vector) as a dict index -> Q."""
         if self.kind == "verma":
@@ -273,20 +215,16 @@ def _check_findim(module):
             if x >= y:
                 continue
             for i in idxs:
-                lhs = {}
-                for k, c in module.act_basis(y, i).items():
-                    for k2, c2 in module.act_basis(x, k).items():
-                        lhs[k2] = lhs.get(k2, ZERO) + c * c2
-                for k, c in module.act_basis(x, i).items():
-                    for k2, c2 in module.act_basis(y, k).items():
-                        lhs[k2] = lhs.get(k2, ZERO) - c * c2
-                rhs = {}
-                for z, cz in bracket(x, y).items():
-                    for k, c in module.act_basis(z, i).items():
-                        rhs[k] = rhs.get(k, ZERO) + cz * c
-                diff = {k: lhs.get(k, ZERO) - rhs.get(k, ZERO)
-                        for k in set(lhs) | set(rhs)}
-                if any(c != 0 for c in diff.values()):
+                lhs = accumulate({}, ((k2, c * c2)
+                                      for k, c in module.act_basis(y, i).items()
+                                      for k2, c2 in module.act_basis(x, k).items()))
+                accumulate(lhs, ((k2, -c * c2)
+                                 for k, c in module.act_basis(x, i).items()
+                                 for k2, c2 in module.act_basis(y, k).items()))
+                rhs = accumulate({}, ((k, cz * c)
+                                      for z, cz in bracket(x, y).items()
+                                      for k, c in module.act_basis(z, i).items()))
+                if lhs != rhs:
                     return f"bracket [{x},{y}] fails on basis {i}"
     # irreducibility: the span closure of any basis vector is everything
     for start in idxs:
@@ -296,14 +234,8 @@ def _check_findim(module):
         while frontier:
             vec = frontier.pop()
             for gen in ("e", "f", "h"):
-                img = {}
-                for i, c in vec.items():
-                    for k, v in module.act_basis(gen, i).items():
-                        s = img.get(k, ZERO) + c * v
-                        if s:
-                            img[k] = s
-                        else:
-                            del img[k]
+                img = accumulate({}, ((k, c * v) for i, c in vec.items()
+                                      for k, v in module.act_basis(gen, i).items()))
                 if img:
                     idx, _, _ = span.insert(img)
                     if idx is not None:
