@@ -72,6 +72,22 @@ def _scalar_list(text):
     return [Q(part.strip()) for part in text.split(",") if part.strip()]
 
 
+# The smallest meaningful value of each size field, and the suites that
+# read it: below it a suite would run on an empty window, seed list or
+# scan and report a vacuous verdict.
+_MINIMUMS = (("depth", 0, ("irreducible", "induced", "whittaker")),
+             ("seeds", 1, ("irreducible",)),
+             ("r", 1, ("lemma51",)),
+             ("max_level", 1, ("singular",)))
+
+
+def _check_sizes(config):
+    for name, low, suites in _MINIMUMS:
+        value = getattr(config, name)
+        if config.suite in suites and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def _run_irreducible(config):
     mod = _module(config)
     seeds = make_seeds(mod, config.seeds, config.rng)
@@ -98,6 +114,7 @@ def run_suite(config):
     """Execute one named suite; invalid parameters come back as a
     single ERROR record rather than a traceback."""
     try:
+        _check_sizes(config)
         if config.suite == "axioms":
             return check_family_axioms(_params(config))
         if config.suite == "omega-constraint":
@@ -118,6 +135,8 @@ def run_suite(config):
         if config.suite == "whittaker":
             grid = [(m1, m2) for m1 in _scalar_list(config.mu1)
                     for m2 in _scalar_list(config.mu2)]
+            if not grid:
+                raise ValueError("the mu1 x mu2 grid is empty")
             return whittaker_report(_module(config), grid, config.depth)
     except (ValueError, PolyParseError, ZeroDivisionError) as exc:
         report = Report(suite=config.suite, config={"argv_error": str(exc)})

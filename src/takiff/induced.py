@@ -371,23 +371,31 @@ def check_phi(mod, depth):
     )
 
     # phi peels one letter off the left of the word, so its values on
-    # all window tuples share work through this cache; the recursion
-    # computes the same element as phi_map on a basis element.
+    # all window tuples share work through this cache; walking down to
+    # a cached tuple and acting back up computes the same element as
+    # phi_map on a basis element.  (A loop, not recursion: a recursive
+    # closure is a reference cycle that would keep mod, its action
+    # columns and this cache alive until the cycle collector runs.)
     cache = {}
 
     def phi_of(key):
-        val = cache.get(key)
-        if val is None:
+        pending = []
+        while key not in cache:
             j, k, q, i = key
             if j:
-                val = mod.act("f", phi_of((j - 1, k, q, i)))
+                pending.append(("f", key))
+                key = (j - 1, k, q, i)
             elif k:
-                val = mod.act("fb", phi_of((j, k - 1, q, i)))
+                pending.append(("fb", key))
+                key = (j, k - 1, q, i)
             elif q:
-                val = mod.act("h", phi_of((j, k, q - 1, i)))
+                pending.append(("h", key))
+                key = (j, k, q - 1, i)
             else:
-                val = mod.pure(BiPoly.monomial(1, 0, i))
-            cache[key] = val
+                cache[key] = mod.pure(BiPoly.monomial(1, 0, i))
+        val = cache[key]
+        for gen, up in reversed(pending):
+            val = cache[up] = mod.act(gen, val)
         return val
 
     def phi_lin(x):

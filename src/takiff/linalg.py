@@ -6,17 +6,23 @@ vectors) and ``solve_unique`` (the omega alpha constraint) reading
 their answers off it.  ``Echelon`` is an incremental row-echelon span
 for the big jobs -- submodule closure and Whittaker searches -- where
 vectors are sparse dicts keyed by arbitrary hashable basis labels and
-insertion order matters for performance.  Every stored row keeps its pivot as
-the minimum of its support (under the supplied ordering), which makes
-membership reduction a strictly-increasing sweep and hence easy to
-reason about.  ``independent_mod_p`` is a one-sided certificate: it
-can prove a set of rational vectors independent by eliminating their
-images in F_p, and when it cannot, the caller decides exactly.
+insertion order matters for performance.  It is fraction-free: every
+stored row is a primitive integer vector (content 1, positive pivot
+entry) whose pivot is the minimum of its support under the supplied
+ordering, which makes membership reduction a strictly-increasing
+sweep and hence easy to reason about.  An input's denominators are
+cleared once and elimination is gcd-reduced cross-multiplication on
+ints, in the style of Bareiss.  ``independent_mod_p`` is a one-sided
+certificate: it can prove a set of rational vectors independent by
+eliminating their images in F_p, and when it cannot, the caller
+decides exactly.
 
 No floats anywhere; there is no tolerance to tune.
 """
 
 import heapq
+from functools import reduce
+from math import gcd, lcm
 
 from .scalars import Q, ZERO
 
@@ -82,12 +88,32 @@ def nullspace(rows, ncols):
     return basis
 
 
+def clear_denominators(vec):
+    """(den, ints) for a dict of rationals: den > 0 is the least common
+    denominator, and ints maps each key with a nonzero value to the int
+    den * value.
+
+    Here and in the other hot loops gcd and lcm are folded with reduce
+    rather than called on *values: a star call builds a tuple of the
+    vector's length, and the interpreter keeps up to 2000 freed tuples
+    of each short length, so the process would grow with every size seen.
+    """
+    den = reduce(lcm, (int(c.denominator) for c in vec.values()), 1)
+    return den, {k: int(c.numerator) * (den // int(c.denominator))
+                 for k, c in vec.items() if c}
+
+
 class Echelon:
-    """Incremental echelon span of sparse dict-vectors.
+    """Incremental echelon span of sparse dict-vectors, fraction-free.
 
     keyfn maps a basis label to a sortable value; smaller keys are
-    preferred as pivots.  Rows, once stored, are never modified, which
-    keeps combination bookkeeping (for tags) simple.
+    preferred as pivots.  Every stored row is a primitive integer
+    vector: its entries are ints with gcd 1, its pivot sits at the
+    keyfn-minimal key of its support, and the pivot entry is positive.
+    Rows, once stored, are never modified, which keeps combination
+    bookkeeping (for tags) simple.  Input vectors may hold ints or
+    rationals; their denominators are cleared once, and elimination
+    then runs on ints alone.
     """
 
     def __init__(self, keyfn=None):
@@ -98,60 +124,86 @@ class Echelon:
     def __len__(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Fully reduce a sparse vector against the span.
-
-        Returns (residual, combo): residual is what remains, and combo
-        maps row indices to the coefficients that were subtracted, so
-        vec = residual + sum(combo[i] * rows[i]).
+    def _eliminate(self, vec):
+        """(residual, mult, combo), all ints, with mult > 0 and
+        mult * vec == residual + sum(combo[i] * rows[i]).
 
         Pivot hits are consumed smallest-first through a heap; since a
         stored row's support never goes below its own pivot, each
         subtraction only introduces keys above the one just cleared,
-        and the sweep terminates.
+        and the sweep terminates.  A hit on key k with residual entry c
+        and row pivot p scales the residual by p/g and subtracts c/g
+        times the row, g = gcd(c, p): cross-multiplication reduced by
+        the gcd, so no rational is ever formed.
         """
-        residual = {k: c for k, c in vec.items() if c != 0}
-        combo = {}
+        mult, residual = clear_denominators(vec)
+        steps = []  # (row index, coefficient, mult when it was taken)
         keyfn = self.keyfn
         pivot_of = self.pivot_of
+        rows = self.rows
         heap = [(keyfn(k), k) for k in residual if k in pivot_of]
         heapq.heapify(heap)
         while heap:
             _, k = heapq.heappop(heap)
             c = residual.get(k)
-            if not c or k not in pivot_of:
+            if not c:
                 continue
             ri = pivot_of[k]
-            combo[ri] = combo.get(ri, ZERO) + c
-            for k2, v2 in self.rows[ri].items():
-                old = residual.get(k2, ZERO)
-                s = old - c * v2
+            row = rows[ri]
+            p = row[k]
+            g = gcd(c, p)
+            if g != p:
+                a = p // g
+                for k2 in residual:
+                    residual[k2] *= a
+                mult *= a
+            b = c // g
+            steps.append((ri, b, mult))
+            for k2, v2 in row.items():
+                old = residual.get(k2, 0)
+                s = old - b * v2
                 if s:
                     residual[k2] = s
-                    if old == 0 and k2 in pivot_of:
+                    if not old and k2 in pivot_of:
                         heapq.heappush(heap, (keyfn(k2), k2))
                 else:
-                    residual.pop(k2, None)
-        return residual, combo
+                    del residual[k2]
+        # a coefficient taken at multiplier m was scaled by mult / m since
+        combo = {}
+        for ri, b, m in steps:
+            combo[ri] = combo.get(ri, 0) + b * (mult // m)
+        return residual, mult, combo
+
+    def reduce(self, vec):
+        """Fully reduce a sparse vector against the span.
+
+        Returns (residual, combo) as rationals: residual is what
+        remains, and combo maps row indices to the coefficients that
+        were subtracted, so vec = residual + sum(combo[i] * rows[i]).
+        """
+        residual, mult, combo = self._eliminate(vec)
+        return ({k: Q(c, mult) for k, c in residual.items()},
+                {i: Q(c, mult) for i, c in combo.items()})
 
     def insert(self, vec):
-        """Reduce and, if independent, store (normalized to pivot 1).
+        """Reduce and, if independent, store as a primitive integer row.
 
-        Returns (row_index, combo, scale): row_index is None when vec
-        was already in the span.  Otherwise the stored row equals
-        (vec - sum(combo[i] * rows[i])) / scale.
+        Returns (row_index, combo, mult, content), all ints, with
+        mult > 0 and mult * vec == content * rows[row_index] +
+        sum(combo[i] * rows[i]).  row_index is None (and content 0)
+        when vec was already in the span.
         """
-        residual, combo = self.reduce(vec)
+        residual, mult, combo = self._eliminate(vec)
         if not residual:
-            return None, combo, None
-        keyfn = self.keyfn
-        pivot = min(residual, key=keyfn)
-        scale = residual[pivot]
-        row = {k: c / scale for k, c in residual.items()}
+            return None, combo, mult, 0
+        pivot = min(residual, key=self.keyfn)
+        content = reduce(gcd, residual.values(), 0)
+        if residual[pivot] < 0:
+            content = -content
         idx = len(self.rows)
-        self.rows.append(row)
+        self.rows.append({k: c // content for k, c in residual.items()})
         self.pivot_of[pivot] = idx
-        return idx, combo, scale
+        return idx, combo, mult, content
 
 
 def mod_p(c):

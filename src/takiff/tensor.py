@@ -13,20 +13,35 @@ act by the Leibniz rule.  On top of the action sit the five engines:
   recover_parameters     read the construction parameters back off
                          probe actions on 1 (x) v
 
+The action is compiled.  Each TensorModule instance keeps a table of
+integer action columns, filled lazily: the image of one basis label
+h^i hb^j (x) idx under one generator, as int numerators over one
+denominator, read in closed form off the words of family_to_operator
+(the first factor) plus hw.act_basis (the second).  ``act`` and the
+closure and Whittaker engines are integer sparse combinations of these
+columns.  The table belongs to the instance and dies with it; nothing
+is shared between modules or across calls with other parameters.
+family_act stays the independent oracle the tests check it against.
+
 Everything is exact; "certified" means a genuine membership witness
 exists (and can be replayed), never "converged numerically".
 """
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
+from math import comb, gcd, lcm, perm
 from typing import Optional
 
-from .scalars import Q, ZERO, format_scalar
+from .scalars import Q, format_scalar
 from .poly import BiPoly, UniPoly
 from .algebra import UeaElement, mono_letters, annihilator_element
-from .families import FamilyParams, family_act, family_to_operator
+# family_act is not called here, but the name stays bound in this module:
+# perfbench/selfcheck.py looks it up as takiff.tensor.family_act.
+from .families import FamilyParams, family_act, family_to_operator  # noqa: F401
 from .verma import HwModule, annihilation_index, VermaElement
-from .linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p
+from .linalg import (RANK_PRIME, Echelon, clear_denominators,
+                     independent_mod_p, mod_p)
 from .report import Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import LinComb, accumulate
 
@@ -45,6 +60,11 @@ class TensorModule:
             self.expectation = "reducible: a = 0 gives the invariant subspace hb*Q[h,hb] (x) L"
         else:
             self.expectation = "irreducible (family simple and L irreducible)"
+        # Integer forms of the action, filled on first use: per gen the
+        # operator words and per (gen, idx) the second factor's images,
+        # each as (den, {key: int}), and the assembled columns.
+        self._parts = {}
+        self._columns = {}  # gen -> {flat key: (den, keys, nums)}
 
     def label(self):
         return f"{self.params.label()} (x) {self.hw.label()}"
@@ -68,15 +88,74 @@ class TensorModule:
     # -- the Leibniz action ----------------------------------------------
 
     def act(self, gen, x):
-        def images():
-            for idx, p in x.terms.items():
-                q = family_act(gen, self.params, p)
-                if q:
-                    yield idx, q
-                for idx2, c in self.hw.act_basis(gen, idx).items():
-                    yield idx2, c * p
+        den, out = self.image(gen, x.flatten())
+        return TensorElement.from_flat({k: Q(n, den) for k, n in out.items()})
 
-        return TensorElement._raw(accumulate({}, images()))
+    def image(self, gen, flat):
+        """gen applied to a flat vector, as (den, ints).
+
+        flat maps flat keys (idx, i, j) to ints or rationals; the image
+        is the returned int dict divided by den > 0.  Each term's column
+        and its own denominator fix one common denominator, so the merge
+        runs on ints.
+        """
+        cols = self._columns.get(gen, {})
+        den = 1
+        parts = []
+        for key, c in flat.items():
+            col = cols.get(key) or self.column(gen, key)
+            d = col[0] * int(c.denominator)
+            den = lcm(den, d)
+            parts.append((int(c.numerator), d, col[1], col[2]))
+        out = {}
+        for n, d, keys, nums in parts:
+            f = n * (den // d)
+            accumulate(out, zip(keys, map(f.__mul__, nums)))
+        return den, out
+
+    def column(self, gen, key):
+        """The image of the basis label key = (idx, i, j) under gen.
+
+        Returned as (den, keys, nums): flat keys and int numerators with
+        gen . (h^i hb^j (x) idx) = sum(num * key) / den, den as small as
+        possible.  Each column is computed once per module instance, on
+        first use.  (Lists, not tuples: freed tuples of many lengths
+        would stay cached by the interpreter after the module is gone.)
+        """
+        cols = self._columns.get(gen)
+        if cols is None:
+            cols = self._columns[gen] = {}
+        col = cols.get(key)
+        if col is None:
+            col = cols[key] = self._compile(gen, key)
+        return col
+
+    def _compile(self, gen, key):
+        # The word c * h^wi hb^wj db^k s^m sends h^i hb^j to
+        # c * perm(j, k) * sum_t comb(i, t) (-2m)^(i-t) h^(wi+t) hb^(wj+j-k);
+        # the Leibniz term 1 (x) gen adds h^i hb^j (x) gen.idx.
+        idx, i, j = key
+        words = self._parts.get(gen)
+        if words is None:
+            words = self._parts[gen] = clear_denominators(
+                family_to_operator(gen, self.params).terms)
+        second = self._parts.get((gen, idx))
+        if second is None:
+            second = self._parts[(gen, idx)] = clear_denominators(
+                self.hw.act_basis(gen, idx))
+        (wden, wnums), (sden, snums) = words, second
+        den = lcm(wden, sden)
+        out = {}
+        for (wi, wj, k, m), n in wnums.items():
+            n *= (den // wden) * perm(j, k)
+            if n:
+                accumulate(out, (((idx, wi + t, wj + j - k),
+                                  n * comb(i, t) * (-2 * m) ** (i - t))
+                                 for t in range(i + 1)))
+        f = den // sden
+        accumulate(out, (((idx2, i, j), n * f) for idx2, n in snums.items()))
+        g = reduce(gcd, out.values(), den)
+        return den // g, list(out), [n // g for n in out.values()]
 
     def act_uea(self, u, x):
         """Universal-envelope action: each PBW word acts rightmost-first."""
@@ -141,11 +220,9 @@ class TensorElement(LinComb):
     def from_flat(cls, flat):
         terms = {}
         for (idx, i, j), c in flat.items():
-            if c == 0:
-                continue
-            cur = terms.setdefault(idx, {})
-            cur[(i, j)] = cur.get((i, j), ZERO) + c
-        return cls({idx: BiPoly(d) for idx, d in terms.items()})
+            if c:
+                terms.setdefault(idx, {})[(i, j)] = c
+        return cls._raw({idx: BiPoly._raw(d) for idx, d in terms.items()})
 
     def text(self):
         if not self.terms:
@@ -365,69 +442,80 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
     # out-of-window parts: an in-window element of the submodule often
     # arises as a combination of images that each stick out, and
     # discarding those images would lose it.
+    #
+    # Rows stay flat int vectors throughout: the image of a stored row
+    # is a positive multiple of gen . row, which spans the same line,
+    # and the target residual only has to reach zero.
     order = mod.flat_key_order
     keyfn = lambda k: tuple(-t for t in order(k))
+    level = mod.hw.level
     span = Echelon(keyfn=keyfn)
     tags = []
-    target = mod.one_v().flatten()
-    target_res = dict(target)
+    target_res = {(mod.hw.highest_index, 0, 0): 1}
 
-    def score(x):
-        worst = 0
-        for idx, p in x.terms.items():
-            lvl = mod.hw.level(idx)
-            worst = max(worst, lvl + p.deg_h() + p.deg_hb())
-        return worst
+    def window_score(row):
+        # None outside the window, else max over L-labels of level +
+        # h-degree + hb-degree of that label's polynomial
+        degs = {}
+        for idx, i, j in row:
+            if i > deg_cap or j > deg_cap:
+                return None
+            di, dj = degs.get(idx, (0, 0))
+            degs[idx] = (max(di, i), max(dj, j))
+        if any(level(idx) > lvl_cap for idx in degs):
+            return None
+        return max(level(idx) + di + dj for idx, (di, dj) in degs.items())
 
     counter = 0
     heap = []
 
-    def push(x, tag):
-        # Returns (inserted, found).  The target residual stays reduced
-        # against every stored row, so only the newly inserted row can
-        # shrink it further: one subtraction replaces a full sweep.
-        nonlocal counter
-        flat = x.flatten()
-        ridx, combo, scale = span.insert(flat)
+    def push(vec, tag):
+        # Returns True once the target is in the span.  The target
+        # residual stays reduced against every stored row, so only the
+        # newly inserted row can shrink it further: one subtraction
+        # replaces a full sweep.
+        nonlocal counter, target_res
+        ridx, combo, mult, content = span.insert(vec)
         if ridx is None:
-            return False, False
+            return False
         if track_tags:
-            t = tag
+            t = tag.scale(mult)
             for i, c in combo.items():
                 t = t - tags[i].scale(c)
-            t = t.scale(Q(1) / scale)
-            tags.append(t)
+            tags.append(t.scale(Q(1, content)))
         else:
             tags.append(None)
         row = span.rows[ridx]
         pk = min(row, key=keyfn)
         c = target_res.get(pk)
         if c:
-            accumulate(target_res, ((k2, -c * v2) for k2, v2 in row.items()))
+            g = gcd(c, row[pk])
+            a, b = row[pk] // g, c // g
+            target_res = accumulate({k: a * v for k, v in target_res.items()},
+                                    ((k2, -b * v2) for k2, v2 in row.items()))
             if not target_res:
-                return True, True
-        row_elt = TensorElement.from_flat(row)
-        if mod.in_window(row_elt, lvl_cap, deg_cap):
-            heapq.heappush(heap, (score(row_elt), counter, ridx, row_elt))
+                return True
+        score = window_score(row)
+        if score is not None:
+            heapq.heappush(heap, (score, counter, ridx))
             counter += 1
-        return True, False
+        return False
 
-    _, found = push(seed, UeaElement.one())
-    if found:
+    if push(seed.flatten(), UeaElement.one()):
         return True, span, tags
 
     gens = ("eb", "e", "hb", "h", "fb", "f")
     while heap:
-        _, _, ridx, elt = heapq.heappop(heap)
+        _, _, ridx = heapq.heappop(heap)
+        row = span.rows[ridx]
         for gen in gens:
-            img = mod.act(gen, elt)
-            if img.is_zero():
+            den, img = mod.image(gen, row)
+            if not img:
                 continue
             tag = None
             if track_tags:
-                tag = UeaElement.gen(gen) * tags[ridx]
-            _, found = push(img, tag)
-            if found:
+                tag = (UeaElement.gen(gen) * tags[ridx]).scale(den)
+            if push(img, tag):
                 return True, span, tags
     return False, span, tags
 
@@ -596,27 +684,29 @@ class WhittakerWindow:
         # operators push support toward high strata, so pivoting there
         # keeps the elimination sparse.
         self.keyfn = lambda sk: tuple(-t for t in (sk[0],) + order(sk[1:]))
-        self.images = []  # per label: {(block, idx, i, j): c}, block 0 = e, 1 = eb
-        for idx, i, j in self.basis:
-            x = TensorElement({idx: BiPoly.monomial(1, i, j)})
-            stacked = {}
-            for block, gen in enumerate(("e", "eb")):
-                for k, c in mod.act(gen, x).flatten().items():
-                    stacked[(block,) + k] = c
-            self.images.append(stacked)
+        # Per label: (den, {(block, idx, i, j): int}), block 0 = e and
+        # 1 = eb; the stacked image of the label is the ints over den.
+        self.columns = []
+        for key in self.basis:
+            (d0, k0, n0), (d1, k1, n1) = mod.column("e", key), mod.column("eb", key)
+            den = lcm(d0, d1)
+            stacked = {(0,) + k: n * (den // d0) for k, n in zip(k0, n0)}
+            stacked.update(((1,) + k, n * (den // d1)) for k, n in zip(k1, n1))
+            self.columns.append((den, stacked))
         # The certificate's columns: the images mod p on integer row
         # keys ranked by the pivot policy, and each column's two
         # diagonal row keys; None when p divides a denominator.
-        keys = {k for img in self.images for k in img}
+        keys = {k for _, img in self.columns for k in img}
         keys.update((block,) + b for b in self.basis for block in (0, 1))
         rank = {k: n for n, k in enumerate(sorted(keys, key=self.keyfn))}
         self._diag = [(rank[(0,) + b], rank[(1,) + b]) for b in self.basis]
         self._residues = []
-        for img in self.images:
-            col = {rank[k]: mod_p(c) for k, c in img.items()}
-            if None in col.values():
+        for den, img in self.columns:
+            if den % RANK_PRIME == 0:
                 self._residues = None
                 break
+            inv = pow(den, -1, RANK_PRIME)
+            col = {rank[k]: n * inv % RANK_PRIME for k, n in img.items()}
             self._residues.append({k: r for k, r in col.items() if r})
 
     def certify_empty(self, mu1, mu2):
@@ -642,19 +732,20 @@ class WhittakerWindow:
         """Basis of the window kernel, by exact elimination."""
         mu1, mu2 = Q(mu1), Q(mu2)
         span = Echelon(keyfn=self.keyfn)
-        tags = []
+        tags = []  # per stored row: its rational combination of labels
         kernel = []
-        for t, (img, key) in enumerate(zip(self.images, self.basis)):
-            stacked = accumulate(dict(img), (((0,) + key, -mu1),
-                                             ((1,) + key, -mu2)))
-            tag = {t: Q(1)}
-            ridx, combo, scale = span.insert(stacked)
-            for i2, c in combo.items():
-                accumulate(tag, ((t2, -c * c2) for t2, c2 in tags[i2].items()))
+        for t, ((den, img), key) in enumerate(zip(self.columns, self.basis)):
+            # den times the stacked column of [E - mu1 I ; Eb - mu2 I]
+            stacked = accumulate(dict(img), (((0,) + key, -mu1 * den),
+                                             ((1,) + key, -mu2 * den)))
+            ridx, combo, mult, content = span.insert(stacked)
+            m = mult * den
+            tag = accumulate({t: m}, ((t2, -c * c2) for i2, c in combo.items()
+                                      for t2, c2 in tags[i2].items()))
             if ridx is None:
-                kernel.append(tag)
+                kernel.append({k: Q(c) / m for k, c in tag.items()})
             else:
-                tags.append({k: c / scale for k, c in tag.items()})
+                tags.append({k: Q(c) / content for k, c in tag.items()})
         return [TensorElement.from_flat({self.basis[t]: c for t, c in tag.items()})
                 for tag in kernel]
 

@@ -237,8 +237,7 @@ def _check_findim(module):
                 img = accumulate({}, ((k, c * v) for i, c in vec.items()
                                       for k, v in module.act_basis(gen, i).items()))
                 if img:
-                    idx, _, _ = span.insert(img)
-                    if idx is not None:
+                    if span.insert(img)[0] is not None:
                         frontier.append(img)
         if len(span) != dim:
             return f"closure from basis {start} spans {len(span)} < {dim}"

@@ -121,3 +121,47 @@ def test_act_eval_applies_words_in_order():
     assert act_eval(params, "eb", BiPoly.var_h()) == BiPoly.parse("h - 2")
     with pytest.raises(PolyParseError):
         act_eval(params, "e*q", BiPoly.const(1))
+
+
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"suite": "whittaker", "depth": -1},
+                 "depth must be >= 0, got -1", id="whittaker-depth"),
+    pytest.param({"suite": "induced", "eta": "1", "depth": -1},
+                 "depth must be >= 0", id="induced-depth"),
+    pytest.param({"suite": "irreducible", "eta": "1", "seeds": 0},
+                 "seeds must be >= 1, got 0", id="no-seeds"),
+    pytest.param({"suite": "irreducible", "eta": "1", "seeds": -2},
+                 "seeds must be >= 1", id="negative-seeds"),
+    pytest.param({"suite": "whittaker", "mu1": ""}, "grid is empty",
+                 id="empty-mu1"),
+    pytest.param({"suite": "whittaker", "mu2": " , "}, "grid is empty",
+                 id="blank-mu2"),
+    pytest.param({"suite": "singular", "max_level": 0},
+                 "max_level must be >= 1, got 0", id="singular-level"),
+    pytest.param({"suite": "lemma51", "eta": "1", "g": "1", "r": 0},
+                 "r must be >= 1", id="lemma51-r"),
+])
+def test_sizes_below_their_minimum_are_errors(fields, message):
+    """A run on an empty window, seed list, grid or scan is one ERROR
+    record, never a vacuous PASS."""
+    rep = run_suite(JobConfig(**fields))
+    assert [c.status for c in rep.checks] == [ERROR]
+    assert message in rep.checks[0].witness
+    assert not rep.ok
+
+
+def test_sizes_at_their_minimum_still_run():
+    rep = run_suite(JobConfig(suite="whittaker", depth=0, mu1="1", mu2="1"))
+    assert [c.status for c in rep.checks] != [ERROR] and rep.checks
+    rep = run_suite(JobConfig(suite="singular", eta="1", max_level=1))
+    assert rep.ok and len(rep.checks) == 2
+
+
+def test_empty_sizes_exit_one_with_an_error_record():
+    for args in (("singular", "--max-level", "0"),
+                 ("verify", "whittaker", "--mu1", "")):
+        proc = run_cli(*args)
+        assert proc.returncode == 1, args
+        payload = json.loads(proc.stdout)
+        assert payload["summary"]["error"] == 1
+        assert payload["summary"]["pass"] == 0

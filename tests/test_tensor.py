@@ -8,6 +8,7 @@ witnesses the engines hand back.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
                     HighestWeight, Q, TensorElement, TensorModule, UeaElement,
@@ -16,6 +17,7 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
                     check_invariant_subspace, closure_search, make_seeds,
                     recover_parameters, recover_report, vandermonde_reduce,
                     whittaker_report, whittaker_vector_search)
+from takiff.families import family_act
 from takiff.linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p
 from takiff.tensor import WhittakerWindow
 
@@ -35,6 +37,59 @@ def random_element(mod, rng, deg=2, level=2):
                             rng.randrange(deg + 1), rng.randrange(deg + 1))
         x = x + TensorElement({idx: p})
     return x
+
+
+ORACLE_PARAMS = [
+    FamilyParams("gamma", Q(2, 3), 1, -1),
+    FamilyParams("theta", 3, Q(-2, 5), 5),
+    FamilyParams("omega", Q(1, 2), 3, beta="2*hb^2 - 1"),
+]
+ORACLE_FACTORS = [build_verma_module(HighestWeight(Q(2), Q(-1, 3))),
+                  build_hw_module(HighestWeight(Q(0), Q(2)))]
+
+
+def leibniz(mod, gen, x):
+    """gen . x from the direct polynomial route and the second factor's
+    basis action: gen (x) 1 + 1 (x) gen, written out term by term."""
+    total = mod.zero()
+    for idx, p in x.terms.items():
+        total = total + TensorElement({idx: family_act(gen, mod.params, p)})
+        for idx2, c in mod.hw.act_basis(gen, idx).items():
+            total = total + TensorElement({idx2: p.scale(c)})
+    return total
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda p: p.family)
+@pytest.mark.parametrize("hw", ORACLE_FACTORS, ids=lambda hw: hw.kind)
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_compiled_action_matches_the_leibniz_oracle(params, hw, data):
+    mod = TensorModule(params, hw)
+    coeff = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+    monos = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                            coeff, max_size=3)
+    x = TensorElement({idx: BiPoly(data.draw(monos))
+                       for idx in data.draw(st.lists(
+                           st.sampled_from(hw.basis_through_level(2)),
+                           max_size=3))})
+    for gen in GENS:
+        assert mod.act(gen, x) == leibniz(mod, gen, x), (gen, x.text())
+
+
+def test_columns_belong_to_their_module():
+    hw = ORACLE_FACTORS[0]
+    one, two = (TensorModule(FamilyParams("gamma", lam), hw) for lam in (1, 2))
+    key = ((0, 0), 1, 0)  # h (x) v
+    for mod in (one, two):
+        mod.act("eb", mod.pure("h"))
+    # eb = lam * s sends h to lam * (h - 2)
+    keys = [((0, 0), 0, 0), ((0, 0), 1, 0)]
+    assert one.column("eb", key) == (1, keys, [-2, 1])
+    assert two.column("eb", key) == (1, keys, [-4, 2])
+    # a new module with the same parameters compiles its own columns
+    again = TensorModule(FamilyParams("gamma", 1), hw)
+    assert again.column("eb", key) == one.column("eb", key)
+    assert again.column("eb", key) is not one.column("eb", key)
 
 
 def test_action_satisfies_the_bracket():
@@ -284,6 +339,20 @@ def test_whittaker_certificate_declines_and_the_exact_path_decides():
     for mu2 in (-1, 0, 1):
         assert not window.certify_empty(0, mu2)
         assert window.exact_solutions(0, mu2) == []
+
+
+def test_whittaker_window_with_denominators_in_its_columns():
+    """lam = 2/3 puts a denominator 3 into every eb column: the residues
+    divide by it and the exact kernel is normalized like the others."""
+    lam = Q(2, 3)
+    mod = TensorModule(FamilyParams("gamma", lam),
+                       build_hw_module(HighestWeight(Q(0), Q(0))))
+    window = WhittakerWindow(mod, 2)
+    assert all(den % 3 == 0 for den, _ in window.columns)
+    for mu1, mu2 in ((0, lam), (0, 1), (1, lam), (Q(1, 2), Q(-2, 3))):
+        exact = window.exact_solutions(mu1, mu2)
+        assert window.certify_empty(mu1, mu2) == (exact == []), (mu1, mu2)
+    assert window.solve(0, lam) == [mod.one_v()]
 
 
 def test_whittaker_grid_report_all_clear():
