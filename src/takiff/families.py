@@ -52,15 +52,9 @@ def solve_omega_alpha(lam, a, beta):
     h_op = SkewOperator.word(1, i=1)
     base = _omega_e(lam, a, UniPoly.zero()).commutator(f_op) - h_op
     # alpha enters e as +alpha(hb)*s; one basis operator per coefficient.
-    columns = [
-        SkewOperator.word(1, j=i, m=1).commutator(f_op) for i in range(m + 1)
-    ]
-    keys = sorted(set(base.terms) | {k for col in columns for k in col.terms})
-    rows = [
-        [col.terms.get(key, Q(0)) for col in columns] + [-base.terms.get(key, Q(0))]
-        for key in keys
-    ]
-    sol = solve_unique(rows, m + 1)
+    columns = [SkewOperator.word(1, j=i, m=1).commutator(f_op).terms
+               for i in range(m + 1)]
+    sol = solve_unique(columns, (-base).terms)
     if sol is None:
         raise ValueError("bracket constraint for alpha is not uniquely solvable")
     return UniPoly({i: c for i, c in enumerate(sol)})

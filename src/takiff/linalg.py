@@ -1,18 +1,18 @@
 """Exact sparse linear algebra over the rationals.
 
-Three tools live here.  ``rref`` is the one dense eliminator for the
-small systems (the Vandermonde inverse), with ``nullspace`` (singular
-vectors) and ``solve_unique`` (the omega alpha constraint) reading
-their answers off it.  ``Echelon`` is an incremental row-echelon span
-for the big jobs -- submodule closure and Whittaker searches -- where
-vectors are sparse dicts keyed by arbitrary hashable basis labels and
-insertion order matters for performance.  It is fraction-free: every
-stored row is a primitive integer vector (content 1, positive pivot
-entry) whose pivot is the minimum of its support under the supplied
-ordering, which makes membership reduction a strictly-increasing
-sweep and hence easy to reason about.  An input's denominators are
-cleared once and elimination is gcd-reduced cross-multiplication on
-ints, in the style of Bareiss.  ``independent_mod_p`` is a one-sided
+``Echelon`` is the one exact eliminator: an incremental row-echelon
+span of sparse dicts keyed by arbitrary hashable basis labels, used
+directly by submodule closure and through ``nullspace`` by everything
+else.  It is fraction-free: every stored row is a primitive integer
+vector (content 1, positive pivot entry) whose pivot is the minimum of
+its support under the supplied ordering, which makes membership
+reduction a strictly-increasing sweep and hence easy to reason about.
+An input's denominators are cleared once and elimination is
+gcd-reduced cross-multiplication on ints, in the style of Bareiss.
+``nullspace`` reads a kernel basis off the order in which columns
+fail to enlarge the span; ``solve_unique`` (the omega alpha
+constraint, the Vandermonde inverse) reads the one kernel vector of
+an augmented system.  ``independent_mod_p`` is a one-sided
 certificate: it can prove a set of rational vectors independent by
 eliminating their images in F_p, and when it cannot, the caller
 decides exactly.
@@ -25,67 +25,10 @@ from functools import reduce
 from math import gcd, lcm
 
 from .scalars import Q, ZERO
+from .sparse import accumulate
 
 #: Prime of the modular rank certificate (the Mersenne prime 2^61 - 1).
 RANK_PRIME = 2**61 - 1
-
-
-def rref(rows):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def solve_unique(rows, nvars):
-    """The unique solution of the augmented system [A | b], or None.
-
-    Each row is [a_1, ..., a_nvars, b].  None when the system is
-    inconsistent (the augmented column takes a pivot) or underdetermined
-    (some variable column takes none).
-    """
-    work = [list(r) for r in rows]
-    if rref(work) != list(range(nvars)):
-        return None
-    return [work[i][nvars] for i in range(nvars)]
-
-
-def nullspace(rows, ncols):
-    """Basis of the right kernel of the matrix (list of coefficient lists).
-
-    Deterministic: one basis vector per free column, in column order,
-    with a 1 in the free position.
-    """
-    work = [list(r) for r in rows]
-    pivots = rref(work)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][fc]
-        basis.append(v)
-    return basis
 
 
 def clear_denominators(vec):
@@ -204,6 +147,46 @@ class Echelon:
         self.rows.append({k: c // content for k, c in residual.items()})
         self.pivot_of[pivot] = idx
         return idx, combo, mult, content
+
+
+def nullspace(columns, keyfn=None):
+    """Basis of the kernel of the matrix with the given sparse columns.
+
+    Columns are inserted in order into one ``Echelon`` (keyfn orders its
+    row labels), and each stored row keeps its combination of columns.
+    A column that reduces to zero gives one basis vector: a dict column
+    index -> Q with 1 at that column and support on earlier columns
+    only.  That is the basis the reduced row echelon form reads off its
+    free columns, and the vectors come in column order.
+    """
+    span = Echelon(keyfn)
+    tags = []  # per stored row: its rational combination of columns
+    basis = []
+    for t, col in enumerate(columns):
+        ridx, combo, mult, content = span.insert(col)
+        # mult * col - sum(combo[i] * rows[i]) is content * rows[ridx]
+        tag = accumulate({t: mult}, ((t2, -c * c2) for i, c in combo.items()
+                                     for t2, c2 in tags[i].items()))
+        if ridx is None:
+            basis.append({k: Q(c) / mult for k, c in tag.items()})
+        else:
+            tags.append({k: Q(c) / content for k, c in tag.items()})
+    return basis
+
+
+def solve_unique(columns, rhs):
+    """The unique x with sum(x[t] * columns[t]) == rhs, or None.
+
+    Columns and rhs are sparse dicts.  The kernel of [A | b] must be
+    exactly one vector, with its 1 in the column of b: otherwise some
+    column of A depends on earlier ones (underdetermined) or b is not
+    in their span (inconsistent).  Then x = -v on the columns of A.
+    """
+    n = len(columns)
+    kernel = nullspace([*columns, rhs])
+    if len(kernel) != 1 or n not in kernel[0]:
+        return None
+    return [-kernel[0].get(t, ZERO) for t in range(n)]
 
 
 def mod_p(c):

@@ -41,7 +41,7 @@ from .algebra import UeaElement, mono_letters, annihilator_element
 from .families import FamilyParams, family_act, family_to_operator  # noqa: F401
 from .verma import HwModule, annihilation_index, VermaElement
 from .linalg import (RANK_PRIME, Echelon, clear_denominators,
-                     independent_mod_p, mod_p)
+                     independent_mod_p, mod_p, nullspace, solve_unique)
 from .report import Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import LinComb, accumulate
 
@@ -177,13 +177,11 @@ class TensorModule:
             return (idx[0] + idx[1], idx[0], idx[1], i, j)
         return (idx, idx, 0, i, j)
 
-    def in_window(self, x, depth, deg_cap=None):
-        if deg_cap is None:
-            deg_cap = depth
+    def in_window(self, x, depth):
         for idx, p in x.terms.items():
             if self.hw.level(idx) > depth:
                 return False
-            if p.deg_h() > deg_cap or p.deg_hb() > deg_cap:
+            if p.deg_h() > depth or p.deg_hb() > depth:
                 return False
         return True
 
@@ -333,31 +331,28 @@ def vandermonde_reduce(mod, x):
 def _vandermonde_inverse(points):
     """Inverse of the matrix [m^d] (rows m in points, columns d)."""
     n = len(points)
-    rows = [[Q(m) ** d for d in range(n)] + [Q(0)] * n for m in points]
-    for i in range(n):
-        rows[i][n + i] = Q(1)
-    from .linalg import rref
-
-    rref(rows)
-    # rows now [I | V^-1]; row d of the inverse weights sample column m
-    return [[rows[d][n + c] for c in range(n)] for d in range(n)]
+    columns = [{r: Q(m) ** d for r, m in enumerate(points)} for d in range(n)]
+    # column c of V^-1 solves V x = e_c; row d weights sample column c
+    inverse = [solve_unique(columns, {c: 1}) for c in range(n)]
+    return [[inverse[c][d] for c in range(n)] for d in range(n)]
 
 
 # -- irreducibility certification ------------------------------------------
 
 
-def make_seeds(mod, count, rng_seed, max_level=2, max_deg=2):
+def make_seeds(mod, count, rng_seed):
     """Structured seeds plus a reproducible pseudo-random batch.
 
-    Random terms are monomials of total degree at most max_deg times
-    basis vectors of level at most max_level, occasionally mixed across
-    two levels.  Terms at the deepest level stay h-free: stripping
-    h-powers from deep levels is by far the costliest closure
-    direction, and low-degree seeds already exercise every generator
-    (the closure itself still sweeps through high-degree products).
+    Random terms are monomials of total degree at most 2 times basis
+    vectors of level at most 2, occasionally mixed across two levels.
+    Terms at the deepest level stay h-free: stripping h-powers from
+    deep levels is by far the costliest closure direction, and
+    low-degree seeds already exercise every generator (the closure
+    itself still sweeps through high-degree products).
     """
     import random
 
+    max_level = max_deg = 2
     rng = random.Random(rng_seed)
     h = BiPoly.var_h()
     hb = BiPoly.var_hb()
@@ -520,14 +515,14 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
     return False, span, tags
 
 
-def certify_irreducible(mod, seeds, depth, track_tags=False):
+def certify_irreducible(mod, seeds, depth):
     """Sound reachability of 1 (x) v from each seed; never 'reducible'."""
     report = Report(
         suite="irreducible",
         config={"module": mod.label(), "depth": depth, "seeds": len(seeds)},
     )
     for n, seed in enumerate(seeds):
-        found, span, _ = closure_search(mod, seed, depth, track_tags=track_tags)
+        found, span, _ = closure_search(mod, seed, depth)
         check_id = f"reach[seed-{n}]/{mod.label()}"
         witness = f"closure dimension {len(span)}, seed {seed.text()}"
         if found:
@@ -604,6 +599,8 @@ def annihilator_check(mod, g, r):
     f v, where it is nonzero.
     """
     params = mod.params
+    if g.is_zero():
+        raise ValueError("g must be nonzero")
     if r <= (g.deg_h() or 0):
         raise ValueError("need r > deg_h(g)")
     if params.family == "omega" and params.a == 0:
@@ -731,23 +728,18 @@ class WhittakerWindow:
     def exact_solutions(self, mu1, mu2):
         """Basis of the window kernel, by exact elimination."""
         mu1, mu2 = Q(mu1), Q(mu2)
-        span = Echelon(keyfn=self.keyfn)
-        tags = []  # per stored row: its rational combination of labels
-        kernel = []
-        for t, ((den, img), key) in enumerate(zip(self.columns, self.basis)):
-            # den times the stacked column of [E - mu1 I ; Eb - mu2 I]
-            stacked = accumulate(dict(img), (((0,) + key, -mu1 * den),
-                                             ((1,) + key, -mu2 * den)))
-            ridx, combo, mult, content = span.insert(stacked)
-            m = mult * den
-            tag = accumulate({t: m}, ((t2, -c * c2) for i2, c in combo.items()
-                                      for t2, c2 in tags[i2].items()))
-            if ridx is None:
-                kernel.append({k: Q(c) / m for k, c in tag.items()})
-            else:
-                tags.append({k: Q(c) / content for k, c in tag.items()})
-        return [TensorElement.from_flat({self.basis[t]: c for t, c in tag.items()})
-                for tag in kernel]
+        # den_t times the stacked column t of [E - mu1 I ; Eb - mu2 I]
+        columns = (accumulate(dict(img), (((0,) + key, -mu1 * den),
+                                          ((1,) + key, -mu2 * den)))
+                   for (den, img), key in zip(self.columns, self.basis))
+        dens = [den for den, _ in self.columns]
+        out = []
+        for vec in nullspace(columns, self.keyfn):
+            # back to the unscaled columns, with 1 at the top label again
+            top = dens[max(vec)]
+            out.append(TensorElement.from_flat(
+                {self.basis[t]: c * dens[t] / top for t, c in vec.items()}))
+        return out
 
     def solve(self, mu1, mu2):
         """All window vectors x with e.x = mu1 x and eb.x = mu2 x."""

@@ -17,7 +17,7 @@ rather than approximated.
 
 from dataclasses import dataclass
 
-from .scalars import Q, ZERO, format_scalar
+from .scalars import Q, format_scalar
 from .algebra import GENERATORS, bracket, gen_times_lowering, mono_text
 from .linalg import nullspace, Echelon
 from .sparse import LinComb, accumulate
@@ -113,22 +113,17 @@ def annihilation_index(gen, hw, x, bound=None):
 def singular_vectors(hw, level):
     """Basis of the vectors at the given level killed by both e and eb.
 
-    Exact kernel of the stacked action matrices from level to level-1.
+    Exact kernel of the stacked e and eb actions from level to level-1:
+    column t holds the images of the t-th level basis vector.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     basis = [(i, level - i) for i in range(level + 1)]
-    target = [(i, level - 1 - i) for i in range(level)]
-    tpos = {b: r for r, b in enumerate(target)}
-    rows = [[ZERO] * len(basis) for _ in range(2 * len(target))]
-    for col, (i, j) in enumerate(basis):
-        for gen, block in (("e", 0), ("eb", len(target))):
-            for key, c in verma_act_basis(gen, hw, i, j).items():
-                rows[block + tpos[key]][col] = c
-    out = []
-    for coeffs in nullspace(rows, len(basis)):
-        out.append(VermaElement({basis[c]: v for c, v in enumerate(coeffs) if v}))
-    return out
+    columns = [{(gen, key): c for gen in ("e", "eb")
+                for key, c in verma_act_basis(gen, hw, i, j).items()}
+               for i, j in basis]
+    return [VermaElement({basis[t]: v[t] for t in sorted(v)})
+            for v in nullspace(columns)]
 
 
 def verma_reducible_predicate(hw):
@@ -244,12 +239,12 @@ def _check_findim(module):
     return None
 
 
-def build_hw_module(hw, depth=6):
+def build_hw_module(hw):
     """Construct the irreducible highest-weight module L(eta, theta).
 
     eta != 0: the Verma module itself, with a singular-vector scan
-    through the requested level recorded as the certificate (a
-    semi-decision; the scan depth is part of the certificate text).
+    through level 6 recorded as the certificate (a semi-decision; the
+    scan depth is part of the certificate text).
 
     eta = 0, theta a nonnegative integer: the (theta+1)-dimensional
     module, with module axioms and irreducibility verified outright on
@@ -258,6 +253,7 @@ def build_hw_module(hw, depth=6):
     Anything else is rejected.
     """
     if hw.eta != 0:
+        depth = 6
         for level in range(1, depth + 1):
             found = singular_vectors(hw, level)
             if found:

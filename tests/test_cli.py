@@ -140,6 +140,8 @@ def test_act_eval_applies_words_in_order():
                  "max_level must be >= 1, got 0", id="singular-level"),
     pytest.param({"suite": "lemma51", "eta": "1", "g": "1", "r": 0},
                  "r must be >= 1", id="lemma51-r"),
+    pytest.param({"suite": "lemma51", "eta": "1", "g": "0", "r": 1},
+                 "g must be nonzero", id="lemma51-zero-g"),
 ])
 def test_sizes_below_their_minimum_are_errors(fields, message):
     """A run on an empty window, seed list, grid or scan is one ERROR

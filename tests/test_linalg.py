@@ -1,47 +1,72 @@
-"""The dense eliminator's unique-solution reading, and the fraction-free
-incremental eliminator against it."""
+"""The fraction-free eliminator, the kernel and unique-solve readings
+built on it, and the Vandermonde inverse, each against a small dense
+elimination written out here as the oracle."""
 
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from takiff import Q
-from takiff.linalg import Echelon, rref, solve_unique
+from takiff.linalg import Echelon, nullspace, solve_unique
+from takiff.tensor import _vandermonde_inverse
 
 
-def rows_of(*rows):
-    return [[Q(x) for x in row] for row in rows]
-
-
-def test_solve_unique_returns_the_solution_of_a_determined_system():
-    # x + 2y = 5, 3x - y = 1, and a redundant consistent third row
-    rows = rows_of([1, 2, 5], [3, -1, 1], [4, 1, 6])
-    assert solve_unique(rows, 2) == [Q(1), Q(2)]
-    assert rows == rows_of([1, 2, 5], [3, -1, 1], [4, 1, 6])  # input untouched
-
-
-def test_solve_unique_rejects_an_underdetermined_system():
-    # x + y = 1 twice over: the y column takes no pivot
-    assert solve_unique(rows_of([1, 1, 1], [2, 2, 2]), 2) is None
-    assert solve_unique(rows_of([0, 1, 3]), 2) is None
-
-
-def test_solve_unique_rejects_an_inconsistent_system():
-    # x = 1 and x = 2: the augmented column takes a pivot
-    assert solve_unique(rows_of([1, 1], [1, 2]), 1) is None
-    assert solve_unique(rows_of([1, 0, 1], [0, 1, 1], [1, 1, 3]), 2) is None
+def reference_rank(rows):
+    """Rank of a dense list of rows by plain Gaussian elimination on
+    Fractions; independent of ``Echelon`` on purpose."""
+    work = [[Q(x) for x in row] for row in rows]
+    rank = 0
+    ncols = len(work[0]) if work else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][c] / work[rank][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
 
 
 KEYS = range(6)
 
 
+def rank(vectors):
+    return reference_rank([[v.get(k, 0) for k in KEYS] for v in vectors])
+
+
+def col(*entries):
+    """A sparse column from its dense entries, zeros dropped."""
+    return {r: Q(x) for r, x in enumerate(entries) if x}
+
+
+def test_solve_unique_returns_the_solution_of_a_determined_system():
+    # x + 2y = 5, 3x - y = 1, and a redundant consistent third row
+    columns, rhs = [col(1, 3, 4), col(2, -1, 1)], col(5, 1, 6)
+    assert solve_unique(columns, rhs) == [Q(1), Q(2)]
+    # input untouched
+    assert columns == [col(1, 3, 4), col(2, -1, 1)] and rhs == col(5, 1, 6)
+
+
+def test_solve_unique_rejects_an_underdetermined_system():
+    # x + y = 1 twice over: the y column depends on the x column
+    assert solve_unique([col(1, 2), col(1, 2)], col(1, 2)) is None
+    assert solve_unique([col(0), col(1)], col(3)) is None
+
+
+def test_solve_unique_rejects_an_inconsistent_system():
+    # x = 1 and x = 2: the right-hand side is not in the span
+    assert solve_unique([col(1, 1)], col(1, 2)) is None
+    assert solve_unique([col(1, 0, 1), col(0, 1, 1)], col(1, 1, 3)) is None
+    # x + y = 1 and 2x + 2y = 3: the one kernel vector misses b's column
+    assert solve_unique([col(1, 2), col(1, 2)], col(1, 3)) is None
+
+
 def pivot_order(k):
     # a nontrivial ordering: pivots prefer odd labels, then larger ones
     return (k % 2 == 0, -k)
-
-
-def rank(vectors):
-    return len(rref([[Q(v.get(k, 0)) for k in KEYS] for v in vectors]))
 
 
 def combine(pairs):
@@ -86,3 +111,31 @@ def test_echelon_is_fraction_free_and_exact(vectors, probe):
         [(1, residual)] + [(c, span.rows[i]) for i, c in combo.items()])
     assert not set(residual) & set(span.pivot_of)
     assert (not residual) == (rank(vectors + [probe]) == len(span))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(sparse_vectors, max_size=8))
+def test_nullspace_is_the_free_column_basis(columns):
+    kernel = nullspace(columns)
+    assert len(kernel) == len(columns) - rank(columns)
+    tops = []
+    for vec in kernel:
+        top = max(vec)
+        tops.append(top)
+        # 1 at a column that depends on the columns before it
+        assert vec[top] == 1
+        assert rank(columns[:top + 1]) == rank(columns[:top])
+        assert all(type(c) is Q and c for c in vec.values())
+        assert combine([(c, columns[t]) for t, c in vec.items()]) == {}
+    assert tops == sorted(set(tops))
+    # the basis is unique, so the row ordering cannot change it
+    assert nullspace(columns, keyfn=pivot_order) == kernel
+
+
+@pytest.mark.parametrize("points", [[0], [1, 2], [2, 3, 4, 5], [-1, 0, 3, 7, 8]])
+def test_vandermonde_inverse_inverts(points):
+    n = len(points)
+    inverse = _vandermonde_inverse(points)
+    product = [[sum(inverse[d][c] * Q(points[c]) ** k for c in range(n))
+                for k in range(n)] for d in range(n)]
+    assert product == [[Q(int(d == k)) for k in range(n)] for d in range(n)]

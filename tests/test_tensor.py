@@ -355,6 +355,23 @@ def test_whittaker_window_with_denominators_in_its_columns():
     assert window.solve(0, lam) == [mod.one_v()]
 
 
+def test_whittaker_kernel_over_columns_with_different_denominators():
+    """eta = 1/2 and theta = 1/3 give the columns denominators 1, 2, 3
+    and 6: each kernel vector is scaled back to the unscaled columns,
+    solves both equations exactly and has a 1 at its top label."""
+    lam = Q(2)
+    mod = over_verma(FamilyParams("gamma", lam), eta=Q(1, 2), theta=Q(1, 3))
+    window = WhittakerWindow(mod, 2)
+    assert {den for den, _ in window.columns} == {1, 2, 3, 6}
+    sols = window.exact_solutions(0, lam)
+    assert len(sols) == 6
+    for x in sols:
+        assert mod.act("e", x).is_zero()
+        assert mod.act("eb", x) == x.scale(lam)
+        top = max(x.flatten(), key=mod.flat_key_order)
+        assert x.flatten()[top] == 1
+
+
 def test_whittaker_grid_report_all_clear():
     mod = over_verma(FamilyParams("theta", 2, 1, 1), eta=1, theta=3)
     grid = [(m1, m2) for m1 in (-1, 0, 1) for m2 in (-1, 0, 1)]

@@ -128,5 +128,5 @@ def test_level_scan_report():
 def test_certificates_record_the_scan():
     m = build_verma_module(HighestWeight(Q(0), Q(0)), scan_depth=2)
     assert "singular" in m.certificate
-    m2 = build_hw_module(HighestWeight(Q(2), Q(1)), depth=4)
-    assert "level 4" in m2.certificate
+    m2 = build_hw_module(HighestWeight(Q(2), Q(1)))
+    assert "level 6" in m2.certificate
