@@ -8,12 +8,22 @@ algebra reproduces the tensor module with a Verma factor.  This file
 holds the small actions, their bracket and (ir)reducibility checks,
 the restricted induced basis f^j fb^k h^q (x) hb^i, and the map phi
 together with its leading-term / unitriangularity certificates.
+
+check_phi runs on integers.  Its phi values are (den, {flat key: int})
+vectors built with TensorModule.image (PhiValues), the induced action
+is compiled per call into the same form (InducedAction), and equality
+is decided by cross-multiplication.  ind_act, phi_map, borel_act and
+borel_to_operator are the rational routes; the tests hold the integer
+path equal to them, and check_phi itself uses them only to render the
+witness of a failing element.
 """
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from math import gcd, lcm, perm
 
-from .scalars import Q, ZERO, format_scalar
+from .scalars import Q, format_scalar
 from .poly import UniPoly, BiPoly
 from .skew import SkewOperator
 from .algebra import bracket, UeaElement
@@ -21,6 +31,8 @@ from .families import FamilyParams
 from .verma import verma_reducible_predicate
 from .report import Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import LinComb, accumulate
+from .linalg import clear_denominators
+from .tensor import TensorElement
 
 BOREL_GENERATORS = {
     "gamma": ("eb", "e", "hb"),
@@ -347,38 +359,87 @@ def phi_map(mod, x):
     return out
 
 
-def check_phi(mod, depth):
-    """Three exact certificates for the realization map on a window.
+class InducedAction:
+    """The induced action of one BorelSpec, compiled to integers.
 
-    (1) balance: on hb^i (x) v each subalgebra generator acts exactly
-        as its rank-one formula, so phi is well defined on the induced
-        quotient; plus a homomorphism replay phi(z.x) = z.phi(x) over
-        the window for every generator whose induced image stays in
-        the restricted span (all six for gamma, five for theta/omega).
-    (2) triangularity: phi of a basis element has leading coordinate
-        h^q hb^i (x) f^j fb^k v with coefficient exactly 1, everything
-        else strictly lower in the order.
-    (3) the window matrix of phi in the ordered bases is unitriangular,
-        hence invertible with determinant 1 at every window size.
+    image(gen, key) is ind_act(gen, spec, IndElement.basis(*key)) as
+    (den, {(j, k, q, i): int}) with den > 0, read off the same
+    straightened word.  The tail letters act through integer forms of
+    the subalgebra operators: each letter is den * letter = sum of
+    n * hb^j d^k, read off borel_to_operator once, in the constructor.
+    The straightened words are kept per (gen, j, k, q), since every
+    hb^i shares them.  All of it belongs to the instance; ind_act and
+    borel_act stay the independent oracle the tests check it against.
     """
-    if mod.hw.kind != "verma":
-        raise ValueError("check_phi needs a Verma highest-weight factor")
-    spec = borel_spec_for(mod)
-    report = Report(
-        suite="induced",
-        config={"module": mod.label(), "depth": depth,
-                **{f"borel_{k}": v for k, v in spec.config_dict().items()}},
-    )
 
-    # phi peels one letter off the left of the word, so its values on
-    # all window tuples share work through this cache; walking down to
-    # a cached tuple and acting back up computes the same element as
-    # phi_map on a basis element.  (A loop, not recursion: a recursive
-    # closure is a reference cycle that would keep mod, its action
-    # columns and this cache alive until the cycle collector runs.)
-    cache = {}
+    def __init__(self, spec):
+        self._letters = {}
+        for gen in spec.generators:
+            den, ops = clear_denominators(borel_to_operator(gen, spec).terms)
+            self._letters[gen] = (den, [(j, k, n) for (_, j, k, _), n
+                                        in ops.items()])
+        self._words = {}
 
-    def phi_of(key):
+    def image(self, gen, key):
+        j, k, q, i = key
+        word = self._words.get((gen, j, k, q))
+        if word is None:
+            word = self._words[(gen, j, k, q)] = clear_denominators(
+                (UeaElement.gen(gen)
+                 * UeaElement.monomial(1, j=j, k=k, q=q)).terms)
+        wden, terms = word
+        den = 1
+        parts = []
+        for (j2, k2, q2, i2, p2, m2), c in terms.items():
+            if p2 and "e" not in self._letters:
+                raise ValueError(
+                    f"{gen}.(f^{j} fb^{k} h^{q} (x) hb^{i}) leaves the "
+                    f"restricted basis span (free e letter)")
+            g, d = {i: 1}, 1
+            for letter, times in (("eb", m2), ("e", p2), ("hb", i2)):
+                if times:
+                    ld, op = self._letters[letter]
+                    for _ in range(times):
+                        g = _apply_letter(op, g)
+                    d *= ld ** times
+            den = lcm(den, d)
+            parts.append((c, d, j2, k2, q2, g))
+        out = {}
+        for c, d, j2, k2, q2, g in parts:
+            f = c * (den // d)
+            accumulate(out, (((j2, k2, q2, n), f * v) for n, v in g.items()))
+        den *= wden
+        r = reduce(gcd, out.values(), den)
+        return den // r, {key2: n // r for key2, n in out.items()}
+
+
+def _apply_letter(op, g):
+    """op = [(j, k, n)], the sum of n * hb^j d^k, applied to the int
+    polynomial g = {exp: int}."""
+    out = {}
+    for e, c in g.items():
+        accumulate(out, ((e - k + j, n * perm(e, k) * c)
+                         for j, k, n in op if k <= e))
+    return out
+
+
+class PhiValues:
+    """phi on the restricted basis, each value as (den, {flat key: int}).
+
+    phi peels one letter off the left of the word, so its values on all
+    window tuples share work through this cache: walking down to a
+    cached tuple and acting back up with TensorModule.image computes
+    the same element as phi_map on a basis element, one gcd reduction
+    per step.  (A loop rather than recursion, so no depth limit
+    applies.)
+    """
+
+    def __init__(self, mod):
+        self.mod = mod
+        self._cache = {}
+
+    def of(self, key):
+        cache = self._cache
         pending = []
         while key not in cache:
             j, k, q, i = key
@@ -392,29 +453,93 @@ def check_phi(mod, depth):
                 pending.append(("h", key))
                 key = (j, k, q - 1, i)
             else:
-                cache[key] = mod.pure(BiPoly.monomial(1, 0, i))
-        val = cache[key]
+                cache[key] = (1, {(self.mod.hw.highest_index, 0, i): 1})
+        den, val = cache[key]
         for gen, up in reversed(pending):
-            val = cache[up] = mod.act(gen, val)
-        return val
+            d, out = self.mod.image(gen, val)
+            den *= d
+            r = reduce(gcd, out.values(), den)
+            den, val = cache[up] = den // r, {fk: n // r
+                                              for fk, n in out.items()}
+        return den, val
 
-    def phi_lin(x):
-        out = mod.zero()
-        for key, c in x.terms.items():
-            out = out + phi_of(key).scale(c)
-        return out
+    def lin(self, den, terms):
+        """phi of sum(n * basis(key)) / den, over one common denominator."""
+        parts = [(n, *self.of(key)) for key, n in terms.items()]
+        common = reduce(lcm, (d for _, d, _ in parts), 1)
+        out = {}
+        for n, d, val in parts:
+            f = n * (common // d)
+            accumulate(out, ((fk, f * v) for fk, v in val.items()))
+        return den * common, out
+
+
+def _same(lhs, rhs):
+    """Exact equality of two (den, ints) vectors, by cross-multiplication.
+
+    Neither dict stores a zero and both dens are positive, so the two
+    vectors agree iff their supports agree and a/d1 = b/d2, that is
+    d2 * a == d1 * b, on every key: no division, no reduction needed.
+    """
+    (d1, a), (d2, b) = lhs, rhs
+    return a.keys() == b.keys() and all(d2 * n == d1 * b[k]
+                                        for k, n in a.items())
+
+
+def _tensor(vec):
+    """A (den, ints) vector as a TensorElement, for witness text."""
+    den, ints = vec
+    return TensorElement.from_flat({k: Q(n, den) for k, n in ints.items()})
+
+
+def check_phi(mod, depth):
+    """Three exact certificates for the realization map on a window.
+
+    (1) balance: on hb^i (x) v each subalgebra generator acts exactly
+        as its rank-one formula, so phi is well defined on the induced
+        quotient; plus a homomorphism replay phi(z.x) = z.phi(x) over
+        the window for every generator whose induced image stays in
+        the restricted span (all six for gamma, five for theta/omega).
+    (2) triangularity: phi of a basis element has leading coordinate
+        h^q hb^i (x) f^j fb^k v with coefficient exactly 1, everything
+        else strictly lower in the order.
+    (3) the window matrix of phi in the ordered bases is unitriangular,
+        hence invertible with determinant 1 at every window size.
+
+    The whole check runs on integers.  Both sides of every comparison
+    are (den, ints) vectors -- TensorModule.image for the module
+    action, PhiValues for phi, InducedAction for the induced action --
+    and equality is decided by cross-multiplication (see _same), which
+    is exact.  A leading coefficient is 1 iff its numerator equals the
+    denominator, and a matrix entry is nonzero iff its numerator is.
+    Rationals are formed only to render the witness of a failing
+    element, through TensorElement.text and format_scalar (and phi_map
+    for the order in which a non-lower coordinate is named).
+    """
+    if mod.hw.kind != "verma":
+        raise ValueError("check_phi needs a Verma highest-weight factor")
+    spec = borel_spec_for(mod)
+    report = Report(
+        suite="induced",
+        config={"module": mod.label(), "depth": depth,
+                **{f"borel_{k}": v for k, v in spec.config_dict().items()}},
+    )
+    phi = PhiValues(mod)
+    induced = InducedAction(spec)
+    top = mod.hw.highest_index
 
     # (1a) the subalgebra acts on hb^i (x) v by the rank-one formulas
     for gen in spec.generators:
         check_id = f"phi-balance[{gen}]/{mod.label()}"
         bad = None
         for i in range(depth + 1):
-            lhs = mod.act(gen, mod.pure(BiPoly.monomial(1, 0, i)))
-            rhs = mod.pure(
-                borel_act(gen, spec, UniPoly.monomial(1, i)).to_bipoly())
-            if lhs != rhs:
-                bad = (f"{gen}.(hb^{i} (x) v) = {lhs.text()} but the "
-                       f"rank-one formula gives {rhs.text()}")
+            lhs = mod.image(gen, {(top, 0, i): 1})
+            g = borel_act(gen, spec, UniPoly.monomial(1, i))
+            rhs = clear_denominators({(top, 0, n): c
+                                      for n, c in g.terms.items()})
+            if not _same(lhs, rhs):
+                bad = (f"{gen}.(hb^{i} (x) v) = {_tensor(lhs).text()} but "
+                       f"the rank-one formula gives {_tensor(rhs).text()}")
                 break
         if bad:
             report.add(check_id, FAIL, bad)
@@ -444,12 +569,14 @@ def check_phi(mod, depth):
             continue
         bad = None
         for key in sample:
-            x = IndElement.basis(*key)
-            lhs = phi_lin(ind_act(gen, spec, x))
-            rhs = mod.act(gen, phi_of(key))
-            if lhs != rhs:
-                bad = (f"x = {x.text()}: phi({gen}.x) = {lhs.text()} but "
-                       f"{gen}.phi(x) = {rhs.text()}")
+            lhs = phi.lin(*induced.image(gen, key))
+            den, val = phi.of(key)
+            d, out = mod.image(gen, val)
+            rhs = (den * d, out)
+            if not _same(lhs, rhs):
+                bad = (f"x = {IndElement.basis(*key).text()}: "
+                       f"phi({gen}.x) = {_tensor(lhs).text()} but "
+                       f"{gen}.phi(x) = {_tensor(rhs).text()}")
                 break
         if bad:
             report.add(check_id, FAIL, bad)
@@ -459,25 +586,24 @@ def check_phi(mod, depth):
                        f"{len(sample)} sampled window elements")
 
     # (2) leading-term triangularity
-    columns = {}
     check_id = f"phi-triangular/{mod.label()}"
     bad = None
     for key in basis:
         j, k, q, i = key
-        flat = phi_of(key).flatten()
-        columns[key] = flat
+        den, flat = phi.of(key)
         lead = ((j, k), q, i)
-        c = flat.get(lead, ZERO)
-        if c != 1:
+        c = flat.get(lead, 0)
+        if c != den:
             bad = (f"phi({IndElement.basis(*key).text()}) has coefficient "
-                   f"{format_scalar(c)} on its leading coordinate")
+                   f"{format_scalar(Q(c, den))} on its leading coordinate")
             break
         t = ind_order_key(key)
-        high = [fk for fk in flat
-                if fk != lead and not tensor_order_key(fk) < t]
-        if high:
-            bad = (f"phi({IndElement.basis(*key).text()}) has the "
-                   f"non-lower coordinate {high[0]}")
+        if any(fk != lead and not tensor_order_key(fk) < t for fk in flat):
+            # name the first such coordinate in the rational route's order
+            x = IndElement.basis(*key)
+            high = [fk for fk in phi_map(mod, x).flatten()
+                    if fk != lead and not tensor_order_key(fk) < t]
+            bad = f"phi({x.text()}) has the non-lower coordinate {high[0]}"
             break
     if bad:
         report.add(check_id, FAIL, bad)
@@ -496,11 +622,12 @@ def check_phi(mod, depth):
     offdiag = None
     for key in basis:
         col = pos[ind_order_key(key)]
-        for fk, c in columns[key].items():
+        den, flat = phi.of(key)
+        for fk, c in flat.items():
             nnz += 1
             row = pos.get(tensor_order_key(fk))
             if row is not None and row > col and c != 0:
-                offdiag = (row, col, c)
+                offdiag = (row, col, Q(c, den))
                 break
         if offdiag:
             break

@@ -1,14 +1,22 @@
 """Rank-one modules over the upper subalgebra and the triangular lift."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, BorelSpec, FamilyParams,
-                    HighestWeight, IndElement, Q, TensorModule, UniPoly,
-                    borel_act, borel_reducibility_check, borel_to_operator,
-                    build_hw_module, build_verma_module, check_borel_axioms,
-                    check_phi, ind_act, ind_window_basis,
-                    induced_reducibility_predicate, phi_map,
+                    HighestWeight, IndElement, Q, TensorElement, TensorModule,
+                    UniPoly, borel_act, borel_reducibility_check,
+                    borel_to_operator, build_hw_module, build_verma_module,
+                    check_borel_axioms, check_phi, format_scalar, ind_act,
+                    ind_window_basis, induced_reducibility_predicate, phi_map,
                     verma_reducible_predicate)
+from takiff import induced
+from takiff.induced import InducedAction, PhiValues, borel_spec_for
+
+HOM_GENS = ("e", "f", "h", "eb", "fb", "hb")
+# rationals with denominators 1, 2 and 3
+RATIONALS = st.builds(Q, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+NONZERO = RATIONALS.filter(bool)
 
 
 def test_rank_one_action_worked_examples():
@@ -141,3 +149,198 @@ def test_reducibility_predicate_combines_both_sources():
         FamilyParams("omega", 1, 0, beta="hb"), hw_irr)
     assert not induced_reducibility_predicate(
         FamilyParams("omega", 1, 2, beta="hb"), hw_irr)
+
+
+# -- the integer induced picture against the rational routes -----------------
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(family=st.sampled_from(("gamma", "theta", "omega")), lam=NONZERO,
+       a=RATIONALS, eta=RATIONALS,
+       keys=st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1,
+                     max_size=4))
+def test_compiled_induced_action_matches_ind_act(family, lam, a, eta, keys):
+    spec = BorelSpec(family, lam, a=a, eta=eta)
+    action = InducedAction(spec)
+    for key in keys:
+        x = IndElement.basis(*key)
+        for gen in HOM_GENS:
+            if gen == "e" and family != "gamma":
+                with pytest.raises(ValueError, match="free e letter"):
+                    action.image(gen, key)
+                with pytest.raises(ValueError, match="free e letter"):
+                    ind_act(gen, spec, x)
+                continue
+            den, ints = action.image(gen, key)
+            assert den > 0 and all(ints.values())
+            assert IndElement({k: Q(n, den) for k, n in ints.items()}) == \
+                ind_act(gen, spec, x)
+
+
+def tensor_module(family, lam, a, b, eta, theta):
+    if family == "omega":
+        params = FamilyParams("omega", lam, a, beta="hb + 1")
+    else:
+        params = FamilyParams(family, lam, a, b)
+    return TensorModule(params, build_verma_module(HighestWeight(eta, theta)))
+
+
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(family=st.sampled_from(("gamma", "theta", "omega")), lam=NONZERO,
+       a=RATIONALS, b=RATIONALS, eta=RATIONALS, theta=RATIONALS)
+def test_integer_phi_values_match_phi_map(family, lam, a, b, eta, theta):
+    mod = tensor_module(family, lam, a, b, eta, theta)
+    phi = PhiValues(mod)
+    for key in ind_window_basis(2):
+        den, ints = phi.of(key)
+        assert den > 0 and all(ints.values())
+        assert TensorElement.from_flat({k: Q(n, den)
+                                        for k, n in ints.items()}) == \
+            phi_map(mod, IndElement.basis(*key))
+
+
+# -- FAIL witnesses, rendered through the rational routes --------------------
+
+
+def rational_witnesses(mod, depth):
+    """check_phi's FAIL verdicts, recomputed through borel_act, ind_act,
+    phi_map, TensorModule.act and format_scalar.  At depth <= 2 the
+    window has at most 200 tuples, so the replay sample is the whole
+    window."""
+    spec = borel_spec_for(mod)
+    basis = ind_window_basis(depth)
+    out = {}
+    for gen in spec.generators:
+        for i in range(depth + 1):
+            lhs = mod.act(gen, mod.pure(BiPoly.monomial(1, 0, i)))
+            rhs = mod.pure(
+                borel_act(gen, spec, UniPoly.monomial(1, i)).to_bipoly())
+            if lhs != rhs:
+                out[f"phi-balance[{gen}]"] = (
+                    FAIL, f"{gen}.(hb^{i} (x) v) = {lhs.text()} but the "
+                          f"rank-one formula gives {rhs.text()}")
+                break
+    for gen in HOM_GENS:
+        if gen == "e" and "e" not in spec.generators:
+            continue
+        for key in basis:
+            x = IndElement.basis(*key)
+            lhs = phi_map(mod, ind_act(gen, spec, x))
+            rhs = mod.act(gen, phi_map(mod, x))
+            if lhs != rhs:
+                out[f"phi-homomorphism[{gen}]"] = (
+                    FAIL, f"x = {x.text()}: phi({gen}.x) = {lhs.text()} but "
+                          f"{gen}.phi(x) = {rhs.text()}")
+                break
+    for key in basis:
+        j, k, q, i = key
+        x = IndElement.basis(*key)
+        flat = phi_map(mod, x).flatten()
+        lead = ((j, k), q, i)
+        c = flat.get(lead, Q(0))
+        high = [fk for fk in flat if fk != lead and
+                not induced.tensor_order_key(fk) < induced.ind_order_key(key)]
+        if c != 1:
+            out["phi-triangular"] = (
+                FAIL, f"phi({x.text()}) has coefficient {format_scalar(c)} "
+                      f"on its leading coordinate")
+        elif high:
+            out["phi-triangular"] = (
+                FAIL, f"phi({x.text()}) has the non-lower coordinate {high[0]}")
+        else:
+            continue
+        out["phi-unitriangular"] = (FAIL, "skipped: triangularity failed")
+        break
+    return out
+
+
+def failures(report):
+    return {c.id.split("/")[0]: (c.status, c.witness) for c in report.checks
+            if c.status == FAIL}
+
+
+def corrupt_column(monkeypatch, mod, gen, key, scale=1, extra=()):
+    """Make one of mod's compiled action columns wrong, on this instance."""
+    compile_ = mod._compile
+
+    def corrupted(gen2, key2):
+        den, keys, nums = compile_(gen2, key2)
+        if (gen2, key2) == (gen, key):
+            keys = keys + [k for k, _ in extra]
+            nums = [scale * n for n in nums] + [n for _, n in extra]
+        return den, keys, nums
+
+    monkeypatch.setattr(mod, "_compile", corrupted)
+
+
+CORRUPT_MODULES = (
+    (FamilyParams("gamma", 2, 1, -1), 1, 1),
+    (FamilyParams("theta", Q(1, 2), 1, 0), Q(1, 2), 2),
+    (FamilyParams("omega", 1, 3, beta="hb"), -1, 3),
+)
+
+
+@pytest.mark.parametrize("params,eta,theta", CORRUPT_MODULES,
+                         ids=lambda v: getattr(v, "family", None))
+def test_corrupt_column_fails_with_the_rational_witnesses(
+        monkeypatch, params, eta, theta):
+    mod = TensorModule(params, build_verma_module(HighestWeight(eta, theta)))
+    # f . (1 (x) v) doubled: phi(f (x) 1) gets leading coefficient 2
+    corrupt_column(monkeypatch, mod, "f", ((0, 0), 0, 0), scale=2)
+    got = failures(check_phi(mod, 2))
+    assert got == rational_witnesses(mod, 2)
+    assert "phi-homomorphism[h]" in got
+    assert got["phi-triangular"] == (
+        FAIL, "phi(f (x) 1) has coefficient 2 on its leading coordinate")
+    assert got["phi-unitriangular"] == (FAIL, "skipped: triangularity failed")
+
+
+def test_corrupt_balance_column_fails_with_the_rational_witness(monkeypatch):
+    params, eta, theta = CORRUPT_MODULES[1]
+    mod = TensorModule(params, build_verma_module(HighestWeight(eta, theta)))
+    corrupt_column(monkeypatch, mod, "eb", ((0, 0), 0, 1), scale=3)
+    got = failures(check_phi(mod, 2))
+    assert got == rational_witnesses(mod, 2)
+    assert got["phi-balance[eb]"][1].startswith("eb.(hb^1 (x) v) = ")
+
+
+def test_non_lower_coordinate_is_named_in_the_rational_order(monkeypatch):
+    params, eta, theta = CORRUPT_MODULES[0]
+    mod = TensorModule(params, build_verma_module(HighestWeight(eta, theta)))
+    # two coordinates above every window tuple; the integer image lists
+    # ((0, 3), 4, 4) first, the rational route groups ((0, 0), 5, 5) first
+    corrupt_column(monkeypatch, mod, "h", ((0, 0), 0, 0),
+                   extra=((((0, 3), 4, 4), 5), (((0, 0), 5, 5), 7)))
+    got = failures(check_phi(mod, 2))
+    assert got == rational_witnesses(mod, 2)
+    assert got["phi-triangular"] == (
+        FAIL, "phi(h (x) 1) has the non-lower coordinate ((0, 0), 5, 5)")
+
+
+def test_corrupt_borel_letter_fails_with_the_rational_witnesses(monkeypatch):
+    mod = TensorModule(FamilyParams("gamma", 2, 1, -1),
+                       build_verma_module(HighestWeight(Q(1), Q(1))))
+
+    def doubled(route):
+        def corrupted(gen, spec, *rest):
+            out = route(gen, spec, *rest)
+            return out.scale(2) if gen == "eb" else out
+        return corrupted
+
+    with monkeypatch.context() as m:
+        # the compiled induced action reads its letters off this route
+        m.setattr(induced, "borel_to_operator",
+                  doubled(induced.borel_to_operator))
+        got = failures(check_phi(mod, 2))
+    with monkeypatch.context() as m:
+        # ... and the oracle ind_act off this one, which phi-balance
+        # also reads, so the oracle's balance verdicts are left out
+        m.setattr(induced, "borel_act", doubled(induced.borel_act))
+        expected = {name: v for name, v in rational_witnesses(mod, 2).items()
+                    if not name.startswith("phi-balance")}
+    assert got == expected
+    # eb on the vacuum: phi(eb.x) = 2 lam (1 (x) v), eb.phi(x) = lam (1 (x) v)
+    assert got["phi-homomorphism[eb]"] == (
+        FAIL, "x = 1 (x) 1: phi(eb.x) = 4 (x) v but eb.phi(x) = 2 (x) v")
+    # phi values never read the subalgebra letters
+    assert "phi-triangular" not in got
