@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .scalars import Q
 from .poly import BiPoly, UniPoly, PolyParseError
@@ -248,12 +248,8 @@ def main(argv=None):
 
     if args.command == "act":
         try:
-            params = FamilyParams(
-                args.family, Q(args.lam), a=Q(args.a), b=Q(args.b),
-                beta=UniPoly.parse(args.beta),
-            ) if args.family == "omega" else FamilyParams(
-                args.family, Q(args.lam), a=Q(args.a), b=Q(args.b))
-            result = act_eval(params, args.expr, BiPoly.parse(args.target))
+            result = act_eval(_params(args), args.expr,
+                              BiPoly.parse(args.target))
         except (ValueError, PolyParseError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -271,13 +267,9 @@ def main(argv=None):
 
 
 def _suite_kwargs(args):
-    return {
-        "family": args.family, "lam": args.lam, "a": args.a, "b": args.b,
-        "beta": args.beta, "eta": args.eta, "theta": args.theta,
-        "depth": args.depth, "seeds": args.seeds, "rng": args.rng,
-        "mu1": args.mu1, "mu2": args.mu2, "g": args.g, "r": args.r,
-        "max_level": args.max_level, "out": args.out,
-    }
+    """Every JobConfig field but the suite, read off the parsed flags."""
+    return {f.name: getattr(args, f.name) for f in fields(JobConfig)
+            if f.name != "suite"}
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ act by the Leibniz rule.  On top of the action sit the five engines:
                          in the exponent to extract an h-free element
                          of the generated submodule (gamma only)
   certify_irreducible    sound span-closure reachability of 1 (x) v
-  check_invariant_subspace   exact closure of hb*Q[h,hb] (x) L (omega, a=0)
+  check_invariant_subspace   hb*Q[h,hb] (x) L is closed (omega, a=0), read
+                         off the compiled action columns
   annihilator_check      the binomial operators w^(r): kill V, probe L
   whittaker_vector_search    exact eigenvector solve on a finite window
   recover_parameters     read the construction parameters back off
@@ -39,7 +40,7 @@ from .algebra import UeaElement, mono_letters, annihilator_element
 # family_act is not called here, but the name stays bound in this module:
 # perfbench/selfcheck.py looks it up as takiff.tensor.family_act.
 from .families import FamilyParams, family_act, family_to_operator  # noqa: F401
-from .verma import HwModule, annihilation_index, VermaElement
+from .verma import HwModule, VermaElement
 from .linalg import (RANK_PRIME, Echelon, clear_denominators,
                      independent_mod_p, mod_p, nullspace, solve_unique)
 from .report import Report, PASS, FAIL, INCONCLUSIVE
@@ -254,13 +255,6 @@ class Reduced:
     combo: UeaElement  # replay: act_uea(combo, input) == element
 
 
-def _eb_nilpotence(mod, idx):
-    if mod.hw.kind == "findim":
-        return 1
-    return annihilation_index("eb", mod.hw.weight,
-                              VermaElement.basis(idx[0], idx[1]))
-
-
 def vandermonde_reduce(mod, x):
     """Extract an h-free element of the submodule generated by x.
 
@@ -290,7 +284,7 @@ def vandermonde_reduce(mod, x):
         r = current.h_degree()
         if r == 0:
             return Reduced(current, combo_total)
-        K = max(_eb_nilpotence(mod, idx) for idx in current.terms)
+        K = max(mod.hw.nilpotence("eb", idx) for idx in current.terms)
         degree = r + K - 1
         points = list(range(K, K + degree + 1))
         # sample y_m incrementally
@@ -534,38 +528,33 @@ def certify_irreducible(mod, seeds, depth):
 
 
 def check_invariant_subspace(mod, depth):
-    """Exact closure of hb*Q[h,hb] (x) L under all six generators (omega, a=0)."""
+    """Exact closure of hb*Q[h,hb] (x) L under all six generators (omega, a=0).
+
+    A label's compiled column is its exact image, so h^i hb^(j+1) (x) idx
+    leaves hb*Q[h,hb] exactly when its column has a key of hb-exponent
+    0.  Only a failing label is rendered, through ``act``, to name the
+    first non-divisible polynomial as the witness.
+    """
     if mod.params.family != "omega" or mod.params.a != 0:
         raise ValueError("invariant-subspace check applies to omega with a = 0")
     report = Report(
         suite="invariant-subspace",
         config={"module": mod.label(), "depth": depth},
     )
-    gens = ("e", "f", "h", "eb", "fb", "hb")
-    for gen in gens:
-        bad = None
-        for idx in mod.hw.basis_through_level(depth):
-            for i in range(depth):
-                for j in range(depth):
-                    p = BiPoly.monomial(1, i, j + 1)
-                    img = mod.act(gen, TensorElement({idx: p}))
-                    for idx2, q in img.terms.items():
-                        if not q.divisible_by_hb():
-                            bad = (idx, i, j + 1, idx2, q)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+    labels = [(idx, i, j + 1) for idx in mod.hw.basis_through_level(depth)
+              for i in range(depth) for j in range(depth)]
+    for gen in ("e", "f", "h", "eb", "fb", "hb"):
         check_id = f"hb-subspace[{gen}]/{mod.label()}"
-        if bad:
-            report.add(check_id, FAIL,
-                       f"image of h^{bad[1]} hb^{bad[2]} (x) basis{bad[0]} "
-                       f"leaves hb*Q[h,hb]: {bad[4].text()}")
-        else:
+        bad = next((key for key in labels
+                    if any(k[2] == 0 for k in mod.column(gen, key)[1])), None)
+        if bad is None:
             report.add(check_id, PASS, f"closed through depth {depth}")
+            continue
+        idx, i, j = bad
+        img = mod.act(gen, TensorElement({idx: BiPoly.monomial(1, i, j)}))
+        q = next(q for q in img.terms.values() if not q.divisible_by_hb())
+        report.add(check_id, FAIL, f"image of h^{i} hb^{j} (x) basis{idx} "
+                                   f"leaves hb*Q[h,hb]: {q.text()}")
     return report
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, the JSON report format, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from takiff import (ERROR, BiPoly, FamilyParams, JobConfig, PolyParseError,
                     act_eval, run_suite)
+from takiff.cli import _suite_kwargs, build_parser
 
 
 def run_cli(*args):
@@ -167,3 +169,13 @@ def test_empty_sizes_exit_one_with_an_error_record():
         payload = json.loads(proc.stdout)
         assert payload["summary"]["error"] == 1
         assert payload["summary"]["pass"] == 0
+
+
+@pytest.mark.parametrize("argv", [["verify", "irreducible"],
+                                  ["induced", "verify"]])
+def test_every_job_field_is_forwarded_from_the_flags(argv):
+    args = build_parser().parse_args(argv + ["--depth", "3", "--rng", "7"])
+    kwargs = _suite_kwargs(args)
+    fields = {f.name for f in dataclasses.fields(JobConfig)} - {"suite"}
+    assert set(kwargs) == fields
+    assert kwargs["depth"] == 3 and kwargs["rng"] == 7

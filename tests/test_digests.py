@@ -1,0 +1,40 @@
+"""Byte-identity of every report in the benchmark's expectation files.
+
+perfbench/expected/<workload>.json holds, for each job of that
+workload's catalogue, the sha256 of the report's canonical JSON and its
+ordered (check id, status) list.  This replays every job through the
+benchmark's own runner (perfbench/workloads.py, loaded read-only) and
+asserts both, so a change to any engine that alters a single byte of a
+report fails here, not only when the benchmark runs.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+import takiff
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload",
+                         ["closure", "induced", "suites", "whittaker"])
+def test_reports_match_the_recorded_digests(workload):
+    workloads = load_workloads()
+    expected = json.loads(
+        (PERFBENCH / "expected" / f"{workload}.json").read_text())
+    assert expected["workload"] == workload and expected["jobs"]
+    for key, want in expected["jobs"].items():
+        payload, checks = workloads.run_job(takiff, json.loads(key))
+        assert [list(c) for c in checks] == want["checks"], key
+        assert workloads.digest(payload) == want["sha256"], key

@@ -196,6 +196,28 @@ def test_degenerate_point_is_never_certified():
         check_invariant_subspace(over_verma(FamilyParams("gamma", 1)), 3)
 
 
+def test_invariant_subspace_names_the_first_label_that_leaves_it(monkeypatch):
+    mod = over_verma(FamilyParams("omega", 1, 0, beta=UniPoly.zero()),
+                     eta=1, theta=1)
+    compile_ = mod._compile
+
+    def corrupted(gen, key):
+        # two labels leave the subspace; ((1, 0), 1, 2) comes first
+        den, keys, nums = compile_(gen, key)
+        if gen == "fb" and key in (((1, 0), 1, 2), ((1, 1), 0, 1)):
+            return den, keys + [(key[0], 1, 0)], nums + [den]
+        return den, keys, nums
+
+    monkeypatch.setattr(mod, "_compile", corrupted)
+    rep = check_invariant_subspace(mod, 3)
+    assert [c.status for c in rep.checks] == [PASS, PASS, PASS, PASS, FAIL, PASS]
+    img = mod.act("fb", TensorElement({(1, 0): BiPoly.monomial(1, 1, 2)}))
+    q = next(q for q in img.terms.values() if not q.divisible_by_hb())
+    assert q.coefficient(1, 0) == 1
+    assert rep.checks[4].witness == (f"image of h^1 hb^2 (x) basis(1, 0) "
+                                     f"leaves hb*Q[h,hb]: {q.text()}")
+
+
 def test_closure_rejects_bad_seeds():
     mod = over_verma(FamilyParams("gamma", 1))
     with pytest.raises(ValueError):
