@@ -500,6 +500,11 @@ def check_phi(mod, depth):
         quotient; plus a homomorphism replay phi(z.x) = z.phi(x) over
         the window for every generator whose induced image stays in
         the restricted span (all six for gamma, five for theta/omega).
+        Some replays hold by construction of PhiValues and are no
+        independent evidence: f on every tuple, fb on tuples with
+        j = 0, and h on tuples with j = k = 0.  There the induced image
+        of the tuple is the one next tuple, whose phi value PhiValues
+        defines as mod.image(gen, phi(tuple)), the right-hand side.
     (2) triangularity: phi of a basis element has leading coordinate
         h^q hb^i (x) f^j fb^k v with coefficient exactly 1, everything
         else strictly lower in the order.

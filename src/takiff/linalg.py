@@ -15,7 +15,9 @@ constraint, the Vandermonde inverse) reads the one kernel vector of
 an augmented system.  ``independent_mod_p`` is a one-sided
 certificate: it can prove a set of rational vectors independent by
 eliminating their images in F_p, and when it cannot, the caller
-decides exactly.
+decides exactly.  Its readers are ``WhittakerWindow`` and the
+singular-vector scan ``verma.singular_vectors``, which both certify
+empty kernels with it before any exact elimination.
 
 No floats anywhere; there is no tolerance to tune.
 """

@@ -16,13 +16,23 @@ chain: f moves each f^i v to a nonzero multiple of f^(i+1) v and e
 moves it back to a nonzero multiple of f^(i-1) v, so every basis
 vector generates the whole module.  Any other eta = 0 quotient is
 rejected rather than approximated.
+
+The singular-vector scan first tries a one-sided certificate, the one
+``WhittakerWindow`` uses: a level's stacked e/eb columns are mapped to
+F_p (p = ``RANK_PRIME``).  If p divides no denominator and the images
+are independent mod p, the columns are independent over Q, because a
+rational relation scaled to be p-integral with a unit coefficient
+reduces to a nontrivial relation mod p; so the kernel is empty.
+Dependence mod p proves nothing, and then the kernel is computed
+exactly.  For eta != 0 the certificate should hold at every level,
+since those Verma modules are irreducible (Wilson, J. Algebra 336).
 """
 
 from dataclasses import dataclass
 
 from .scalars import Q, format_scalar
 from .algebra import GENERATORS, bracket, gen_times_lowering, mono_text
-from .linalg import nullspace
+from .linalg import RANK_PRIME, independent_mod_p, mod_p, nullspace
 from .sparse import LinComb, accumulate
 from .report import Report, PASS, FAIL
 
@@ -88,12 +98,33 @@ def verma_act(gen, hw, x):
 def singular_vectors(hw, level):
     """Basis of the vectors at the given level killed by both e and eb.
 
-    Exact kernel of the stacked e and eb actions from level to level-1:
-    column t holds the images of the t-th level basis vector.
+    Kernel of the stacked e and eb actions from level to level-1:
+    column t holds the images of the t-th level basis vector.  An empty
+    kernel is first certified mod p (see the module docstring): row
+    b * level + i' of column (i, j) is the coefficient of f^i' fb^j' v
+    in e (b = 0) or eb (b = 1) of f^i fb^j v, the straightened terms
+    c * theta^q * eta^i evaluated mod p.  Each c is an integer, read as
+    its numerator: straightening only adds and multiplies the integer
+    structure constants of the brackets.  Otherwise the kernel, and
+    every vector returned, comes from exact elimination.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     basis = [(i, level - i) for i in range(level + 1)]
+    p, theta, eta = RANK_PRIME, mod_p(hw.theta), mod_p(hw.eta)
+    if theta is not None and eta is not None:
+        residues = []
+        for i, j in basis:
+            col = {}
+            for b, gen in enumerate(("e", "eb")):
+                terms = gen_times_lowering(gen, i, j).terms
+                for (jj, _, qq, ii, pp, mm), c in terms.items():
+                    if not (pp or mm):
+                        row = b * level + jj
+                        col[row] = col.get(row, 0) + c.numerator * theta**qq * eta**ii
+            residues.append({row: r % p for row, r in col.items() if r % p})
+        if independent_mod_p(residues):
+            return []
     columns = [{(gen, key): c for gen in ("e", "eb")
                 for key, c in verma_act_basis(gen, hw, i, j).items()}
                for i, j in basis]

@@ -4,11 +4,19 @@ the singular-vector scan that decides between them."""
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from takiff import (HighestWeight, Q, VermaElement, build_hw_module,
                     build_verma_module, check_singular_levels,
                     singular_vectors, verma_reducible_predicate)
-from takiff.verma import HwModule, _check_findim, verma_act
+from takiff import verma
+from takiff.algebra import gen_times_lowering
+from takiff.linalg import RANK_PRIME, mod_p, nullspace
+from takiff.verma import HwModule, _check_findim, verma_act, verma_act_basis
+
+from test_digests import load_workloads
+
+RATIONALS = st.builds(Q, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
 
 
 def test_lowering_operators_act_freely():
@@ -166,3 +174,123 @@ def test_level_scan_report():
 def test_certificates_record_the_scan():
     m = build_hw_module(HighestWeight(Q(2), Q(1)))
     assert "level 6" in m.certificate
+
+
+# -- the mod-p certificate of the singular scan and its exact fallback -------
+
+
+def reference_kernel(hw, level):
+    """Kernel of the stacked e/eb columns of a level by dense reduced row
+    echelon form on Fractions: one vector per free column, 1 there and
+    support on the earlier pivot columns.  Independent of ``Echelon``
+    and of the mod-p certificate on purpose."""
+    basis = [(i, level - i) for i in range(level + 1)]
+    images = [{(gen, key): c for gen in ("e", "eb")
+               for key, c in verma_act_basis(gen, hw, i, j).items()}
+              for i, j in basis]
+    work = [[img.get(r, Q(0)) for img in images]
+            for r in sorted({r for img in images for r in img})]
+    pivots = []
+    for c in range(len(basis)):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    kernel = []
+    for t in range(len(basis)):
+        if t not in pivots:
+            vec = {basis[t]: Q(1)}
+            vec.update((basis[c], -work[r][t])
+                       for r, c in enumerate(pivots) if work[r][t])
+            kernel.append(vec)
+    return kernel
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(eta=RATIONALS, theta=RATIONALS, level=st.integers(1, 5))
+@example(eta=Q(0), theta=Q(0), level=1)
+@example(eta=Q(0), theta=Q(2), level=3)
+@example(eta=Q(0), theta=Q(1, 2), level=4)
+@example(eta=Q(1, 3), theta=Q(-2, 3), level=5)
+def test_singular_vectors_match_a_dense_reference_kernel(eta, theta, level):
+    hw = HighestWeight(eta, theta)
+    got = [v.terms for v in singular_vectors(hw, level)]
+    assert got == reference_kernel(hw, level)
+
+
+def test_the_scanned_straightening_coefficients_are_integers():
+    """singular_vectors reads each coefficient's residue off its numerator."""
+    for level in range(1, 8):
+        for i in range(level + 1):
+            for gen in ("e", "eb"):
+                terms = gen_times_lowering(gen, i, level - i).terms
+                assert all(c.denominator == 1 for c in terms.values())
+
+
+def test_the_certificate_reads_the_level_matrix_mod_p(monkeypatch):
+    """The residues handed to independent_mod_p are the e/eb images of
+    verma_act_basis mod p, on rows b * level + i' (b = 0 for e, 1 for eb)."""
+    seen = []
+    monkeypatch.setattr(verma, "independent_mod_p",
+                        lambda columns: seen.append(columns) or True)
+    for eta in (Q(0), Q(1), Q(-2, 3), Q(5, 2)):
+        for theta in (Q(0), Q(3), Q(-1, 3)):
+            hw = HighestWeight(eta, theta)
+            for level in range(1, 6):
+                want = [{b * level + i2: mod_p(c)
+                         for b, gen in enumerate(("e", "eb"))
+                         for (i2, _), c in verma_act_basis(gen, hw, i, level - i).items()
+                         if mod_p(c)}
+                        for i in range(level + 1)]
+                seen.clear()
+                assert singular_vectors(hw, level) == []
+                assert seen == [want], (hw, level)
+
+
+def count_exact_kernels(monkeypatch):
+    calls = []
+
+    def counting(columns, keyfn=None):
+        calls.append(len(columns))
+        return nullspace(columns, keyfn)
+
+    monkeypatch.setattr(verma, "nullspace", counting)
+    return calls
+
+
+@pytest.mark.parametrize("eta", [Q(RANK_PRIME), Q(1, RANK_PRIME)],
+                         ids=["singular-mod-p", "p-in-denominator"])
+def test_the_exact_kernel_decides_when_the_certificate_declines(monkeypatch, eta):
+    """eta = p makes every level matrix the eta = 0 one mod p, where
+    fb^n v is singular, though it is not over Q; eta = 1/p has no image
+    mod p.  Either way each level runs the exact elimination."""
+    calls = count_exact_kernels(monkeypatch)
+    hw = HighestWeight(eta, Q(0))
+    for level in range(1, 5):
+        assert singular_vectors(hw, level) == []
+    assert calls == [2, 3, 4, 5]
+    calls.clear()
+    module = build_hw_module(hw)
+    assert module.certificate == "no singular vectors through level 6"
+    assert calls == [2, 3, 4, 5, 6, 7]
+
+
+def test_benchmark_verma_weights_are_certified_mod_p(monkeypatch):
+    """Every eta != 0 weight of the benchmark's Verma grid takes the
+    certificate at every level build_hw_module scans, with no exact
+    elimination."""
+    calls = count_exact_kernels(monkeypatch)
+    weights = [HighestWeight(Q(eta), Q(theta))
+               for eta, theta in load_workloads().VERMA if Q(eta) != 0]
+    assert len(weights) == 16
+    for hw in weights:
+        for level in range(1, 7):
+            assert singular_vectors(hw, level) == [], (hw, level)
+    assert calls == []
