@@ -31,7 +31,7 @@ from .families import FamilyParams
 from .verma import verma_reducible_predicate
 from .report import Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import LinComb, accumulate
-from .linalg import clear_denominators
+from .linalg import clear_denominators, combine
 from .tensor import TensorElement
 
 BOREL_GENERATORS = {
@@ -428,10 +428,10 @@ class PhiValues:
 
     phi peels one letter off the left of the word, so its values on all
     window tuples share work through this cache: walking down to a
-    cached tuple and acting back up with TensorModule.image computes
-    the same element as phi_map on a basis element, one gcd reduction
-    per step.  (A loop rather than recursion, so no depth limit
-    applies.)
+    cached tuple and acting back up with TensorModule.image_reduced
+    computes the same element as phi_map on a basis element, in lowest
+    terms after each step.  (A loop rather than recursion, so no depth
+    limit applies.)
     """
 
     def __init__(self, mod):
@@ -456,21 +456,12 @@ class PhiValues:
                 cache[key] = (1, {(self.mod.hw.highest_index, 0, i): 1})
         den, val = cache[key]
         for gen, up in reversed(pending):
-            d, out = self.mod.image(gen, val)
-            den *= d
-            r = reduce(gcd, out.values(), den)
-            den, val = cache[up] = den // r, {fk: n // r
-                                              for fk, n in out.items()}
+            den, val = cache[up] = self.mod.image_reduced(gen, den, val)
         return den, val
 
     def lin(self, den, terms):
         """phi of sum(n * basis(key)) / den, over one common denominator."""
-        parts = [(n, *self.of(key)) for key, n in terms.items()]
-        common = reduce(lcm, (d for _, d, _ in parts), 1)
-        out = {}
-        for n, d, val in parts:
-            f = n * (common // d)
-            accumulate(out, ((fk, f * v) for fk, v in val.items()))
+        common, out = combine((n, *self.of(key)) for key, n in terms.items())
         return den * common, out
 
 

@@ -11,8 +11,11 @@ An input's denominators are cleared once and elimination is
 gcd-reduced cross-multiplication on ints, in the style of Bareiss.
 ``nullspace`` reads a kernel basis off the order in which columns
 fail to enlarge the span; ``solve_unique`` (the omega alpha
-constraint, the Vandermonde inverse) reads the one kernel vector of
-an augmented system.  ``independent_mod_p`` is a one-sided
+constraint) reads the one kernel vector of an augmented system; and
+``unit_solutions`` (the Vandermonde inverse of the eb pump) reads
+every column of a square inverse off one elimination, by
+back-substitution through the stored rows and their column
+combinations.  ``independent_mod_p`` is a one-sided
 certificate: it can prove a set of rational vectors independent by
 eliminating their images in F_p, and when it cannot, the caller
 decides exactly.  Its readers are ``WhittakerWindow`` and the
@@ -151,6 +154,48 @@ class Echelon:
         return idx, combo, mult, content
 
 
+def combine(parts):
+    """sum(c * ints / den) over (c, den, ints) triples, c an int or a
+    rational and ints a dict of ints, as (den, ints) over one common
+    denominator, without zeros."""
+    parts = [(int(c.numerator), int(c.denominator) * den, ints)
+             for c, den, ints in parts if c and ints]
+    den = reduce(lcm, (d for _, d, _ in parts), 1)
+    out = {}
+    for n, d, ints in parts:
+        accumulate(out, zip(ints, map((n * (den // d)).__mul__, ints.values())))
+    return den, out
+
+
+def _tagged_echelon(columns, keyfn=None):
+    """Insert the columns in order into one ``Echelon``.
+
+    Returns (span, tags, kernel).  tags[i] = (den, ints) writes
+    span.rows[i] as sum(ints[t] * columns[t]) / den, den > 0, in lowest
+    terms.  Each column that reduces to zero gives one kernel vector, a
+    dict column index -> Q with 1 at that column and support on earlier
+    columns only.
+    """
+    span = Echelon(keyfn)
+    tags = []
+    kernel = []
+    for t, col in enumerate(columns):
+        ridx, combo, mult, content = span.insert(col)
+        # mult * col - sum(combo[i] * rows[i]) is content * rows[ridx],
+        # or zero; as a combination of columns it is tag / den
+        den, tag = combine([(mult, 1, {t: 1})]
+                           + [(-c, *tags[i]) for i, c in combo.items()])
+        if ridx is None:
+            kernel.append({k: Q(n, den * mult) for k, n in tag.items()})
+            continue
+        den *= content
+        if den < 0:
+            den, tag = -den, {k: -n for k, n in tag.items()}
+        g = reduce(gcd, tag.values(), den)
+        tags.append((den // g, {k: n // g for k, n in tag.items()}))
+    return span, tags, kernel
+
+
 def nullspace(columns, keyfn=None):
     """Basis of the kernel of the matrix with the given sparse columns.
 
@@ -161,19 +206,7 @@ def nullspace(columns, keyfn=None):
     only.  That is the basis the reduced row echelon form reads off its
     free columns, and the vectors come in column order.
     """
-    span = Echelon(keyfn)
-    tags = []  # per stored row: its rational combination of columns
-    basis = []
-    for t, col in enumerate(columns):
-        ridx, combo, mult, content = span.insert(col)
-        # mult * col - sum(combo[i] * rows[i]) is content * rows[ridx]
-        tag = accumulate({t: mult}, ((t2, -c * c2) for i, c in combo.items()
-                                     for t2, c2 in tags[i].items()))
-        if ridx is None:
-            basis.append({k: Q(c) / mult for k, c in tag.items()})
-        else:
-            tags.append({k: Q(c) / content for k, c in tag.items()})
-    return basis
+    return _tagged_echelon(columns, keyfn)[2]
 
 
 def solve_unique(columns, rhs):
@@ -189,6 +222,36 @@ def solve_unique(columns, rhs):
     if len(kernel) != 1 or n not in kernel[0]:
         return None
     return [-kernel[0].get(t, ZERO) for t in range(n)]
+
+
+def unit_solutions(columns):
+    """Every column of the inverse of a square matrix, from one elimination.
+
+    Columns are sparse dicts over n row labels, n = len(columns).
+    Returns {r: x} with sum(x[t] * columns[t]) == e_r for each row
+    label r, the answer ``solve_unique(columns, {r: 1})`` gives, or None
+    when the matrix is singular or not square.  The columns are
+    inserted once; each stored row's pivot is the smallest label of its
+    support, so with n independent rows over n labels, back-substitution
+    from the largest pivot down writes each e_r in the rows, and the
+    rows' tags write it in the columns.
+    """
+    span, tags, kernel = _tagged_echelon(columns)
+    labels = {r for col in columns for r in col}
+    if kernel or len(labels) != len(columns):
+        return None
+    units = {}  # row label -> (den, ints): e_r as a combination of columns
+    for r in sorted(span.pivot_of, key=span.keyfn, reverse=True):
+        ri = span.pivot_of[r]
+        row = span.rows[ri]
+        # rows[ri] = row[r] e_r + sum(row[k] e_k), every other k after r
+        den, ints = combine([(1, *tags[ri])] + [(-c, *units[k])
+                                                for k, c in row.items() if k != r])
+        den *= row[r]
+        g = reduce(gcd, ints.values(), den)
+        units[r] = (den // g, {t: n // g for t, n in ints.items()})
+    return {r: [Q(units[r][1].get(t, 0), units[r][0]) for t in range(len(columns))]
+            for r in labels}
 
 
 def mod_p(c):

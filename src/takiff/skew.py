@@ -17,19 +17,38 @@ on Q[h, hb] are elements of this algebra, which turns the bracket
 identities of the Lie algebra into exact identities between operator
 normal forms: no sampling is involved when axioms are checked at this
 level.
+
+Products run on ints.  ``compose`` and ``commutator`` clear each
+operand's denominators once (d1, d2), rewrite every pair of words with
+the integer factors of the two rules, and form one rational per output
+word, over d1 * d2; ``commutator`` merges both orders before that, so
+no two rational operators are ever subtracted.  Stored coefficients
+stay rational.
 """
 
-from math import comb
+from math import comb, perm
 
 from .scalars import Q, format_scalar
 from .poly import BiPoly
-from .sparse import LinComb, accumulate
+from .linalg import clear_denominators
+from .sparse import LinComb
 
 
-def _falling(n, t):
-    out = 1
-    for r in range(t):
-        out *= n - r
+def _products(a, b, out, sign):
+    """Add sign * (a . b) into the int dict out (zeros may stay); return it.
+
+    a and b map words to ints.  Each pair of words is brought to normal
+    form by the two rewrite rules: s^m1 h^i2 = (h - 2 m1)^i2 s^m1, and
+    db^k1 hb^j2 = sum_t comb(k1, t) perm(j2, t) hb^(j2-t) db^(k1-t).
+    """
+    get = out.get
+    for (i1, j1, k1, m1), c1 in a.items():
+        for (i2, j2, k2, m2), c2 in b.items():
+            for u in range(i2 + 1) if m1 else (i2,):
+                cu = sign * c1 * c2 * comb(i2, u) * (-2 * m1) ** (i2 - u)
+                for t in range(min(k1, j2) + 1):
+                    key = (i1 + u, j1 + j2 - t, k1 + k2 - t, m1 + m2)
+                    out[key] = get(key, 0) + cu * comb(k1, t) * perm(j2, t)
     return out
 
 
@@ -79,25 +98,20 @@ class SkewOperator(LinComb):
 
     def compose(self, other):
         """self . other in normal form; other acts first."""
-        return SkewOperator._raw(accumulate({}, self._compose_terms(other)))
-
-    def _compose_terms(self, other):
-        for (i1, j1, k1, m1), c1 in self.terms.items():
-            for (i2, j2, k2, m2), c2 in other.terms.items():
-                base = c1 * c2
-                # s^m1 h^i2 -> (h - 2 m1)^i2 s^m1 ; db^k1 hb^j2 -> Leibniz
-                for u in range(i2 + 1):
-                    cu = base * comb(i2, u) * Q(-2 * m1) ** (i2 - u)
-                    if cu == 0:
-                        continue
-                    for t in range(min(k1, j2) + 1):
-                        c = cu * comb(k1, t) * _falling(j2, t)
-                        if c == 0:
-                            continue
-                        yield (i1 + u, j1 + j2 - t, k1 + k2 - t, m1 + m2), c
+        d1, a = clear_denominators(self.terms)
+        d2, b = clear_denominators(other.terms)
+        return SkewOperator._from_ints(d1 * d2, _products(a, b, {}, 1))
 
     def commutator(self, other):
-        return self.compose(other) - other.compose(self)
+        """self . other - other . self, both orders merged on ints."""
+        d1, a = clear_denominators(self.terms)
+        d2, b = clear_denominators(other.terms)
+        out = _products(b, a, _products(a, b, {}, 1), -1)
+        return SkewOperator._from_ints(d1 * d2, out)
+
+    @classmethod
+    def _from_ints(cls, den, out):
+        return cls._raw({w: Q(n, den) for w, n in out.items() if n})
 
     def __pow__(self, n):
         if n < 0:

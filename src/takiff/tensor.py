@@ -23,6 +23,11 @@ closure and Whittaker engines are integer sparse combinations of these
 columns.  The table belongs to the instance and dies with it; nothing
 is shared between modules or across calls with other parameters.
 family_act stays the independent oracle the tests check it against.
+``act_uea`` and the eb pump stay on ints too: ``act_uea`` computes the
+image of each distinct letter suffix of its PBW words once per call,
+and the pump samples eb^m . x as (den, ints), combines the samples
+with the Vandermonde weights on ints, and inverts the Vandermonde
+matrix in one elimination (``linalg.unit_solutions``).
 
 Everything is exact; "certified" means a genuine membership witness
 exists (and can be replayed), never "converged numerically".
@@ -41,8 +46,9 @@ from .algebra import UeaElement, mono_letters, annihilator_element
 # perfbench/selfcheck.py looks it up as takiff.tensor.family_act.
 from .families import FamilyParams, family_act, family_to_operator  # noqa: F401
 from .verma import HwModule, VermaElement
-from .linalg import (RANK_PRIME, Echelon, clear_denominators,
-                     independent_mod_p, mod_p, nullspace, solve_unique)
+from .linalg import (RANK_PRIME, Echelon, clear_denominators, combine,
+                     independent_mod_p, mod_p, nullspace, unit_solutions)
+from .skew import SkewOperator
 from .report import Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import LinComb, accumulate
 
@@ -89,8 +95,7 @@ class TensorModule:
     # -- the Leibniz action ----------------------------------------------
 
     def act(self, gen, x):
-        den, out = self.image(gen, x.flatten())
-        return TensorElement.from_flat({k: Q(n, den) for k, n in out.items()})
+        return TensorElement.from_ints(*self.image(gen, x.flatten()))
 
     def image(self, gen, flat):
         """gen applied to a flat vector, as (den, ints).
@@ -113,6 +118,13 @@ class TensorModule:
             f = n * (den // d)
             accumulate(out, zip(keys, map(f.__mul__, nums)))
         return den, out
+
+    def image_reduced(self, gen, den, ints):
+        """gen applied to the vector ints / den, as (den, ints) in lowest
+        terms: the gcd of the new den and every int is 1."""
+        d, out = self.image(gen, ints)
+        g = reduce(gcd, out.values(), den * d)
+        return den * d // g, {k: n // g for k, n in out.items()}
 
     def column(self, gen, key):
         """The image of the basis label key = (idx, i, j) under gen.
@@ -159,16 +171,27 @@ class TensorModule:
         return den // g, list(out), [n // g for n in out.values()]
 
     def act_uea(self, u, x):
-        """Universal-envelope action: each PBW word acts rightmost-first."""
-        total = TensorElement({})
+        """Universal-envelope action: each PBW word acts rightmost-first.
+
+        Words of one element often end alike (eb^m for consecutive m, the
+        letters of a binomial annihilator), so the image of each distinct
+        letter suffix is computed once per call, as (den, ints) through
+        ``image_reduced``, in lowest terms after each letter.
+        The memo lives only for this call.
+        """
+        images = {(): clear_denominators(x.flatten())}
+        parts = []
         for mono, c in u.terms.items():
-            cur = x
-            for letter in reversed(mono_letters(mono)):
-                cur = self.act(letter, cur)
-                if cur.is_zero():
-                    break
-            total = total + cur.scale(c)
-        return total
+            letters = mono_letters(mono)
+            s = 0
+            while letters[s:] not in images:
+                s += 1
+            while s:
+                s -= 1
+                images[letters[s:]] = self.image_reduced(
+                    letters[s], *images[letters[s + 1:]])
+            parts.append((c, *images[letters]))
+        return TensorElement.from_ints(*combine(parts))
 
     # -- flat vector plumbing ----------------------------------------------
 
@@ -214,6 +237,11 @@ class TensorElement(LinComb):
             for (i, j), c in p.terms.items():
                 out[(idx, i, j)] = c
         return out
+
+    @classmethod
+    def from_ints(cls, den, ints):
+        """The element sum(n * key) / den of a flat int vector."""
+        return cls.from_flat({k: Q(n, den) for k, n in ints.items()})
 
     @classmethod
     def from_flat(cls, flat):
@@ -287,26 +315,25 @@ def vandermonde_reduce(mod, x):
         K = max(mod.hw.nilpotence("eb", idx) for idx in current.terms)
         degree = r + K - 1
         points = list(range(K, K + degree + 1))
-        # sample y_m incrementally
-        samples = {}
-        cur = current
+        # sample eb^m . current incrementally, as (den, ints)
+        samples = []
+        den, ints = clear_denominators(current.flatten())
         step = 0
         for m in points:
             while step < m:
-                cur = mod.act("eb", cur)
+                den, ints = mod.image_reduced("eb", den, ints)
                 step += 1
-            samples[m] = cur.scale(Q(1) / lam**m)
+            samples.append((den, ints))
         weights = _vandermonde_inverse(points)
-        # top nonzero coefficient of the fitted polynomial, highest power first
+        # top nonzero coefficient of the fitted polynomial, highest power
+        # first; sample m enters y_m with the factor lam^(-m)
         for d in range(degree, -1, -1):
-            coeff_elt = TensorElement({})
-            for col, m in enumerate(points):
-                coeff_elt = coeff_elt + samples[m].scale(weights[d][col])
-            if not coeff_elt.is_zero():
-                top = coeff_elt
+            ws = [w / lam**m for w, m in zip(weights[d], points)]
+            den, ints = combine((w, *sample) for w, sample in zip(ws, samples))
+            if ints:
+                top = TensorElement.from_ints(den, ints)
                 combo = UeaElement.zero()
-                for col, m in enumerate(points):
-                    w = weights[d][col] / lam**m
+                for w, m in zip(ws, points):
                     if w:
                         combo = combo + UeaElement.monomial(w, m=m)
                 break
@@ -327,7 +354,7 @@ def _vandermonde_inverse(points):
     n = len(points)
     columns = [{r: Q(m) ** d for r, m in enumerate(points)} for d in range(n)]
     # column c of V^-1 solves V x = e_c; row d weights sample column c
-    inverse = [solve_unique(columns, {c: 1}) for c in range(n)]
+    inverse = unit_solutions(columns)
     return [[inverse[c][d] for c in range(n)] for d in range(n)]
 
 
@@ -563,8 +590,6 @@ def check_invariant_subspace(mod, depth):
 
 def uea_to_family_operator(u, params):
     """Image of an envelope element in the skew algebra of one family."""
-    from .skew import SkewOperator
-
     total = SkewOperator.zero()
     for mono, c in u.terms.items():
         op = SkewOperator.identity()

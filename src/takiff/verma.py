@@ -231,12 +231,18 @@ def _check_findim(module):
     to exactly a nonzero multiple of basis i+1, and for i >= 1, e sends
     it to exactly a nonzero multiple of basis i-1.  Walking down with e
     and up with f then reaches every basis vector from any one of them.
+
+    theta is a nonnegative integer here, so every coefficient of the
+    basis action is an int; the action is tabulated once, on ints, as
+    {(gen, i): {k: int}}, and both checks read the table.
     """
     dim = module.dimension
-    idxs = list(range(dim))
+    idxs = range(dim)
+    act = {(gen, i): {k: int(c) for k, c in module.act_basis(gen, i).items()}
+           for gen in GENERATORS for i in idxs}
     for i in idxs:
         for gen, to, moves in (("f", i + 1, i < dim - 1), ("e", i - 1, i > 0)):
-            img = module.act_basis(gen, i)
+            img = act[(gen, i)]
             if moves and (list(img) != [to] or not img[to]):
                 return f"{gen} does not send basis {i} to a multiple of basis {to}"
     for x in GENERATORS:
@@ -245,14 +251,14 @@ def _check_findim(module):
                 continue
             for i in idxs:
                 lhs = accumulate({}, ((k2, c * c2)
-                                      for k, c in module.act_basis(y, i).items()
-                                      for k2, c2 in module.act_basis(x, k).items()))
+                                      for k, c in act[(y, i)].items()
+                                      for k2, c2 in act[(x, k)].items()))
                 accumulate(lhs, ((k2, -c * c2)
-                                 for k, c in module.act_basis(x, i).items()
-                                 for k2, c2 in module.act_basis(y, k).items()))
+                                 for k, c in act[(x, i)].items()
+                                 for k2, c2 in act[(y, k)].items()))
                 rhs = accumulate({}, ((k, cz * c)
                                       for z, cz in bracket(x, y).items()
-                                      for k, c in module.act_basis(z, i).items()))
+                                      for k, c in act[(z, i)].items()))
                 if lhs != rhs:
                     return f"bracket [{x},{y}] fails on basis {i}"
     return None

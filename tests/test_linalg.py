@@ -1,6 +1,6 @@
-"""The fraction-free eliminator, the kernel and unique-solve readings
-built on it, and the Vandermonde inverse, each against a small dense
-elimination written out here as the oracle."""
+"""The fraction-free eliminator, the kernel, unique-solve and inverse
+readings built on it, and the Vandermonde inverse, each against a small
+dense elimination written out here as the oracle."""
 
 from math import gcd
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from takiff import Q
-from takiff.linalg import Echelon, nullspace, solve_unique
+from takiff.linalg import Echelon, nullspace, solve_unique, unit_solutions
 from takiff.tensor import _vandermonde_inverse
 
 
@@ -132,10 +132,48 @@ def test_nullspace_is_the_free_column_basis(columns):
     assert nullspace(columns, keyfn=pivot_order) == kernel
 
 
-@pytest.mark.parametrize("points", [[0], [1, 2], [2, 3, 4, 5], [-1, 0, 3, 7, 8]])
+@pytest.mark.parametrize("points", [[0], [1, 2], [2, 3, 4, 5], [-1, 0, 3, 7, 8]]
+                         + [list(range(K, K + n))
+                            for K in range(7) for n in range(1, 9)])
 def test_vandermonde_inverse_inverts(points):
     n = len(points)
     inverse = _vandermonde_inverse(points)
     product = [[sum(inverse[d][c] * Q(points[c]) ** k for c in range(n))
                 for k in range(n)] for d in range(n)]
     assert product == [[Q(int(d == k)) for k in range(n)] for d in range(n)]
+
+
+def test_unit_solutions_examples():
+    # [[1, 2], [3, 4]]^-1 = [[-2, 1], [3/2, -1/2]]
+    assert unit_solutions([col(1, 3), col(2, 4)]) == {
+        0: [Q(-2), Q(3, 2)], 1: [Q(1), Q(-1, 2)]}
+    # labels need not be 0..n-1
+    assert unit_solutions([{"a": Q(2)}, {"a": Q(1), "b": Q(3)}]) == {
+        "a": [Q(1, 2), Q(0)], "b": [Q(-1, 6), Q(1, 3)]}
+    assert unit_solutions([]) == {}
+    # singular, or not square
+    assert unit_solutions([col(1, 2), col(2, 4)]) is None
+    assert unit_solutions([col(1, 2, 3), col(0, 1, 1)]) is None
+    assert unit_solutions([col(1), col(0, 1), col(1, 1)]) is None
+
+
+square_matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.builds(Q, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
+             min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(square_matrices)
+def test_unit_solutions_match_one_solve_per_unit_vector(dense):
+    n = len(dense)
+    columns = [{r: x for r, x in enumerate(column) if x} for column in dense]
+    solved = {r: solve_unique(columns, {r: Q(1)}) for r in range(n)}
+    inverse = unit_solutions(columns)
+    if any(x is None for x in solved.values()):
+        # one unit vector out of reach means the matrix is singular
+        assert all(x is None for x in solved.values())
+        assert inverse is None
+        assert reference_rank(dense) < n
+    else:
+        assert inverse == solved

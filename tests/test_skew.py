@@ -2,10 +2,14 @@
 
 Composition has to thread the two rewrite rules (derivative past hb,
 shift past h); everything here cross-checks the composed normal form
-against direct application.
+against direct application, and the integer products against a plain
+rational loop written out below.
 """
 
 import random
+from math import comb
+
+from hypothesis import given, settings, strategies as st
 
 from takiff import BiPoly, Q
 from takiff.skew import SkewOperator
@@ -82,3 +86,51 @@ def test_powers():
     rng = random.Random(23)
     A = random_operator(rng)
     assert A ** 2 == A * A
+
+
+def reference_compose(A, B):
+    """A . B by the rewrite rules on Fractions, term by term: the
+    rational normal-form loop, kept here as the oracle of the integer
+    products."""
+    out = {}
+    for (i1, j1, k1, m1), c1 in A.terms.items():
+        for (i2, j2, k2, m2), c2 in B.terms.items():
+            base = c1 * c2
+            # s^m1 h^i2 -> (h - 2 m1)^i2 s^m1 ; db^k1 hb^j2 -> Leibniz
+            for u in range(i2 + 1):
+                cu = base * comb(i2, u) * Q(-2 * m1) ** (i2 - u)
+                if cu == 0:
+                    continue
+                for t in range(min(k1, j2) + 1):
+                    falling = 1
+                    for r in range(t):
+                        falling *= j2 - r
+                    key = (i1 + u, j1 + j2 - t, k1 + k2 - t, m1 + m2)
+                    out[key] = out.get(key, 0) + cu * comb(k1, t) * falling
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_difference(x, y):
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
+rational_operators = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+              st.integers(-3, 3)),
+    st.builds(Q, st.integers(-6, 6).filter(bool), st.integers(1, 6)),
+    max_size=4).map(SkewOperator)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(rational_operators, rational_operators)
+def test_integer_products_match_the_rational_loop(A, B):
+    ab, ba = reference_compose(A, B), reference_compose(B, A)
+    assert A.compose(B).terms == ab
+    assert B.compose(A).terms == ba
+    assert A.commutator(B).terms == reference_difference(ab, ba)
+    assert A.commutator(B) == A.compose(B) - B.compose(A)
+    for op in (A.compose(B), A.commutator(B)):
+        assert all(type(c) is Q and c for c in op.terms.values())

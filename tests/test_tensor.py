@@ -17,6 +17,7 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
                     check_invariant_subspace, closure_search, make_seeds,
                     recover_parameters, recover_report, vandermonde_reduce,
                     whittaker_report, whittaker_vector_search)
+from takiff.algebra import annihilator_element, mono_letters
 from takiff.families import family_act
 from takiff.linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p
 from takiff.tensor import WhittakerWindow
@@ -148,6 +149,111 @@ def test_pump_reduction_fixes_h_free_input():
     red = vandermonde_reduce(mod, x)
     assert red.element == x
     assert red.combo == UeaElement.one()
+
+
+def act_word_by_word(mod, u, x):
+    """u . x with every PBW word walked letter by letter through ``act``,
+    rightmost letter first, and the words summed: no sharing."""
+    total = mod.zero()
+    for mono, c in u.terms.items():
+        cur = x
+        for letter in reversed(mono_letters(mono)):
+            cur = mod.act(letter, cur)
+        total = total + cur.scale(c)
+    return total
+
+
+def eb_powers(coeffs, start):
+    """sum(c * eb^(start + n)): the shape of a pump combination."""
+    u = UeaElement.zero()
+    for n, c in enumerate(coeffs):
+        u = u + UeaElement.monomial(c, m=start + n)
+    return u
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda p: p.family)
+@pytest.mark.parametrize("hw", ORACLE_FACTORS, ids=lambda hw: hw.kind)
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_envelope_action_matches_the_letter_walk(params, hw, data):
+    mod = TensorModule(params, hw)
+    coeff = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+    monos = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                            coeff, max_size=3)
+    x = TensorElement({idx: BiPoly(data.draw(monos))
+                       for idx in data.draw(st.lists(
+                           st.sampled_from(hw.basis_through_level(2)),
+                           max_size=3))})
+    # words that share suffixes: eb powers under other letters
+    words = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+                      st.integers(0, 1), st.integers(0, 1), st.integers(0, 3))
+    u = UeaElement(data.draw(st.dictionaries(words, coeff.filter(bool),
+                                             max_size=5)))
+    assert mod.act_uea(u, x) == act_word_by_word(mod, u, x)
+
+
+def test_envelope_action_on_shared_suffixes_and_dying_words():
+    for params in ORACLE_PARAMS:
+        for hw in ORACLE_FACTORS:
+            mod = TensorModule(params, hw)
+            x = (mod.pure(BiPoly.parse("3/2*h^2*hb - 1/3*hb^2 + h"))
+                 + mod.pure(BiPoly.parse("-2/5*h*hb"), idx=hw.basis_at_level(1)[0]))
+            us = [eb_powers([Q(1, 3), Q(-2), Q(5, 7), Q(1), Q(-1, 4)], 2),
+                  annihilator_element(params.family, 3, params.lam, params.a),
+                  (UeaElement.gen("f") + UeaElement.gen("hb")) * eb_powers(
+                      [Q(2), Q(-1, 2), Q(3)], 1)]
+            for u in us:
+                assert mod.act_uea(u, x) == act_word_by_word(mod, u, x)
+    # e kills h^2 (x) v: e = -2 lam db s on the first factor and e v = 0,
+    # so every word ending in e dies after its first letter
+    mod = over_verma(FamilyParams("gamma", Q(2, 3), 1, -1))
+    x = mod.pure("h^2")
+    assert mod.act("e", x).is_zero()
+    u = (UeaElement.monomial(Q(5, 2), j=2, p=1) + UeaElement.monomial(1, q=1, p=1)
+         + UeaElement.monomial(Q(-1, 3), m=2))
+    assert mod.act_uea(u, x) == act_word_by_word(mod, u, x)
+    assert mod.act_uea(u, x) == mod.act_uea(UeaElement.monomial(Q(-1, 3), m=2), x)
+    assert not mod.act_uea(u, x).is_zero()
+
+
+def leibniz_replay(mod, u, x):
+    """u . x through the oracle route: every letter by ``leibniz``, from
+    family_act and hw.act_basis, not through the compiled columns."""
+    total = mod.zero()
+    for mono, c in u.terms.items():
+        cur = x
+        for letter in reversed(mono_letters(mono)):
+            cur = leibniz(mod, letter, cur)
+        total = total + cur.scale(c)
+    return total
+
+
+PUMP_FACTORS = [(Q(1), Q(0)), (Q(2), Q(3)), (Q(-1), Q(1)), (Q(1, 2), Q(-1)),
+                (Q(0), Q(1)), (Q(0), Q(2)), (Q(0), Q(3))]
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_pump_on_random_parameters(data):
+    """Random gamma parameters and random pump inputs: one to three
+    distinct monomials with a positive h-power, over Verma and L(0, theta)
+    factors."""
+    rational = st.builds(Q, st.integers(-4, 4), st.integers(1, 4))
+    params = FamilyParams("gamma", data.draw(rational.filter(bool)),
+                          data.draw(rational), data.draw(rational))
+    eta, theta = data.draw(st.sampled_from(PUMP_FACTORS))
+    hw = build_hw_module(HighestWeight(eta, theta))
+    mod = TensorModule(params, hw)
+    idxs = hw.basis_through_level(2)
+    monos = [(idx, i, j) for idx in idxs for i in (1, 2, 3) for j in range(4)]
+    x = mod.zero()
+    for idx, i, j in data.draw(st.lists(st.sampled_from(monos), min_size=1,
+                                        max_size=3, unique=True)):
+        c = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        x = x + TensorElement({idx: BiPoly.monomial(c, i, j)})
+    red = vandermonde_reduce(mod, x)
+    assert red.element.h_degree() == 0
+    assert leibniz_replay(mod, red.combo, x) == red.element
 
 
 def test_closure_tags_replay_through_the_action():
