@@ -22,8 +22,8 @@ actions cheap.
 
 from functools import lru_cache
 
-from .scalars import Q, format_scalar
-from .sparse import LinComb, accumulate
+from .scalars import Q
+from .sparse import LinComb, accumulate, powers_text
 
 GENERATORS = ("f", "fb", "h", "hb", "e", "eb")
 GEN_INDEX = {g: i for i, g in enumerate(GENERATORS)}
@@ -63,18 +63,6 @@ def mono_letters(mono):
     for idx, exp in enumerate(mono):
         out.extend((GENERATORS[idx],) * exp)
     return tuple(out)
-
-
-def mono_text(mono):
-    if not any(mono):
-        return "1"
-    pieces = []
-    for idx, exp in enumerate(mono):
-        if exp == 1:
-            pieces.append(GENERATORS[idx])
-        elif exp > 1:
-            pieces.append(f"{GENERATORS[idx]}^{exp}")
-    return " ".join(pieces)
 
 
 _STRAIGHTEN = {}  # (mono, gen) -> dict mono -> Q, treat values as frozen
@@ -160,22 +148,8 @@ class UeaElement(LinComb):
             out = out * self
         return out
 
-    def text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, reverse=True):
-            c = self.terms[mono]
-            body = mono_text(mono)
-            if body == "1":
-                parts.append(format_scalar(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append(f"{format_scalar(c)}*{body}")
-        return " + ".join(parts)
+    def _word(self, mono):
+        return powers_text(zip(GENERATORS, mono), " ")
 
 
 def uea_normalize(word, coeff=1, strategy=None):

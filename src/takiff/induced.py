@@ -20,8 +20,7 @@ witness of a failing element.
 
 import random
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd, lcm, perm
+from math import lcm, perm
 
 from .scalars import Q, format_scalar
 from .poly import UniPoly, BiPoly
@@ -30,8 +29,8 @@ from .algebra import bracket, UeaElement
 from .families import FamilyParams
 from .verma import verma_reducible_predicate
 from .report import Report, PASS, FAIL, INCONCLUSIVE
-from .sparse import LinComb, accumulate
-from .linalg import clear_denominators, combine
+from .sparse import (LinComb, accumulate, clear_denominators, combine,
+                     lowest_terms, powers_text)
 from .tensor import TensorElement
 
 BOREL_GENERATORS = {
@@ -141,26 +140,25 @@ def check_borel_axioms(spec):
     report = Report(suite="borel-axioms", config=spec.config_dict())
     gens = spec.generators
     ops = {g: borel_to_operator(g, spec) for g in gens}
+    label = spec.label()
     for n, x in enumerate(gens):
         for y in gens[n + 1:]:
-            check_id = f"borel-bracket[{x},{y}]/{spec.label()}"
+            check_id = f"borel-bracket[{x},{y}]/{label}"
             image = bracket(x, y)
             outside = [g for g in image if g not in gens]
             if outside:
                 report.add(check_id, FAIL,
                            f"[{x},{y}] leaves the subalgebra via {outside}")
                 continue
-            rhs = SkewOperator.zero()
-            for z, c in image.items():
-                rhs = rhs + ops[z].scale(c)
-            residual = ops[x].commutator(ops[y]) - rhs
+            residual = ops[x].commutator(
+                ops[y], minus=[(c, ops[z]) for z, c in image.items()])
             if residual:
                 report.add(check_id, FAIL, f"residual = {residual.text()}")
             else:
                 report.add(check_id, PASS)
     hb = BiPoly.var_hb()
     for g in gens:
-        check_id = f"borel-route-agreement[{g}]/{spec.label()}"
+        check_id = f"borel-route-agreement[{g}]/{label}"
         mismatch = None
         for k in range(7):
             direct = borel_act(g, spec, UniPoly.monomial(1, k)).to_bipoly()
@@ -250,29 +248,14 @@ class IndElement(LinComb):
         c = Q(c)
         return cls({(j, k, q, i): c}) if c != 0 else cls()
 
-    def text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=ind_order_key):
-            j, k, q, i = key
-            left = []
-            for name, exp in (("f", j), ("fb", k), ("h", q)):
-                if exp == 1:
-                    left.append(name)
-                elif exp > 1:
-                    left.append(f"{name}^{exp}")
-            head = " ".join(left) if left else "1"
-            tail = f"hb^{i}" if i > 1 else ("hb" if i == 1 else "1")
-            word = f"{head} (x) {tail}"
-            c = self.terms[key]
-            if c == 1:
-                parts.append(word)
-            elif c == -1:
-                parts.append("-" + word)
-            else:
-                parts.append(f"{format_scalar(c)}*{word}")
-        return " + ".join(parts)
+    def _keys(self):
+        return sorted(self.terms, key=ind_order_key)
+
+    def _word(self, key):
+        j, k, q, i = key
+        head = powers_text((("f", j), ("fb", k), ("h", q)), " ") or "1"
+        tail = powers_text((("hb", i),), "") or "1"
+        return f"{head} (x) {tail}"
 
 
 def ind_order_key(key):
@@ -408,9 +391,7 @@ class InducedAction:
         for c, d, j2, k2, q2, g in parts:
             f = c * (den // d)
             accumulate(out, (((j2, k2, q2, n), f * v) for n, v in g.items()))
-        den *= wden
-        r = reduce(gcd, out.values(), den)
-        return den // r, {key2: n // r for key2, n in out.items()}
+        return lowest_terms(den * wden, out)
 
 
 def _apply_letter(op, g):
@@ -477,12 +458,6 @@ def _same(lhs, rhs):
                                         for k, n in a.items())
 
 
-def _tensor(vec):
-    """A (den, ints) vector as a TensorElement, for witness text."""
-    den, ints = vec
-    return TensorElement.from_flat({k: Q(n, den) for k, n in ints.items()})
-
-
 def check_phi(mod, depth):
     """Three exact certificates for the realization map on a window.
 
@@ -527,6 +502,7 @@ def check_phi(mod, depth):
     phi = PhiValues(mod)
     induced = InducedAction(spec)
     top = mod.hw.highest_index
+    from_ints = TensorElement.from_ints  # witness text of a (den, ints) vector
 
     # (1a) the subalgebra acts on hb^i (x) v by the rank-one formulas
     for gen in spec.generators:
@@ -538,8 +514,8 @@ def check_phi(mod, depth):
             rhs = clear_denominators({(top, 0, n): c
                                       for n, c in g.terms.items()})
             if not _same(lhs, rhs):
-                bad = (f"{gen}.(hb^{i} (x) v) = {_tensor(lhs).text()} but "
-                       f"the rank-one formula gives {_tensor(rhs).text()}")
+                bad = (f"{gen}.(hb^{i} (x) v) = {from_ints(*lhs).text()} but "
+                       f"the rank-one formula gives {from_ints(*rhs).text()}")
                 break
         if bad:
             report.add(check_id, FAIL, bad)
@@ -575,8 +551,8 @@ def check_phi(mod, depth):
             rhs = (den * d, out)
             if not _same(lhs, rhs):
                 bad = (f"x = {IndElement.basis(*key).text()}: "
-                       f"phi({gen}.x) = {_tensor(lhs).text()} but "
-                       f"{gen}.phi(x) = {_tensor(rhs).text()}")
+                       f"phi({gen}.x) = {from_ints(*lhs).text()} but "
+                       f"{gen}.phi(x) = {from_ints(*rhs).text()}")
                 break
         if bad:
             report.add(check_id, FAIL, bad)

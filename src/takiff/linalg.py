@@ -8,14 +8,15 @@ vector (content 1, positive pivot entry) whose pivot is the minimum of
 its support under the supplied ordering, which makes membership
 reduction a strictly-increasing sweep and hence easy to reason about.
 An input's denominators are cleared once and elimination is
-gcd-reduced cross-multiplication on ints, in the style of Bareiss.
-``nullspace`` reads a kernel basis off the order in which columns
-fail to enlarge the span; ``solve_unique`` (the omega alpha
-constraint) reads the one kernel vector of an augmented system; and
-``unit_solutions`` (the Vandermonde inverse of the eb pump) reads
-every column of a square inverse off one elimination, by
-back-substitution through the stored rows and their column
-combinations.  ``independent_mod_p`` is a one-sided
+gcd-reduced cross-multiplication on ints, in the style of Bareiss; the
+(den, ints) helpers it shares with the engines (``clear_denominators``,
+``combine``, ``lowest_terms``) live in ``sparse``.  ``nullspace``
+reads a kernel basis off the order in which columns fail to enlarge
+the span; ``solve_unique`` (the omega alpha constraint) reads the one
+kernel vector of an augmented system; and ``unit_solutions`` (the
+Vandermonde inverse of the eb pump) reads every column of a square
+inverse off one elimination, by back-substitution through the stored
+rows and their column combinations.  ``independent_mod_p`` is a one-sided
 certificate: it can prove a set of rational vectors independent by
 eliminating their images in F_p, and when it cannot, the caller
 decides exactly.  Its readers are ``WhittakerWindow`` and the
@@ -27,28 +28,13 @@ No floats anywhere; there is no tolerance to tune.
 
 import heapq
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 
 from .scalars import Q, ZERO
-from .sparse import accumulate
+from .sparse import clear_denominators, combine, lowest_terms
 
 #: Prime of the modular rank certificate (the Mersenne prime 2^61 - 1).
 RANK_PRIME = 2**61 - 1
-
-
-def clear_denominators(vec):
-    """(den, ints) for a dict of rationals: den > 0 is the least common
-    denominator, and ints maps each key with a nonzero value to the int
-    den * value.
-
-    Here and in the other hot loops gcd and lcm are folded with reduce
-    rather than called on *values: a star call builds a tuple of the
-    vector's length, and the interpreter keeps up to 2000 freed tuples
-    of each short length, so the process would grow with every size seen.
-    """
-    den = reduce(lcm, (int(c.denominator) for c in vec.values()), 1)
-    return den, {k: int(c.numerator) * (den // int(c.denominator))
-                 for k, c in vec.items() if c}
 
 
 class Echelon:
@@ -154,19 +140,6 @@ class Echelon:
         return idx, combo, mult, content
 
 
-def combine(parts):
-    """sum(c * ints / den) over (c, den, ints) triples, c an int or a
-    rational and ints a dict of ints, as (den, ints) over one common
-    denominator, without zeros."""
-    parts = [(int(c.numerator), int(c.denominator) * den, ints)
-             for c, den, ints in parts if c and ints]
-    den = reduce(lcm, (d for _, d, _ in parts), 1)
-    out = {}
-    for n, d, ints in parts:
-        accumulate(out, zip(ints, map((n * (den // d)).__mul__, ints.values())))
-    return den, out
-
-
 def _tagged_echelon(columns, keyfn=None):
     """Insert the columns in order into one ``Echelon``.
 
@@ -188,11 +161,7 @@ def _tagged_echelon(columns, keyfn=None):
         if ridx is None:
             kernel.append({k: Q(n, den * mult) for k, n in tag.items()})
             continue
-        den *= content
-        if den < 0:
-            den, tag = -den, {k: -n for k, n in tag.items()}
-        g = reduce(gcd, tag.values(), den)
-        tags.append((den // g, {k: n // g for k, n in tag.items()}))
+        tags.append(lowest_terms(den * content, tag))
     return span, tags, kernel
 
 
@@ -247,9 +216,7 @@ def unit_solutions(columns):
         # rows[ri] = row[r] e_r + sum(row[k] e_k), every other k after r
         den, ints = combine([(1, *tags[ri])] + [(-c, *units[k])
                                                 for k, c in row.items() if k != r])
-        den *= row[r]
-        g = reduce(gcd, ints.values(), den)
-        units[r] = (den // g, {t: n // g for t, n in ints.items()})
+        units[r] = lowest_terms(den * row[r], ints)
     return {r: [Q(units[r][1].get(t, 0), units[r][0]) for t in range(len(columns))]
             for r in labels}
 

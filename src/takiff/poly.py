@@ -17,8 +17,8 @@ surviving arithmetic.
 
 from math import comb
 
-from .scalars import Q, ZERO, format_scalar, parse_scalar, ScalarParseError
-from .sparse import LinComb, accumulate
+from .scalars import Q, ZERO, parse_scalar, ScalarParseError
+from .sparse import LinComb, accumulate, powers_text
 
 
 class PolyParseError(ValueError):
@@ -129,14 +129,8 @@ class BiPoly(LinComb):
 
     # -- text -----------------------------------------------------------
 
-    def text(self):
-        """Canonical form: terms in descending lex (h-exp, hb-exp) order."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms, reverse=True):
-            parts.append(_format_term(self.terms[(i, j)], (("h", i), ("hb", j))))
-        return " + ".join(parts)
+    def _word(self, key):
+        return powers_text(zip(("h", "hb"), key), "*")
 
     @classmethod
     def parse(cls, text):
@@ -192,34 +186,13 @@ class UniPoly(LinComb):
         x = Q(x)
         return sum((c * x**j for j, c in self.terms.items()), ZERO)
 
-    def text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for j in sorted(self.terms, reverse=True):
-            parts.append(_format_term(self.terms[j], (("hb", j),)))
-        return " + ".join(parts)
+    def _word(self, key):
+        return powers_text((("hb", key),), "*")
 
     @classmethod
     def parse(cls, text):
         p = _parse_poly(text, allow_h=False)
         return cls({j: c for (_, j), c in p.terms.items()})
-
-
-def _format_term(coeff, factors):
-    pieces = []
-    for name, e in factors:
-        if e == 1:
-            pieces.append(name)
-        elif e > 1:
-            pieces.append(f"{name}^{e}")
-    if not pieces:
-        return format_scalar(coeff)
-    if coeff == 1:
-        return "*".join(pieces)
-    if coeff == -1:
-        return "-" + "*".join(pieces)
-    return "*".join([format_scalar(coeff)] + pieces)
 
 
 # -- parsing ------------------------------------------------------------

@@ -18,20 +18,20 @@ identities of the Lie algebra into exact identities between operator
 normal forms: no sampling is involved when axioms are checked at this
 level.
 
-Products run on ints.  ``compose`` and ``commutator`` clear each
-operand's denominators once (d1, d2), rewrite every pair of words with
-the integer factors of the two rules, and form one rational per output
-word, over d1 * d2; ``commutator`` merges both orders before that, so
-no two rational operators are ever subtracted.  Stored coefficients
-stay rational.
+Products run on ints, through the (den, ints) helpers of ``sparse``.
+``compose`` and ``commutator`` clear each operand's denominators once
+(d1, d2), rewrite every pair of words with the integer factors of the
+two rules, and form one rational per output word, over d1 * d2;
+``commutator`` merges both orders, and any bracket side it is asked to
+subtract, before that, so no two rational operators are ever
+subtracted.  Stored coefficients stay rational.
 """
 
 from math import comb, perm
 
 from .scalars import Q, format_scalar
 from .poly import BiPoly
-from .linalg import clear_denominators
-from .sparse import LinComb
+from .sparse import LinComb, clear_denominators, combine
 
 
 def _products(a, b, out, sign):
@@ -102,12 +102,15 @@ class SkewOperator(LinComb):
         d2, b = clear_denominators(other.terms)
         return SkewOperator._from_ints(d1 * d2, _products(a, b, {}, 1))
 
-    def commutator(self, other):
-        """self . other - other . self, both orders merged on ints."""
+    def commutator(self, other, minus=()):
+        """self . other - other . self - sum(c * op for (c, op) in minus),
+        both orders and the subtracted operators merged on ints."""
         d1, a = clear_denominators(self.terms)
         d2, b = clear_denominators(other.terms)
         out = _products(b, a, _products(a, b, {}, 1), -1)
-        return SkewOperator._from_ints(d1 * d2, out)
+        return SkewOperator._from_ints(*combine(
+            [(1, d1 * d2, out)]
+            + [(-c, *clear_denominators(op.terms)) for c, op in minus]))
 
     @classmethod
     def _from_ints(cls, den, out):
@@ -145,17 +148,8 @@ class SkewOperator(LinComb):
         """Canonical form, e.g. "3/2*h^1*hb^2*db^1*s^-1"."""
         if not self.terms:
             return "0"
-        parts = []
-        for key in sorted(self.terms, reverse=True):
-            i, j, k, m = key
-            pieces = [format_scalar(self.terms[key])]
-            if i:
-                pieces.append(f"h^{i}")
-            if j:
-                pieces.append(f"hb^{j}")
-            if k:
-                pieces.append(f"db^{k}")
-            if m:
-                pieces.append(f"s^{m}")
-            parts.append("*".join(pieces))
-        return " + ".join(parts)
+        return " + ".join(
+            "*".join([format_scalar(self.terms[key])]
+                     + [f"{name}^{e}" for name, e
+                        in zip(("h", "hb", "db", "s"), key) if e])
+            for key in sorted(self.terms, reverse=True))

@@ -5,14 +5,28 @@ elements are all finite linear combinations stored as a dict
 key -> coefficient with no zero coefficient ever stored.  ``accumulate``
 is the one merge loop behind their arithmetic, and ``LinComb`` holds
 the linear structure they share; each subclass adds only its
-constructors, products and text.
+constructors, products and the word of one key.
 
 Coefficients are exact rationals, or BiPoly for tensor elements; all
 that is used of them is ``+``, unary ``-``, left multiplication by a
 rational, ``==`` and truth (nonzero).
+
+The engines run on integer vectors written (den, ints): an int dict
+with no zero value and one positive common denominator, standing for
+ints / den.  ``clear_denominators`` makes one from rationals,
+``combine`` sums multiples of several over one denominator, and
+``lowest_terms`` divides out their common gcd.
+
+Term text lives here too.  ``LinComb.text`` joins ``term_text`` of
+each coefficient and the word a subclass gives its key (``_word``),
+in the subclass's key order (``_keys``); ``powers_text`` writes a
+word of powers such as "h^2*hb".
 """
 
-from .scalars import Q
+from functools import reduce
+from math import gcd, lcm
+
+from .scalars import Q, format_scalar
 
 
 def accumulate(out, items):
@@ -32,6 +46,62 @@ def accumulate(out, items):
         elif cur is not None:
             del out[k]
     return out
+
+
+def clear_denominators(vec):
+    """(den, ints) for a dict of rationals: den > 0 is the least common
+    denominator, and ints maps each key with a nonzero value to the int
+    den * value.
+
+    Here and in the other hot loops gcd and lcm are folded with reduce
+    rather than called on *values: a star call builds a tuple of the
+    vector's length, and the interpreter keeps up to 2000 freed tuples
+    of each short length, so the process would grow with every size seen.
+    """
+    den = reduce(lcm, (int(c.denominator) for c in vec.values()), 1)
+    return den, {k: int(c.numerator) * (den // int(c.denominator))
+                 for k, c in vec.items() if c}
+
+
+def combine(parts):
+    """sum(c * ints / den) over (c, den, ints) triples, c an int or a
+    rational and ints a dict of ints (zeros may stay), as (den, ints)
+    over one common denominator, without zeros."""
+    parts = [(int(c.numerator), int(c.denominator) * den, ints)
+             for c, den, ints in parts if c and ints]
+    den = reduce(lcm, (d for _, d, _ in parts), 1)
+    out = {}
+    for n, d, ints in parts:
+        accumulate(out, zip(ints, map((n * (den // d)).__mul__, ints.values())))
+    return den, out
+
+
+def lowest_terms(den, ints):
+    """The vector ints / den, den a nonzero int of either sign, as
+    (den, ints) with den > 0 and gcd 1 over den and every int."""
+    g = reduce(gcd, ints.values(), abs(den))
+    if den < 0:
+        g = -g
+    return den // g, {k: n // g for k, n in ints.items()}
+
+
+def powers_text(factors, sep):
+    """The word of (name, exponent) pairs: "name" for exponent 1,
+    "name^e" above it, nothing for 0, joined by sep."""
+    return sep.join(name if e == 1 else f"{name}^{e}"
+                    for name, e in factors if e > 0)
+
+
+def term_text(c, word):
+    """One term of a combination: the bare scalar for the empty word,
+    "word" or "-word" for c = 1 or -1, else "c*word"."""
+    if not word:
+        return format_scalar(c)
+    if c == 1:
+        return word
+    if c == -1:
+        return "-" + word
+    return f"{format_scalar(c)}*{word}"
 
 
 class LinComb:
@@ -81,6 +151,17 @@ class LinComb:
 
     def is_zero(self):
         return not self.terms
+
+    def _keys(self):
+        """The keys in text order; a subclass may override the default."""
+        return sorted(self.terms, reverse=True)
+
+    def text(self):
+        """Canonical form: the terms in ``_keys`` order, "0" when empty."""
+        if not self.terms:
+            return "0"
+        return " + ".join(term_text(self.terms[k], self._word(k))
+                          for k in self._keys())
 
     def __repr__(self):
         return f"{type(self).__name__}({self.text()!r})"

@@ -46,11 +46,12 @@ from .algebra import UeaElement, mono_letters, annihilator_element
 # perfbench/selfcheck.py looks it up as takiff.tensor.family_act.
 from .families import FamilyParams, family_act, family_to_operator  # noqa: F401
 from .verma import HwModule, VermaElement
-from .linalg import (RANK_PRIME, Echelon, clear_denominators, combine,
-                     independent_mod_p, mod_p, nullspace, unit_solutions)
+from .linalg import (RANK_PRIME, Echelon, independent_mod_p, mod_p,
+                     nullspace, unit_solutions)
 from .skew import SkewOperator
 from .report import Report, PASS, FAIL, INCONCLUSIVE
-from .sparse import LinComb, accumulate
+from .sparse import (LinComb, accumulate, clear_denominators, combine,
+                     lowest_terms)
 
 
 class TensorModule:
@@ -123,8 +124,7 @@ class TensorModule:
         """gen applied to the vector ints / den, as (den, ints) in lowest
         terms: the gcd of the new den and every int is 1."""
         d, out = self.image(gen, ints)
-        g = reduce(gcd, out.values(), den * d)
-        return den * d // g, {k: n // g for k, n in out.items()}
+        return lowest_terms(den * d, out)
 
     def column(self, gen, key):
         """The image of the basis label key = (idx, i, j) under gen.

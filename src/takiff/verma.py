@@ -31,9 +31,9 @@ since those Verma modules are irreducible (Wilson, J. Algebra 336).
 from dataclasses import dataclass
 
 from .scalars import Q, format_scalar
-from .algebra import GENERATORS, bracket, gen_times_lowering, mono_text
+from .algebra import GENERATORS, bracket, gen_times_lowering
 from .linalg import RANK_PRIME, independent_mod_p, mod_p, nullspace
-from .sparse import LinComb, accumulate
+from .sparse import LinComb, accumulate, powers_text
 from .report import Report, PASS, FAIL
 
 
@@ -62,21 +62,9 @@ class VermaElement(LinComb):
         c = Q(c)
         return cls({(i, j): c}) if c != 0 else cls()
 
-    def text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms, reverse=True):
-            c = self.terms[(i, j)]
-            body = mono_text((i, j, 0, 0, 0, 0))
-            word = "v" if body == "1" else f"{body} v"
-            if c == 1:
-                parts.append(word)
-            elif c == -1:
-                parts.append("-" + word)
-            else:
-                parts.append(f"{format_scalar(c)}*{word}")
-        return " + ".join(parts)
+    def _word(self, key):
+        body = powers_text(zip(("f", "fb"), key), " ")
+        return f"{body} v" if body else "v"
 
 
 def verma_act_basis(gen, hw, i, j):

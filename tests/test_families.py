@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from takiff import (BiPoly, FamilyParams, GENERATORS, Q, UniPoly,
+from takiff import (BiPoly, FamilyParams, GENERATORS, Q, SkewOperator, UniPoly,
                     check_family_axioms, check_omega_constraint, eq1_alpha,
-                    family_act, family_to_operator, solve_omega_alpha, FAIL)
+                    families, family_act, family_to_operator, solve_omega_alpha,
+                    FAIL)
 
 
 def random_params(rng, family):
@@ -105,6 +106,36 @@ def test_perturbed_alpha_breaks_the_bracket():
     assert not rep.ok
     failing = [c.id for c in rep.checks if c.status == FAIL]
     assert any(i.startswith("bracket[e,f]") for i in failing)
+    assert failures(rep) == [("bracket[e,f]/omega(lam=1,a=2,beta=hb^2 + -1)",
+                              "residual = 2*hb^1 + -2")]
+
+
+def failures(rep):
+    return [(c.id, c.witness) for c in rep.checks if c.status == FAIL]
+
+
+def test_residual_texts_of_broken_brackets(monkeypatch):
+    """The residual witnesses: the commutator subtracts the bracket side
+    inside its integer merge and must print what the rational residual
+    lhs - rhs prints."""
+    lam, a = Q(3, 2), Q(-1)
+    beta = UniPoly.parse("2*hb + 1/3")
+    alpha = solve_omega_alpha(lam, a, beta) + UniPoly.parse("1/2*hb^2 - 3")
+    rep = check_family_axioms(FamilyParams("omega", lam, a, beta=beta, alpha=alpha))
+    assert failures(rep) == [("bracket[e,f]/omega(lam=3/2,a=-1,beta=2*hb + 1/3)",
+                              "residual = 1*hb^2 + 2/3*hb^1 + -2")]
+    route = families.family_to_operator
+
+    def perturbed(gen, params):
+        op = route(gen, params)
+        return op + SkewOperator.word(Q(1, 2), j=1, m=1) if gen == "eb" else op
+
+    monkeypatch.setattr(families, "family_to_operator", perturbed)
+    rep = check_family_axioms(FamilyParams("gamma", Q(2, 3), 1, -1))
+    label = "gamma(lam=2/3,a=1,b=-1)"
+    assert failures(rep) == [(f"bracket[e,eb]/{label}", "residual = -2/3*s^2"),
+                             (f"bracket[e,hb]/{label}", "residual = 1*hb^1*s^1"),
+                             (f"bracket[f,eb]/{label}", "residual = -9/8*hb^2 + -3/8")]
 
 
 def test_constraint_report_shape():

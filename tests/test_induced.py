@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, BorelSpec, FamilyParams,
-                    HighestWeight, IndElement, Q, TensorElement, TensorModule,
-                    UniPoly, borel_act, borel_reducibility_check,
+                    HighestWeight, IndElement, Q, SkewOperator, TensorElement,
+                    TensorModule, UniPoly, borel_act, borel_reducibility_check,
                     borel_to_operator, build_hw_module, build_verma_module,
                     check_borel_axioms, check_phi, format_scalar, ind_act,
                     ind_window_basis, induced_reducibility_predicate, phi_map,
@@ -344,3 +344,30 @@ def test_corrupt_borel_letter_fails_with_the_rational_witnesses(monkeypatch):
         FAIL, "x = 1 (x) 1: phi(eb.x) = 4 (x) v but eb.phi(x) = 2 (x) v")
     # phi values never read the subalgebra letters
     assert "phi-triangular" not in got
+
+
+def test_borel_residual_texts_of_a_perturbed_operator(monkeypatch):
+    """The residual witnesses: the commutator subtracts the bracket side
+    inside its integer merge and must print what the rational residual
+    lhs - rhs prints."""
+    route = induced.borel_to_operator
+
+    def perturbed(gen, spec):
+        op = route(gen, spec)
+        if gen != "hb":
+            return op
+        return op + SkewOperator.word(Q(1, 3), j=2) + SkewOperator.word(Q(1, 3), k=1)
+
+    monkeypatch.setattr(induced, "borel_to_operator", perturbed)
+    got = {spec.family: [(c.id, c.witness) for c in check_borel_axioms(spec).checks
+                         if c.status == FAIL and c.id.startswith("borel-bracket")]
+           for spec in (BorelSpec("gamma", 2, eta=1), BorelSpec("theta", 3, 2),
+                        BorelSpec("omega", Q(1, 2), 3))}
+    assert got == {
+        "gamma": [("borel-bracket[e,hb]/borel-gamma(lam=2,eta=1)",
+                   "residual = -8/3*hb^1")],
+        "theta": [("borel-bracket[eb,hb]/borel-theta(lam=3,a=2,eta=0)",
+                   "residual = 1/18*hb^1")],
+        "omega": [("borel-bracket[eb,hb]/borel-omega(lam=1/2,a=3,eta=0)",
+                   "residual = -1/12")],
+    }

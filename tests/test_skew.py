@@ -134,3 +134,20 @@ def test_integer_products_match_the_rational_loop(A, B):
     assert A.commutator(B) == A.compose(B) - B.compose(A)
     for op in (A.compose(B), A.commutator(B)):
         assert all(type(c) is Q and c for c in op.terms.values())
+
+
+coefficients = st.one_of(st.integers(-3, 3),
+                         st.builds(Q, st.integers(-6, 6), st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(rational_operators, rational_operators,
+       st.lists(st.tuples(coefficients, rational_operators), max_size=3))
+def test_commutator_subtracts_the_bracket_side_on_ints(A, B, minus):
+    want = reference_difference(reference_compose(A, B), reference_compose(B, A))
+    for c, op in minus:
+        want = reference_difference(want, {k: c * v for k, v in op.terms.items()})
+    got = A.commutator(B, minus=minus)
+    assert got.terms == want
+    assert all(type(c) is Q and c for c in got.terms.values())
+    assert A.commutator(B, minus=[(1, A.commutator(B))]).is_zero()
