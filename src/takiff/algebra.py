@@ -59,10 +59,7 @@ IDENTITY_MONO = (0, 0, 0, 0, 0, 0)
 
 def mono_letters(mono):
     """The generator word a normal monomial stands for, left to right."""
-    out = []
-    for idx, exp in enumerate(mono):
-        out.extend((GENERATORS[idx],) * exp)
-    return tuple(out)
+    return tuple(g for g, exp in zip(GENERATORS, mono) for _ in range(exp))
 
 
 _STRAIGHTEN = {}  # (mono, gen) -> dict mono -> Q, treat values as frozen

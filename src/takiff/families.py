@@ -124,13 +124,12 @@ class FamilyParams:
         object.__setattr__(self, "alpha", alpha)
 
     def config_dict(self):
-        out = {"family": self.family, "lambda": format_scalar(self.lam)}
+        out = {"family": self.family, "lambda": format_scalar(self.lam),
+               "a": format_scalar(self.a)}
         if self.family == "omega":
-            out["a"] = format_scalar(self.a)
             out["beta"] = self.beta.text()
             out["alpha"] = self.alpha.text()
         else:
-            out["a"] = format_scalar(self.a)
             out["b"] = format_scalar(self.b)
         return out
 
@@ -283,11 +282,8 @@ def check_family_axioms(params):
     for x, y in combinations(order, 2):
         residual = ops[x].commutator(
             ops[y], minus=[(c, ops[z]) for z, c in bracket(x, y).items()])
-        check_id = f"bracket[{x},{y}]/{label}"
-        if residual:
-            report.add(check_id, FAIL, f"residual = {residual.text()}")
-        else:
-            report.add(check_id, PASS)
+        report.verdict(f"bracket[{x},{y}]/{label}",
+                       residual and f"residual = {residual.text()}")
     return report
 
 

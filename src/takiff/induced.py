@@ -9,13 +9,13 @@ holds the small actions, their bracket and (ir)reducibility checks,
 the restricted induced basis f^j fb^k h^q (x) hb^i, and the map phi
 together with its leading-term / unitriangularity certificates.
 
-check_phi runs on integers.  Its phi values are (den, {flat key: int})
-vectors built with TensorModule.image (PhiValues), the induced action
-is compiled per call into the same form (InducedAction), and equality
-is decided by cross-multiplication.  ind_act, phi_map, borel_act and
-borel_to_operator are the rational routes; the tests hold the integer
-path equal to them, and check_phi itself uses them only to render the
-witness of a failing element.
+check_phi runs on integers: both sides of every comparison are
+(den, ints) vectors on packed tensor keys -- TensorModule.image for the
+module action, PhiValues for phi, InducedAction for the induced action
+-- and equality is decided by cross-multiplication (``_same``).
+ind_act, phi_map, borel_act and borel_to_operator are the rational
+routes; the tests hold the integer path equal to them, and check_phi
+itself uses them only to render the witness of a failing element.
 """
 
 import random
@@ -31,7 +31,6 @@ from .verma import verma_reducible_predicate
 from .report import Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import (LinComb, accumulate, clear_denominators, combine,
                      lowest_terms, powers_text)
-from .tensor import TensorElement
 
 BOREL_GENERATORS = {
     "gamma": ("eb", "e", "hb"),
@@ -152,25 +151,19 @@ def check_borel_axioms(spec):
                 continue
             residual = ops[x].commutator(
                 ops[y], minus=[(c, ops[z]) for z, c in image.items()])
-            if residual:
-                report.add(check_id, FAIL, f"residual = {residual.text()}")
-            else:
-                report.add(check_id, PASS)
-    hb = BiPoly.var_hb()
+            report.verdict(check_id,
+                           residual and f"residual = {residual.text()}")
     for g in gens:
         check_id = f"borel-route-agreement[{g}]/{label}"
         mismatch = None
         for k in range(7):
             direct = borel_act(g, spec, UniPoly.monomial(1, k)).to_bipoly()
-            via_op = ops[g].apply(hb ** k)
+            via_op = ops[g].apply(BiPoly.monomial(1, 0, k))
             if direct != via_op:
                 mismatch = f"hb^{k}: {direct.text()} vs {via_op.text()}"
                 break
-        if mismatch:
-            report.add(check_id, FAIL, mismatch)
-        else:
-            report.add(check_id, PASS, "polynomial route matches the "
-                                       "operator route on hb^0..hb^6")
+        report.verdict(check_id, mismatch, "polynomial route matches the "
+                                           "operator route on hb^0..hb^6")
     return report
 
 
@@ -186,18 +179,17 @@ def borel_reducibility_check(spec, depth):
     """
     report = Report(suite="borel-reducibility",
                     config={**spec.config_dict(), "depth": depth})
+    label = spec.label()
     if spec.family == "gamma":
         for k in range(1, depth + 1):
             g = UniPoly.monomial(1, k)
             for _ in range(k):
                 g = borel_act("e", spec, g)
-            check_id = f"borel-reaches-unit[k={k}]/{spec.label()}"
+            check_id = f"borel-reaches-unit[k={k}]/{label}"
             c = g.coefficient(0)
-            if g.deg() == 0 and c != 0:
-                report.add(check_id, PASS,
+            report.verdict(check_id, not (g.deg() == 0 and c != 0)
+                           and f"e^{k}.hb^{k} = {g.text()}",
                            f"e^{k}.hb^{k} = {format_scalar(c)} != 0")
-            else:
-                report.add(check_id, FAIL, f"e^{k}.hb^{k} = {g.text()}")
         ok = True
         g = UniPoly.const(1)
         for i in range(1, depth + 1):
@@ -205,28 +197,21 @@ def borel_reducibility_check(spec, depth):
             if g != UniPoly.monomial(1, i):
                 ok = False
                 break
-        check_id = f"borel-generates-from-unit/{spec.label()}"
-        if ok:
-            report.add(check_id, PASS,
+        report.verdict(f"borel-generates-from-unit/{label}",
+                       not ok and f"(hb - eta)^{i}.1 = {g.text()}",
                        f"(hb - eta)^i.1 = hb^i for i <= {depth}")
-        else:
-            report.add(check_id, FAIL, f"(hb - eta)^{i}.1 = {g.text()}")
         return report
     for gen in spec.generators:
-        check_id = f"borel-ideal-invariant[{gen}]/{spec.label()}"
+        check_id = f"borel-ideal-invariant[{gen}]/{label}"
         bad = None
         for i in range(depth + 1):
             img = borel_act(gen, spec, UniPoly.monomial(1, i + 1))
             if img.coefficient(0) != 0:
                 bad = f"{gen}.hb^{i + 1} = {img.text()} has a constant term"
                 break
-        if bad:
-            report.add(check_id, FAIL, bad)
-        else:
-            report.add(check_id, PASS,
-                       f"{gen}.(hb g) stays divisible by hb through "
-                       f"degree {depth + 1}")
-    report.add(f"borel-proper-submodule/{spec.label()}", PASS,
+        report.verdict(check_id, bad, f"{gen}.(hb g) stays divisible by hb "
+                                      f"through degree {depth + 1}")
+    report.add(f"borel-proper-submodule/{label}", PASS,
                "hb*Q[hb] is invariant, nonzero (contains hb) and proper "
                "(misses 1): the module is reducible")
     return report
@@ -405,7 +390,7 @@ def _apply_letter(op, g):
 
 
 class PhiValues:
-    """phi on the restricted basis, each value as (den, {flat key: int}).
+    """phi on the restricted basis, each value as (den, {packed key: int}).
 
     phi peels one letter off the left of the word, so its values on all
     window tuples share work through this cache: walking down to a
@@ -434,7 +419,8 @@ class PhiValues:
                 pending.append(("h", key))
                 key = (j, k, q - 1, i)
             else:
-                cache[key] = (1, {(self.mod.hw.highest_index, 0, i): 1})
+                cache[key] = (1, {self.mod.pack((self.mod.hw.highest_index,
+                                                 0, i)): 1})
         den, val = cache[key]
         for gen, up in reversed(pending):
             den, val = cache[up] = self.mod.image_reduced(gen, den, val)
@@ -481,46 +467,41 @@ def check_phi(mod, depth):
         order tuple, so once every other coordinate is strictly lower
         nothing sits on or above the diagonal except the unit lead.
 
-    The whole check runs on integers.  Both sides of every comparison
-    are (den, ints) vectors -- TensorModule.image for the module
-    action, PhiValues for phi, InducedAction for the induced action --
-    and equality is decided by cross-multiplication (see _same), which
-    is exact.  A leading coefficient is 1 iff its numerator equals the
-    denominator, and a matrix entry is nonzero iff its numerator is.
-    Rationals are formed only to render the witness of a failing
-    element, through TensorElement.text and format_scalar (and phi_map
-    for the order in which a non-lower coordinate is named).
+    The check runs on integers (see the module docstring): a leading
+    coefficient is 1 iff its numerator equals the denominator, and a
+    matrix entry is nonzero iff its numerator is.  Rationals are formed
+    only to render a failing witness, with phi_map naming a non-lower
+    coordinate in the rational route's order.
     """
     if mod.hw.kind != "verma":
         raise ValueError("check_phi needs a Verma highest-weight factor")
     spec = borel_spec_for(mod)
+    label = mod.label()
     report = Report(
         suite="induced",
-        config={"module": mod.label(), "depth": depth,
+        config={"module": label, "depth": depth,
                 **{f"borel_{k}": v for k, v in spec.config_dict().items()}},
     )
     phi = PhiValues(mod)
     induced = InducedAction(spec)
     top = mod.hw.highest_index
-    from_ints = TensorElement.from_ints  # witness text of a (den, ints) vector
+    pack, unpack = mod.pack, mod.unpack
+    from_ints = mod.from_ints  # witness text of a (den, ints) vector
 
     # (1a) the subalgebra acts on hb^i (x) v by the rank-one formulas
     for gen in spec.generators:
-        check_id = f"phi-balance[{gen}]/{mod.label()}"
+        check_id = f"phi-balance[{gen}]/{label}"
         bad = None
         for i in range(depth + 1):
-            lhs = mod.image(gen, {(top, 0, i): 1})
+            lhs = mod.image(gen, {pack((top, 0, i)): 1})
             g = borel_act(gen, spec, UniPoly.monomial(1, i))
-            rhs = clear_denominators({(top, 0, n): c
+            rhs = clear_denominators({pack((top, 0, n)): c
                                       for n, c in g.terms.items()})
             if not _same(lhs, rhs):
                 bad = (f"{gen}.(hb^{i} (x) v) = {from_ints(*lhs).text()} but "
                        f"the rank-one formula gives {from_ints(*rhs).text()}")
                 break
-        if bad:
-            report.add(check_id, FAIL, bad)
-        else:
-            report.add(check_id, PASS,
+        report.verdict(check_id, bad,
                        f"matches the rank-one formula for i <= {depth}")
 
     # (1b) homomorphism replay on a deterministic sample of the window:
@@ -536,7 +517,7 @@ def check_phi(mod, depth):
         sample += rng.sample(rest, min(40, len(rest)))
     hom_gens = ("e", "f", "h", "eb", "fb", "hb")
     for gen in hom_gens:
-        check_id = f"phi-homomorphism[{gen}]/{mod.label()}"
+        check_id = f"phi-homomorphism[{gen}]/{label}"
         if gen == "e" and "e" not in spec.generators:
             report.add(check_id, INCONCLUSIVE,
                        "e sends the restricted basis outside its own "
@@ -554,15 +535,11 @@ def check_phi(mod, depth):
                        f"phi({gen}.x) = {from_ints(*lhs).text()} but "
                        f"{gen}.phi(x) = {from_ints(*rhs).text()}")
                 break
-        if bad:
-            report.add(check_id, FAIL, bad)
-        else:
-            report.add(check_id, PASS,
-                       f"phi({gen}.x) = {gen}.phi(x) on "
-                       f"{len(sample)} sampled window elements")
+        report.verdict(check_id, bad, f"phi({gen}.x) = {gen}.phi(x) on "
+                                      f"{len(sample)} sampled window elements")
 
     # (2) leading-term triangularity, and (3) read off the same walk
-    check_id = f"phi-triangular/{mod.label()}"
+    check_id = f"phi-triangular/{label}"
     bad = None
     nnz = 0
     for key in basis:
@@ -570,20 +547,21 @@ def check_phi(mod, depth):
         den, flat = phi.of(key)
         nnz += len(flat)
         lead = ((j, k), q, i)
-        c = flat.get(lead, 0)
+        c = flat.get(pack(lead), 0)
         if c != den:
             bad = (f"phi({IndElement.basis(*key).text()}) has coefficient "
                    f"{format_scalar(Q(c, den))} on its leading coordinate")
             break
         t = ind_order_key(key)
-        if any(fk != lead and not tensor_order_key(fk) < t for fk in flat):
+        if any(fk != lead and not tensor_order_key(fk) < t
+               for fk in map(unpack, flat)):
             # name the first such coordinate in the rational route's order
             x = IndElement.basis(*key)
             high = [fk for fk in phi_map(mod, x).flatten()
                     if fk != lead and not tensor_order_key(fk) < t]
             bad = f"phi({x.text()}) has the non-lower coordinate {high[0]}"
             break
-    unit_id = f"phi-unitriangular/{mod.label()}"
+    unit_id = f"phi-unitriangular/{label}"
     if bad:
         report.add(check_id, FAIL, bad)
         report.add(unit_id, FAIL, "skipped: triangularity failed")

@@ -1,27 +1,19 @@
 """Exact sparse linear algebra over the rationals.
 
 ``Echelon`` is the one exact eliminator: an incremental row-echelon
-span of sparse dicts keyed by arbitrary hashable basis labels, used
-directly by submodule closure and through ``nullspace`` by everything
-else.  It is fraction-free: every stored row is a primitive integer
-vector (content 1, positive pivot entry) whose pivot is the minimum of
-its support under the supplied ordering, which makes membership
-reduction a strictly-increasing sweep and hence easy to reason about.
-An input's denominators are cleared once and elimination is
-gcd-reduced cross-multiplication on ints, in the style of Bareiss; the
-(den, ints) helpers it shares with the engines (``clear_denominators``,
-``combine``, ``lowest_terms``) live in ``sparse``.  ``nullspace``
-reads a kernel basis off the order in which columns fail to enlarge
-the span; ``solve_unique`` (the omega alpha constraint) reads the one
-kernel vector of an augmented system; and ``unit_solutions`` (the
-Vandermonde inverse of the eb pump) reads every column of a square
-inverse off one elimination, by back-substitution through the stored
-rows and their column combinations.  ``independent_mod_p`` is a one-sided
-certificate: it can prove a set of rational vectors independent by
-eliminating their images in F_p, and when it cannot, the caller
-decides exactly.  Its readers are ``WhittakerWindow`` and the
-singular-vector scan ``verma.singular_vectors``, which both certify
-empty kernels with it before any exact elimination.
+span of sparse dicts keyed by hashable basis labels, used directly by
+submodule closure and through ``nullspace`` by everything else.  It is
+fraction-free: every stored row is a primitive integer vector whose
+pivot is the minimum of its support, under a keyfn or, without one, in
+the labels' natural order (the packed int keys of the tensor engines).
+Elimination is gcd-reduced cross-multiplication on ints, in the style
+of Bareiss, with the (den, ints) helpers of ``sparse``.  ``nullspace``,
+``solve_unique`` (the omega alpha constraint) and ``unit_solutions``
+(the Vandermonde inverse of the eb pump) read kernels and inverses off
+one elimination.  ``independent_mod_p`` is a one-sided certificate:
+it can prove rational vectors independent by eliminating their images
+in F_p, and when it cannot, the caller decides exactly.  Its readers
+are ``WhittakerWindow`` and ``verma.singular_vectors``.
 
 No floats anywhere; there is no tolerance to tune.
 """
@@ -41,18 +33,20 @@ class Echelon:
     """Incremental echelon span of sparse dict-vectors, fraction-free.
 
     keyfn maps a basis label to a sortable value; smaller keys are
-    preferred as pivots.  Every stored row is a primitive integer
-    vector: its entries are ints with gcd 1, its pivot sits at the
-    keyfn-minimal key of its support, and the pivot entry is positive.
-    Rows, once stored, are never modified, which keeps combination
-    bookkeeping (for tags) simple.  Input vectors may hold ints or
-    rationals; their denominators are cleared once, and elimination
-    then runs on ints alone.
+    preferred as pivots.  Without a keyfn the heap holds and compares
+    the labels themselves (natural order, as for packed int keys).
+    Every stored row is a primitive integer vector: its entries are ints
+    with gcd 1, its pivot, ``pivots[i]`` for ``rows[i]`` (``pivot_of``
+    inverts it), is the minimal key of its support, and the pivot entry
+    is positive.  Rows, once stored, are never modified.  Input vectors
+    may hold ints or rationals; their denominators are cleared once (an
+    all-int vector is only copied), and elimination runs on ints alone.
     """
 
     def __init__(self, keyfn=None):
-        self.keyfn = keyfn or (lambda k: k)
+        self.keyfn = keyfn
         self.rows = []
+        self.pivots = []    # row index -> basis label
         self.pivot_of = {}  # basis label -> row index
 
     def __len__(self):
@@ -75,10 +69,16 @@ class Echelon:
         keyfn = self.keyfn
         pivot_of = self.pivot_of
         rows = self.rows
-        heap = [(keyfn(k), k) for k in residual if k in pivot_of]
+        pop, push = heapq.heappop, heapq.heappush
+        if keyfn is None:
+            heap = [k for k in residual if k in pivot_of]
+        else:
+            heap = [(keyfn(k), k) for k in residual if k in pivot_of]
         heapq.heapify(heap)
         while heap:
-            _, k = heapq.heappop(heap)
+            k = pop(heap)
+            if keyfn is not None:
+                k = k[1]
             c = residual.get(k)
             if not c:
                 continue
@@ -99,7 +99,7 @@ class Echelon:
                 if s:
                     residual[k2] = s
                     if not old and k2 in pivot_of:
-                        heapq.heappush(heap, (keyfn(k2), k2))
+                        push(heap, k2 if keyfn is None else (keyfn(k2), k2))
                 else:
                     del residual[k2]
         # a coefficient taken at multiplier m was scaled by mult / m since
@@ -136,6 +136,7 @@ class Echelon:
             content = -content
         idx = len(self.rows)
         self.rows.append({k: c // content for k, c in residual.items()})
+        self.pivots.append(pivot)
         self.pivot_of[pivot] = idx
         return idx, combo, mult, content
 

@@ -101,24 +101,17 @@ class BiPoly(LinComb):
 
     def dbar(self):
         """Partial derivative in hb."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            if j:
-                out[(i, j - 1)] = c * j
-        return BiPoly._raw(out)
+        return BiPoly._raw({(i, j - 1): c * j
+                            for (i, j), c in self.terms.items() if j})
 
     # -- inspection -----------------------------------------------------
 
     def deg_h(self):
         """h-degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(i for i, _ in self.terms)
+        return max((i for i, _ in self.terms), default=None)
 
     def deg_hb(self):
-        if not self.terms:
-            return None
-        return max(j for _, j in self.terms)
+        return max((j for _, j in self.terms), default=None)
 
     def coefficient(self, i, j):
         return self.terms.get((i, j), ZERO)

@@ -41,6 +41,10 @@ class Report:
     def add(self, check_id, status, witness=""):
         self.checks.append(CheckRecord(check_id, status, witness))
 
+    def verdict(self, check_id, bad, witness=""):
+        """FAIL witnessed by bad when bad is set, else PASS with witness."""
+        self.add(check_id, FAIL if bad else PASS, bad or witness)
+
     def extend(self, other):
         self.checks.extend(other.checks)
 

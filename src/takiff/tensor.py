@@ -18,16 +18,20 @@ The action is compiled.  Each TensorModule instance keeps a table of
 integer action columns, filled lazily: the image of one basis label
 h^i hb^j (x) idx under one generator, as int numerators over one
 denominator, read in closed form off the words of family_to_operator
-(the first factor) plus hw.act_basis (the second).  ``act`` and the
-closure and Whittaker engines are integer sparse combinations of these
-columns.  The table belongs to the instance and dies with it; nothing
-is shared between modules or across calls with other parameters.
-family_act stays the independent oracle the tests check it against.
-``act_uea`` and the eb pump stay on ints too: ``act_uea`` computes the
-image of each distinct letter suffix of its PBW words once per call,
-and the pump samples eb^m . x as (den, ints), combines the samples
-with the Vandermonde weights on ints, and inverts the Vandermonde
-matrix in one elimination (``linalg.unit_solutions``).
+(the first factor) plus hw.act_basis (the second).  The table belongs
+to the instance; family_act stays the oracle the tests check it against.
+
+Labels are packed ints (``TensorModule.pack``): the fields (level, a, b,
+i, j) of a Verma label idx = (a, b), or (idx, i, j) for L(0, theta),
+KEY_BITS each, most significant first, each field f stored as
+KEY_FIELD - f.  So plain int order is the deepest-first pivot order of
+the closure and Whittaker eliminations, and a field past KEY_FIELD
+raises ValueError instead of wrapping.  ``act``, ``act_uea``, the eb
+pump and the closure, Whittaker and phi engines are integer sparse
+combinations of the columns on packed keys.  Keys are unpacked only at
+the element and witness edge (``from_ints``, Whittaker solutions, the
+invariant-subspace witness, the span ``closure_search`` returns) and
+for ``tensor_order_key`` in the triangularity walk.
 
 Everything is exact; "certified" means a genuine membership witness
 exists (and can be replayed), never "converged numerically".
@@ -53,6 +57,10 @@ from .report import Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import (LinComb, accumulate, clear_denominators, combine,
                      lowest_terms)
 
+#: Bits per field of a packed flat key, and the largest field value.
+KEY_BITS = 12
+KEY_FIELD = (1 << KEY_BITS) - 1
+
 
 class TensorModule:
     """V(params) (x) L(hw), with the expected-irreducibility note."""
@@ -64,15 +72,17 @@ class TensorModule:
             raise TypeError("hw must be an HwModule")
         self.params = params
         self.hw = hw
+        self._verma = hw.kind == "verma"
+        self.key_bits = (5 if self._verma else 3) * KEY_BITS
         if params.family == "omega" and params.a == 0:
             self.expectation = "reducible: a = 0 gives the invariant subspace hb*Q[h,hb] (x) L"
         else:
             self.expectation = "irreducible (family simple and L irreducible)"
         # Integer forms of the action, filled on first use: per gen the
-        # operator words and per (gen, idx) the second factor's images,
-        # each as (den, {key: int}), and the assembled columns.
+        # operator words and per (gen, idx) the second factor's images
+        # as (den, {key: int}), and the assembled columns.
         self._parts = {}
-        self._columns = {}  # gen -> {flat key: (den, keys, nums)}
+        self._columns = {}  # gen -> {packed key: (den, keys, nums)}
 
     def label(self):
         return f"{self.params.label()} (x) {self.hw.label()}"
@@ -93,16 +103,49 @@ class TensorModule:
     def one_v(self):
         return self.pure(BiPoly.const(1))
 
+    # -- packed flat keys -----------------------------------------------
+
+    def pack(self, key):
+        """The flat key (idx, i, j) of h^i hb^j (x) idx as one int (see
+        the module docstring); ValueError for a field past KEY_FIELD."""
+        idx, i, j = key
+        fields = (idx[0] + idx[1], *idx, i, j) if self._verma else key
+        out = 0
+        for f in fields:
+            if not 0 <= f <= KEY_FIELD:
+                raise ValueError(f"flat key {key} has a field outside "
+                                 f"0..{KEY_FIELD}")
+            out = out << KEY_BITS | KEY_FIELD - f
+        return out
+
+    def unpack(self, key):
+        """The flat key (idx, i, j) of a packed int."""
+        m, b = KEY_FIELD, KEY_BITS
+        if self._verma:
+            idx = (m - (key >> 3 * b & m), m - (key >> 2 * b & m))
+        else:
+            idx = m - (key >> 2 * b)
+        return idx, m - (key >> b & m), m - (key & m)
+
+    def flat(self, x):
+        """An element as a flat vector {packed key: coefficient}."""
+        return {self.pack(k): c for k, c in x.flatten().items()}
+
+    def from_ints(self, den, ints):
+        """The element sum(n * key) / den of a packed int vector."""
+        return TensorElement.from_flat({self.unpack(k): Q(n, den)
+                                        for k, n in ints.items()})
+
     # -- the Leibniz action ----------------------------------------------
 
     def act(self, gen, x):
-        return TensorElement.from_ints(*self.image(gen, x.flatten()))
+        return self.from_ints(*self.image(gen, self.flat(x)))
 
     def image(self, gen, flat):
         """gen applied to a flat vector, as (den, ints).
 
-        flat maps flat keys (idx, i, j) to ints or rationals; the image
-        is the returned int dict divided by den > 0.  Each term's column
+        flat maps packed keys to ints or rationals; the image is the
+        returned int dict divided by den > 0.  Each term's column
         and its own denominator fix one common denominator, so the merge
         runs on ints.
         """
@@ -127,9 +170,9 @@ class TensorModule:
         return lowest_terms(den * d, out)
 
     def column(self, gen, key):
-        """The image of the basis label key = (idx, i, j) under gen.
+        """The image of the packed basis label of (idx, i, j) under gen.
 
-        Returned as (den, keys, nums): flat keys and int numerators with
+        Returned as (den, keys, nums): packed keys and int numerators with
         gen . (h^i hb^j (x) idx) = sum(num * key) / den, den as small as
         possible.  Each column is computed once per module instance, on
         first use.  (Lists, not tuples: freed tuples of many lengths
@@ -146,27 +189,35 @@ class TensorModule:
     def _compile(self, gen, key):
         # The word c * h^wi hb^wj db^k s^m sends h^i hb^j to
         # c * perm(j, k) * sum_t comb(i, t) (-2m)^(i-t) h^(wi+t) hb^(wj+j-k);
-        # the Leibniz term 1 (x) gen adds h^i hb^j (x) gen.idx.
-        idx, i, j = key
+        # the Leibniz term 1 (x) gen adds h^i hb^j (x) gen.idx.  Keys are
+        # written packed: (idx, i, j) is head - (i << KEY_BITS) - j, head
+        # the packed (idx, 0, 0), valid while i and j stay in range.
+        idx, i, j = self.unpack(key)
         words = self._parts.get(gen)
         if words is None:
             words = self._parts[gen] = clear_denominators(
                 family_to_operator(gen, self.params).terms)
         second = self._parts.get((gen, idx))
         if second is None:
-            second = self._parts[(gen, idx)] = clear_denominators(
-                self.hw.act_basis(gen, idx))
+            sden, snums = clear_denominators(self.hw.act_basis(gen, idx))
+            second = self._parts[(gen, idx)] = (
+                sden, {self.pack((idx2, 0, 0)): n for idx2, n in snums.items()})
         (wden, wnums), (sden, snums) = words, second
         den = lcm(wden, sden)
+        low = (i << KEY_BITS) + j
+        head = key + low
         out = {}
         for (wi, wj, k, m), n in wnums.items():
             n *= (den // wden) * perm(j, k)
             if n:
-                accumulate(out, (((idx, wi + t, wj + j - k),
+                if wi + i > KEY_FIELD or wj + j - k > KEY_FIELD:
+                    raise ValueError(f"{gen} takes the flat key {(idx, i, j)} "
+                                     f"past the field limit {KEY_FIELD}")
+                accumulate(out, ((head - ((wi + t) << KEY_BITS) - (wj + j - k),
                                   n * comb(i, t) * (-2 * m) ** (i - t))
                                  for t in range(i + 1)))
         f = den // sden
-        accumulate(out, (((idx2, i, j), n * f) for idx2, n in snums.items()))
+        accumulate(out, ((h2 - low, n * f) for h2, n in snums.items()))
         g = reduce(gcd, out.values(), den)
         return den // g, list(out), [n // g for n in out.values()]
 
@@ -179,7 +230,7 @@ class TensorModule:
         ``image_reduced``, in lowest terms after each letter.
         The memo lives only for this call.
         """
-        images = {(): clear_denominators(x.flatten())}
+        images = {(): clear_denominators(self.flat(x))}
         parts = []
         for mono, c in u.terms.items():
             letters = mono_letters(mono)
@@ -191,15 +242,9 @@ class TensorModule:
                 images[letters[s:]] = self.image_reduced(
                     letters[s], *images[letters[s + 1:]])
             parts.append((c, *images[letters]))
-        return TensorElement.from_ints(*combine(parts))
+        return self.from_ints(*combine(parts))
 
-    # -- flat vector plumbing ----------------------------------------------
-
-    def flat_key_order(self, key):
-        idx, i, j = key
-        if self.hw.kind == "verma":
-            return (idx[0] + idx[1], idx[0], idx[1], i, j)
-        return (idx, idx, 0, i, j)
+    # -- windows ------------------------------------------------------------
 
     def in_window(self, x, depth):
         for idx, p in x.terms.items():
@@ -210,14 +255,12 @@ class TensorModule:
         return True
 
     def window_basis(self, depth):
-        """All basis labels (idx, i, j) inside the depth window, ordered."""
-        out = []
-        for idx in self.hw.basis_through_level(depth):
-            for i in range(depth + 1):
-                for j in range(depth + 1):
-                    out.append((idx, i, j))
-        out.sort(key=self.flat_key_order)
-        return out
+        """The packed labels (idx, i, j) inside the depth window, the
+        shallowest first (descending int order)."""
+        return sorted((self.pack((idx, i, j))
+                       for idx in self.hw.basis_through_level(depth)
+                       for i in range(depth + 1) for j in range(depth + 1)),
+                      reverse=True)
 
 
 class TensorElement(LinComb):
@@ -232,16 +275,8 @@ class TensorElement(LinComb):
         return max(p.deg_h() for p in self.terms.values())
 
     def flatten(self):
-        out = {}
-        for idx, p in self.terms.items():
-            for (i, j), c in p.terms.items():
-                out[(idx, i, j)] = c
-        return out
-
-    @classmethod
-    def from_ints(cls, den, ints):
-        """The element sum(n * key) / den of a flat int vector."""
-        return cls.from_flat({k: Q(n, den) for k, n in ints.items()})
+        return {(idx, i, j): c for idx, p in self.terms.items()
+                for (i, j), c in p.terms.items()}
 
     @classmethod
     def from_flat(cls, flat):
@@ -255,23 +290,18 @@ class TensorElement(LinComb):
         if not self.terms:
             return "0"
         parts = []
-        for idx in sorted(self.terms, key=_idx_sort):
+        for idx in sorted(self.terms, key=lambda idx: (sum(_ab(idx)), _ab(idx))):
             p = self.terms[idx]
             body = p.text()
             if len(p.terms) > 1:
                 body = f"({body})"
-            parts.append(f"{body} (x) {_index_text(idx)}")
+            parts.append(f"{body} (x) {VermaElement.basis(*_ab(idx)).text()}")
         return " + ".join(parts)
 
 
-def _idx_sort(idx):
-    return (idx[0] + idx[1], idx[0], idx[1]) if isinstance(idx, tuple) else (idx, idx, 0)
-
-
-def _index_text(idx):
-    if isinstance(idx, tuple):
-        return VermaElement.basis(idx[0], idx[1]).text()
-    return VermaElement.basis(idx, 0).text()
+def _ab(idx):
+    """An L-label as the exponents (a, b) of its basis vector f^a fb^b v."""
+    return idx if isinstance(idx, tuple) else (idx, 0)
 
 
 # -- Vandermonde reduction ------------------------------------------------
@@ -317,7 +347,7 @@ def vandermonde_reduce(mod, x):
         points = list(range(K, K + degree + 1))
         # sample eb^m . current incrementally, as (den, ints)
         samples = []
-        den, ints = clear_denominators(current.flatten())
+        den, ints = clear_denominators(mod.flat(current))
         step = 0
         for m in points:
             while step < m:
@@ -331,7 +361,7 @@ def vandermonde_reduce(mod, x):
             ws = [w / lam**m for w, m in zip(weights[d], points)]
             den, ints = combine((w, *sample) for w, sample in zip(ws, samples))
             if ints:
-                top = TensorElement.from_ints(den, ints)
+                top = mod.from_ints(den, ints)
                 combo = UeaElement.zero()
                 for w, m in zip(ws, points):
                     if w:
@@ -424,8 +454,9 @@ def closure_search(mod, seed, depth, track_tags=False):
     The window is escalated: the search first runs inside smaller
     sub-windows, whose level cap s comes with degree cap min(2s, depth)
     because raising a level costs up to two degrees, and only widens to
-    the full depth window when the target is still missing.  A hit in
-    any sub-window is already sound.
+    the full depth window when the target is still missing (a hit in
+    any sub-window is already sound).  The search runs on packed keys;
+    the returned span is re-keyed to (idx, i, j), ordered by ``mod.pack``.
     """
     if seed.is_zero():
         raise ValueError("seed must be nonzero")
@@ -437,50 +468,58 @@ def closure_search(mod, seed, depth, track_tags=False):
     start = max(start, 2)
     rungs = [(s, min(2 * s, depth)) for s in range(start, depth, 2)]
     rungs.append((depth, depth))
-    result = None
     for lvl_cap, deg_cap in rungs:
-        result = _closure_window(mod, seed, lvl_cap, deg_cap, track_tags)
-        if result[0]:
-            return result
-    return result
+        found, span, tags = _closure_window(mod, seed, lvl_cap, deg_cap,
+                                            track_tags)
+        if found:
+            break
+    keyed = Echelon(keyfn=mod.pack)
+    keyed.rows = [{mod.unpack(k): c for k, c in row.items()}
+                  for row in span.rows]
+    keyed.pivots = [mod.unpack(k) for k in span.pivots]
+    keyed.pivot_of = {k: n for n, k in enumerate(keyed.pivots)}
+    return found, keyed, tags
 
 
 def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
-    # Pivots sit on the deepest column of each row: breadth-first images
-    # concentrate at high level/degree, so eliminating those columns
-    # first keeps the stored rows sparse (much less fill-in than pivoting
-    # on the lowest column).
+    # Pivots sit on the deepest column of each row, the smallest packed
+    # key: breadth-first images concentrate at high level/degree, so
+    # eliminating those columns first keeps the stored rows sparse.
     #
     # Every image of an expanded row is stored (it lives at most one
     # generator application beyond the window), but only rows whose
     # reduced representative lies inside the window are expanded
-    # further.  Storing the margin is what lets combinations cancel
-    # out-of-window parts: an in-window element of the submodule often
-    # arises as a combination of images that each stick out, and
-    # discarding those images would lose it.
+    # further.  Storing the margin lets combinations cancel the
+    # out-of-window parts of images that each stick out.
     #
-    # Rows stay flat int vectors throughout: the image of a stored row
-    # is a positive multiple of gen . row, which spans the same line,
-    # and the target residual only has to reach zero.
-    order = mod.flat_key_order
-    keyfn = lambda k: tuple(-t for t in order(k))
-    level = mod.hw.level
-    span = Echelon(keyfn=keyfn)
+    # Rows stay int vectors: the image of a stored row is a positive
+    # multiple of gen . row, which spans the same line, and the target
+    # residual only has to reach zero.
+    field, bits = KEY_FIELD, KEY_BITS
+    level_shift = mod.key_bits - 3 * bits  # the level field of a label's head
+    span = Echelon()
     tags = []
-    target_res = {(mod.hw.highest_index, 0, 0): 1}
+    target_res = {mod.pack((mod.hw.highest_index, 0, 0)): 1}
 
     def window_score(row):
         # None outside the window, else max over L-labels of level +
-        # h-degree + hb-degree of that label's polynomial
+        # h-degree + hb-degree of that label's polynomial; the label
+        # (head), i and j are read off each key by shift and mask
         degs = {}
-        for idx, i, j in row:
+        for k in row:
+            i, j = field - (k >> bits & field), field - (k & field)
             if i > deg_cap or j > deg_cap:
                 return None
-            di, dj = degs.get(idx, (0, 0))
-            degs[idx] = (max(di, i), max(dj, j))
-        if any(level(idx) > lvl_cap for idx in degs):
-            return None
-        return max(level(idx) + di + dj for idx, (di, dj) in degs.items())
+            head = k >> 2 * bits
+            di, dj = degs.get(head, (0, 0))
+            degs[head] = (max(di, i), max(dj, j))
+        score = 0
+        for head, (di, dj) in degs.items():
+            lvl = field - (head >> level_shift)
+            if lvl > lvl_cap:
+                return None
+            score = max(score, lvl + di + dj)
+        return score
 
     counter = 0
     heap = []
@@ -502,7 +541,7 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
         else:
             tags.append(None)
         row = span.rows[ridx]
-        pk = min(row, key=keyfn)
+        pk = span.pivots[ridx]
         c = target_res.get(pk)
         if c:
             g = gcd(c, row[pk])
@@ -517,7 +556,7 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
             counter += 1
         return False
 
-    if push(seed.flatten(), UeaElement.one()):
+    if push(mod.flat(seed), UeaElement.one()):
         return True, span, tags
 
     gens = ("eb", "e", "hb", "h", "fb", "f")
@@ -538,13 +577,14 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
 
 def certify_irreducible(mod, seeds, depth):
     """Sound reachability of 1 (x) v from each seed; never 'reducible'."""
+    label = mod.label()
     report = Report(
         suite="irreducible",
-        config={"module": mod.label(), "depth": depth, "seeds": len(seeds)},
+        config={"module": label, "depth": depth, "seeds": len(seeds)},
     )
     for n, seed in enumerate(seeds):
         found, span, _ = closure_search(mod, seed, depth)
-        check_id = f"reach[seed-{n}]/{mod.label()}"
+        check_id = f"reach[seed-{n}]/{label}"
         witness = f"closure dimension {len(span)}, seed {seed.text()}"
         if found:
             report.add(check_id, PASS, witness)
@@ -559,25 +599,28 @@ def check_invariant_subspace(mod, depth):
 
     A label's compiled column is its exact image, so h^i hb^(j+1) (x) idx
     leaves hb*Q[h,hb] exactly when its column has a key of hb-exponent
-    0.  Only a failing label is rendered, through ``act``, to name the
-    first non-divisible polynomial as the witness.
+    0, that is, a packed key whose low field holds KEY_FIELD.  Only a
+    failing label is rendered, through ``act``, to name the first
+    non-divisible polynomial as the witness.
     """
     if mod.params.family != "omega" or mod.params.a != 0:
         raise ValueError("invariant-subspace check applies to omega with a = 0")
+    label = mod.label()
     report = Report(
         suite="invariant-subspace",
-        config={"module": mod.label(), "depth": depth},
+        config={"module": label, "depth": depth},
     )
-    labels = [(idx, i, j + 1) for idx in mod.hw.basis_through_level(depth)
+    labels = [mod.pack((idx, i, j + 1)) for idx in mod.hw.basis_through_level(depth)
               for i in range(depth) for j in range(depth)]
     for gen in ("e", "f", "h", "eb", "fb", "hb"):
-        check_id = f"hb-subspace[{gen}]/{mod.label()}"
+        check_id = f"hb-subspace[{gen}]/{label}"
         bad = next((key for key in labels
-                    if any(k[2] == 0 for k in mod.column(gen, key)[1])), None)
+                    if any(k & KEY_FIELD == KEY_FIELD
+                           for k in mod.column(gen, key)[1])), None)
         if bad is None:
             report.add(check_id, PASS, f"closed through depth {depth}")
             continue
-        idx, i, j = bad
+        idx, i, j = mod.unpack(bad)
         img = mod.act(gen, TensorElement({idx: BiPoly.monomial(1, i, j)}))
         q = next(q for q in img.terms.values() if not q.divisible_by_hb())
         report.add(check_id, FAIL, f"image of h^{i} hb^{j} (x) basis{idx} "
@@ -619,9 +662,10 @@ def annihilator_check(mod, g, r):
         raise ValueError("need r > deg_h(g)")
     if params.family == "omega" and params.a == 0:
         raise ValueError("omega annihilator needs a != 0")
+    label = mod.label()
     report = Report(
         suite="lemma51",
-        config={"module": mod.label(), "g": g.text(), "r": r},
+        config={"module": label, "g": g.text(), "r": r},
     )
     w = annihilator_element(params.family, r, params.lam, params.a)
 
@@ -634,7 +678,7 @@ def annihilator_check(mod, g, r):
 
     probe = mod.act_uea(w, mod.pure(g))
     report.add(
-        f"annihilator/tensor-probe[r={r}]/{mod.label()}",
+        f"annihilator/tensor-probe[r={r}]/{label}",
         FAIL if probe.is_zero() else PASS,
         f"w^({r}).(g (x) v) = {probe.text()}",
     )
@@ -643,13 +687,13 @@ def annihilator_check(mod, g, r):
         base = (1, 0)
         probe2 = mod.act_uea(w, TensorElement({base: g}))
         report.add(
-            f"annihilator/tensor-probe-at-fv[r={r}]/{mod.label()}",
+            f"annihilator/tensor-probe-at-fv[r={r}]/{label}",
             PASS if not probe2.is_zero() else FAIL,
             f"w^({r}).(g (x) f v) = {probe2.text()}",
         )
     else:
         report.add(
-            f"annihilator/finite-dim-observation[r={r}]/{mod.label()}",
+            f"annihilator/finite-dim-observation[r={r}]/{label}",
             PASS,
             "barred generators act by zero on L, so the tensor probe "
             "reduces to the V-side value",
@@ -671,46 +715,39 @@ class WhittakerWindow:
     satisfies the equations in the full module, and the kernel is
     complete for the window.
 
-    ``solve`` decides each point in one of two ways:
-
-    * Certificate.  The columns are mapped to F_p (p = ``RANK_PRIME``)
-      and eliminated on ints.  If no entry and neither eigenvalue has a
-      denominator divisible by p, and the images have full column rank
-      mod p, the rational kernel is zero: a nonzero rational kernel
-      vector, scaled to be p-integral with a unit entry, would reduce
-      to a nonzero kernel vector mod p.  ``solve`` then returns [].
-    * Exact solve.  Whenever the certificate does not hold -- the kernel
-      mod p is nonzero, or p divides a denominator -- the kernel is
-      computed with the exact ``Echelon`` on the cached images.
-
-    So an empty answer always rests on the full-rank-mod-p certificate
-    or on the exact solve, and every returned vector comes from the
-    exact solve.
+    ``solve`` first tries a certificate: the columns are mapped to F_p
+    (p = ``RANK_PRIME``), and if p divides no denominator of the images
+    or of the eigenvalues and the columns have full rank mod p, the
+    rational kernel is zero (a nonzero kernel vector, scaled to be
+    p-integral with a unit entry, would survive mod p) and ``solve``
+    returns [].  Otherwise -- the kernel mod p is nonzero, or p divides
+    a denominator -- the exact ``Echelon`` solve on the cached images
+    decides, and every returned vector comes from it.
     """
 
     def __init__(self, mod, depth):
+        self.mod = mod
         self.basis = mod.window_basis(depth)
-        order = mod.flat_key_order
-        # Same deepest-pivot policy as the closure search: raising
-        # operators push support toward high strata, so pivoting there
-        # keeps the elimination sparse.
-        self.keyfn = lambda sk: tuple(-t for t in (sk[0],) + order(sk[1:]))
-        # Per label: (den, {(block, idx, i, j): int}), block 0 = e and
-        # 1 = eb; the stacked image of the label is the ints over den.
+        # Row keys are (1 - block) << key_bits | key, block 0 = e and
+        # 1 = eb, so int order takes eb rows, then the deepest label,
+        # first: the closure's pivot policy, since raising operators push
+        # support toward high strata.  Per label: (den, {row key: int}),
+        # the stacked image of the label as ints over den.
+        self._e_row = e_row = 1 << mod.key_bits
         self.columns = []
         for key in self.basis:
             (d0, k0, n0), (d1, k1, n1) = mod.column("e", key), mod.column("eb", key)
             den = lcm(d0, d1)
-            stacked = {(0,) + k: n * (den // d0) for k, n in zip(k0, n0)}
-            stacked.update(((1,) + k, n * (den // d1)) for k, n in zip(k1, n1))
+            stacked = {e_row | k: n * (den // d0) for k, n in zip(k0, n0)}
+            stacked.update((k, n * (den // d1)) for k, n in zip(k1, n1))
             self.columns.append((den, stacked))
         # The certificate's columns: the images mod p on integer row
-        # keys ranked by the pivot policy, and each column's two
-        # diagonal row keys; None when p divides a denominator.
+        # keys ranked in pivot order, and each column's two diagonal
+        # row keys; None when p divides a denominator.
         keys = {k for _, img in self.columns for k in img}
-        keys.update((block,) + b for b in self.basis for block in (0, 1))
-        rank = {k: n for n, k in enumerate(sorted(keys, key=self.keyfn))}
-        self._diag = [(rank[(0,) + b], rank[(1,) + b]) for b in self.basis]
+        keys.update(k for b in self.basis for k in (b, e_row | b))
+        rank = {k: n for n, k in enumerate(sorted(keys))}
+        self._diag = [(rank[e_row | b], rank[b]) for b in self.basis]
         self._residues = []
         for den, img in self.columns:
             if den % RANK_PRIME == 0:
@@ -743,16 +780,19 @@ class WhittakerWindow:
         """Basis of the window kernel, by exact elimination."""
         mu1, mu2 = Q(mu1), Q(mu2)
         # den_t times the stacked column t of [E - mu1 I ; Eb - mu2 I]
-        columns = (accumulate(dict(img), (((0,) + key, -mu1 * den),
-                                          ((1,) + key, -mu2 * den)))
+        e_row = self._e_row
+        columns = (accumulate(dict(img), ((e_row | key, -mu1 * den),
+                                          (key, -mu2 * den)))
                    for (den, img), key in zip(self.columns, self.basis))
         dens = [den for den, _ in self.columns]
+        unpack = self.mod.unpack
         out = []
-        for vec in nullspace(columns, self.keyfn):
+        for vec in nullspace(columns):
             # back to the unscaled columns, with 1 at the top label again
             top = dens[max(vec)]
             out.append(TensorElement.from_flat(
-                {self.basis[t]: c * dens[t] / top for t, c in vec.items()}))
+                {unpack(self.basis[t]): c * dens[t] / top
+                 for t, c in vec.items()}))
         return out
 
     def solve(self, mu1, mu2):
@@ -763,37 +803,24 @@ class WhittakerWindow:
 
 
 def whittaker_vector_search(mod, mu1, mu2, depth):
-    """All x in the depth window with e.x = mu1 x and eb.x = mu2 x.
-
-    The images of e and eb are computed exactly (not truncated), so a
-    returned x satisfies the eigenvector equations in the full module,
-    and the list is complete for the window.  The empty answer is
-    certified when p = 2^61 - 1 divides no denominator of the images or
-    of mu1, mu2 and the stacked columns [E - mu1 I ; Eb - mu2 I] have
-    full column rank mod p: a nonzero rational kernel vector, scaled to
-    be p-integral with a unit entry, would reduce to a nonzero kernel
-    vector mod p.  In every other case -- the kernel mod p is nonzero,
-    or p divides a denominator -- the exact ``Echelon`` solve decides.
-    See ``WhittakerWindow``.
-    """
+    """All x in the depth window with e.x = mu1 x and eb.x = mu2 x:
+    exact solutions of the full module, complete for the window, the
+    empty answer certified mod p or by the exact solve (see
+    ``WhittakerWindow``)."""
     return WhittakerWindow(mod, depth).solve(mu1, mu2)
 
 
 def whittaker_report(mod, grid, depth):
     """Search over a grid of (mu1, mu2); PASS means no Whittaker vector.
 
-    The window images are built once for the whole grid.  A PASS rests
-    either on full column rank of [E - mu1 I ; Eb - mu2 I] mod
-    p = 2^61 - 1, with p dividing no denominator (a primitive rational
-    kernel vector would survive reduction mod p), or, whenever that
-    certificate does not hold -- the kernel mod p is nonzero, or p
-    divides a denominator of the images or of mu -- on the exact
-    ``Echelon`` solve.  A FAIL lists the exact solutions.  See
-    ``WhittakerWindow``.
+    One ``WhittakerWindow`` serves the whole grid.  A PASS rests on its
+    full-rank-mod-p certificate or on the exact solve; a FAIL lists the
+    exact solutions.
     """
+    label = mod.label()
     report = Report(
         suite="whittaker",
-        config={"module": mod.label(), "depth": depth,
+        config={"module": label, "depth": depth,
                 "grid": "; ".join(f"({format_scalar(Q(a))},{format_scalar(Q(b))})"
                                    for a, b in grid)},
     )
@@ -801,12 +828,10 @@ def whittaker_report(mod, grid, depth):
     for mu1, mu2 in grid:
         sols = window.solve(mu1, mu2)
         check_id = (f"whittaker[mu1={format_scalar(Q(mu1))},"
-                    f"mu2={format_scalar(Q(mu2))}]/{mod.label()}")
-        if sols:
-            report.add(check_id, FAIL,
-                       "solutions: " + "; ".join(s.text() for s in sols))
-        else:
-            report.add(check_id, PASS, f"no solution in window (depth {depth})")
+                    f"mu2={format_scalar(Q(mu2))}]/{label}")
+        report.verdict(check_id,
+                       sols and "solutions: " + "; ".join(s.text() for s in sols),
+                       f"no solution in window (depth {depth})")
     return report
 
 
@@ -878,7 +903,8 @@ def recover_report(mod):
         checks.append(("beta", rec.beta == params.beta))
     else:
         checks.append(("b", rec.b == params.b))
-    report = Report(suite="recover", config={"module": mod.label()})
+    label = mod.label()
+    report = Report(suite="recover", config={"module": label})
     for name, ok in checks:
-        report.add(f"recover[{name}]/{mod.label()}", PASS if ok else FAIL)
+        report.add(f"recover[{name}]/{label}", PASS if ok else FAIL)
     return report

@@ -17,12 +17,9 @@ moves it back to a nonzero multiple of f^(i-1) v, so every basis
 vector generates the whole module.  Any other eta = 0 quotient is
 rejected rather than approximated.
 
-The singular-vector scan first tries a one-sided certificate, the one
-``WhittakerWindow`` uses: a level's stacked e/eb columns are mapped to
-F_p (p = ``RANK_PRIME``).  If p divides no denominator and the images
-are independent mod p, the columns are independent over Q, because a
-rational relation scaled to be p-integral with a unit coefficient
-reduces to a nontrivial relation mod p; so the kernel is empty.
+The singular-vector scan first tries the one-sided certificate
+``linalg.independent_mod_p``: a level's stacked e/eb columns, mapped to
+F_p, independent there are independent over Q, so the kernel is empty.
 Dependence mod p proves nothing, and then the kernel is computed
 exactly.  For eta != 0 the certificate should hold at every level,
 since those Verma modules are irreducible (Wilson, J. Algebra 336).

@@ -10,6 +10,7 @@ import pytest
 from takiff import (ERROR, BiPoly, FamilyParams, JobConfig, PolyParseError,
                     act_eval, run_suite)
 from takiff.cli import _suite_kwargs, build_parser
+from takiff.tensor import KEY_FIELD
 
 
 def run_cli(*args):
@@ -48,6 +49,18 @@ def test_usage_errors_exit_two():
                    "--expr", "e*q", "--target", "1")
     assert proc.returncode == 2
     assert "parse error at symbol 'q'" in proc.stderr
+
+
+def test_a_key_field_past_its_width_is_one_error_record():
+    """hb^(KEY_FIELD + 1) (x) v cannot be packed: the probe stops with
+    one ERROR record and no traceback."""
+    proc = run_cli("verify", "lemma51", "--g", f"hb^{KEY_FIELD + 1}",
+                   "--r", "1")
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert [c["status"] for c in payload["checks"]] == [ERROR]
+    assert "field" in payload["checks"][0]["witness"]
+    assert "Traceback" not in proc.stderr
 
 
 def test_act_command_applies_generator_words():

@@ -194,7 +194,7 @@ def test_integer_phi_values_match_phi_map(family, lam, a, b, eta, theta):
     for key in ind_window_basis(2):
         den, ints = phi.of(key)
         assert den > 0 and all(ints.values())
-        assert TensorElement.from_flat({k: Q(n, den)
+        assert TensorElement.from_flat({mod.unpack(k): Q(n, den)
                                         for k, n in ints.items()}) == \
             phi_map(mod, IndElement.basis(*key))
 
@@ -265,8 +265,8 @@ def corrupt_column(monkeypatch, mod, gen, key, scale=1, extra=()):
 
     def corrupted(gen2, key2):
         den, keys, nums = compile_(gen2, key2)
-        if (gen2, key2) == (gen, key):
-            keys = keys + [k for k, _ in extra]
+        if (gen2, key2) == (gen, mod.pack(key)):
+            keys = keys + [mod.pack(k) for k, _ in extra]
             nums = [scale * n for n in nums] + [n for _, n in extra]
         return den, keys, nums
 

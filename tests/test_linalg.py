@@ -106,11 +106,27 @@ def test_echelon_is_fraction_free_and_exact(vectors, probe):
         assert gcd(*row.values()) == 1
         pivot = min(row, key=pivot_order)
         assert row[pivot] > 0 and span.pivot_of[pivot] == idx
+        assert span.pivots[idx] == pivot
     residual, combo = span.reduce(probe)
     assert combine([(1, probe)]) == combine(
         [(1, residual)] + [(c, span.rows[i]) for i, c in combo.items()])
     assert not set(residual) & set(span.pivot_of)
     assert (not residual) == (rank(vectors + [probe]) == len(span))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(sparse_vectors, max_size=8), sparse_vectors)
+def test_echelon_without_a_keyfn_pivots_in_natural_order(vectors, probe):
+    """No keyfn: the heap holds the int keys themselves, each pivot is
+    the smallest key of its row, and every step agrees with the keyfn
+    path under the identity order."""
+    plain, keyed = Echelon(), Echelon(keyfn=lambda k: k)
+    for vec in vectors:
+        assert plain.insert(vec) == keyed.insert(vec)
+    assert plain.rows == keyed.rows and plain.pivots == keyed.pivots
+    assert plain.pivots == [min(row) for row in plain.rows]
+    assert plain.pivot_of == {k: n for n, k in enumerate(plain.pivots)}
+    assert plain.reduce(probe) == keyed.reduce(probe)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

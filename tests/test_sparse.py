@@ -128,6 +128,20 @@ def test_clear_denominators_keeps_the_vector(vec):
 
 
 @PROPERTY_SETTINGS
+@given(vec=int_vectors, extra=sparse(st.integers(6, 9)))
+def test_clear_denominators_agrees_with_the_rational_route(vec, extra):
+    """Int vectors (zeros included) take the shortcut, mixed and
+    Fraction vectors the lcm route; each gives what the same vector
+    written in Fractions gives, as a new dict of ints."""
+    mixed = {**vec, **extra}
+    for v in (vec, mixed, {k: Q(c) for k, c in mixed.items()}):
+        den, ints = clear_denominators(v)
+        assert (den, ints) == clear_denominators({k: Q(c) for k, c in v.items()})
+        assert all(type(n) is int for n in ints.values())
+        assert ints is not v
+
+
+@PROPERTY_SETTINGS
 @given(parts=st.lists(st.tuples(rationals, st.integers(1, 6), int_vectors),
                       max_size=4))
 def test_combine_sums_the_scaled_vectors(parts):

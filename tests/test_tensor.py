@@ -20,7 +20,7 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
 from takiff.algebra import annihilator_element, mono_letters
 from takiff.families import family_act
 from takiff.linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p
-from takiff.tensor import WhittakerWindow
+from takiff.tensor import KEY_FIELD, WhittakerWindow
 
 GENS = ("e", "f", "h", "eb", "fb", "hb")
 
@@ -84,13 +84,60 @@ def test_columns_belong_to_their_module():
     for mod in (one, two):
         mod.act("eb", mod.pure("h"))
     # eb = lam * s sends h to lam * (h - 2)
-    keys = [((0, 0), 0, 0), ((0, 0), 1, 0)]
+    keys = [one.pack(k) for k in (((0, 0), 0, 0), ((0, 0), 1, 0))]
+    key = one.pack(key)
     assert one.column("eb", key) == (1, keys, [-2, 1])
     assert two.column("eb", key) == (1, keys, [-4, 2])
     # a new module with the same parameters compiles its own columns
     again = TensorModule(FamilyParams("gamma", 1), hw)
     assert again.column("eb", key) == one.column("eb", key)
     assert again.column("eb", key) is not one.column("eb", key)
+
+
+def flat_key_order(mod, key):
+    """The tuple order the closure pivots followed before keys were
+    packed, written out as the oracle."""
+    idx, i, j = key
+    if mod.hw.kind == "verma":
+        return (idx[0] + idx[1], idx[0], idx[1], i, j)
+    return (idx, idx, 0, i, j)
+
+
+FIELDS = st.one_of(st.integers(0, 3), st.integers(0, KEY_FIELD))
+
+
+@pytest.mark.parametrize("hw", ORACLE_FACTORS, ids=lambda hw: hw.kind)
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_packed_keys_round_trip_in_the_pivot_order(hw, data):
+    mod = TensorModule(FamilyParams("gamma", 1), hw)
+    if hw.kind == "verma":
+        idx = st.tuples(FIELDS, FIELDS).filter(lambda ab: sum(ab) <= KEY_FIELD)
+    else:
+        idx = FIELDS
+    keys = data.draw(st.lists(st.tuples(idx, FIELDS, FIELDS), min_size=2,
+                              max_size=6))
+    old = [tuple(-t for t in flat_key_order(mod, k)) for k in keys]
+    new = [mod.pack(k) for k in keys]
+    assert [mod.unpack(p) for p in new] == keys
+    for a in range(len(keys)):
+        for b in range(len(keys)):
+            assert (new[a] < new[b]) == (old[a] < old[b]), (keys[a], keys[b])
+
+
+def test_a_field_past_its_width_raises():
+    mod = over_verma(FamilyParams("gamma", 1))
+    edge = TensorElement({(0, 0): BiPoly.monomial(1, 0, KEY_FIELD)})
+    assert mod.act("eb", edge) == edge  # eb = lam * s keeps the hb-degree
+    with pytest.raises(ValueError, match="field"):
+        mod.act("hb", edge)  # hb^KEY_FIELD * hb
+    deep = TensorElement({(KEY_FIELD, 0): BiPoly.const(1)})
+    with pytest.raises(ValueError, match="field"):
+        mod.act("f", deep)  # f^KEY_FIELD v up one level
+    for key in (((0, 0), KEY_FIELD + 1, 0), ((0, 0), -1, 0),
+                ((KEY_FIELD, 1), 0, 0)):
+        with pytest.raises(ValueError, match="field"):
+            mod.pack(key)
 
 
 def test_action_satisfies_the_bracket():
@@ -271,6 +318,17 @@ def test_closure_tags_replay_through_the_action():
     assert mod.act_uea(witness, seed) == mod.one_v()
 
 
+def test_closure_span_comes_back_on_labels_in_pivot_order():
+    """The search runs on packed keys; the span it returns is keyed by
+    (idx, i, j), and mod.pack orders it as the search pivoted."""
+    mod = over_verma(FamilyParams("theta", 2, 1, 1), eta=1, theta=1)
+    found, span, _ = closure_search(mod, mod.pure("h*hb"), 4)
+    assert found and any(len(row) > 1 for row in span.rows)
+    assert span.pivot_of == {k: n for n, k in enumerate(span.pivots)}
+    for row, pivot in zip(span.rows, span.pivots):
+        assert pivot == min(row, key=span.keyfn) == min(row, key=mod.pack)
+
+
 def test_certification_examples():
     mod = over_verma(FamilyParams("gamma", 1), eta=1, theta=1)
     seeds = [mod.pure("h"), mod.pure("hb^2"),
@@ -310,8 +368,8 @@ def test_invariant_subspace_names_the_first_label_that_leaves_it(monkeypatch):
     def corrupted(gen, key):
         # two labels leave the subspace; ((1, 0), 1, 2) comes first
         den, keys, nums = compile_(gen, key)
-        if gen == "fb" and key in (((1, 0), 1, 2), ((1, 1), 0, 1)):
-            return den, keys + [(key[0], 1, 0)], nums + [den]
+        if gen == "fb" and mod.unpack(key) in (((1, 0), 1, 2), ((1, 1), 0, 1)):
+            return den, keys + [mod.pack((mod.unpack(key)[0], 1, 0))], nums + [den]
         return den, keys, nums
 
     monkeypatch.setattr(mod, "_compile", corrupted)
@@ -496,7 +554,7 @@ def test_whittaker_kernel_over_columns_with_different_denominators():
     for x in sols:
         assert mod.act("e", x).is_zero()
         assert mod.act("eb", x) == x.scale(lam)
-        top = max(x.flatten(), key=mod.flat_key_order)
+        top = mod.unpack(min(mod.flat(x)))
         assert x.flatten()[top] == 1
 
 
