@@ -17,13 +17,13 @@ normal form
 by straightening: a generator is bubbled left through larger letters,
 each swap paying the bracket correction.  The straightening of
 (monomial, generator) pairs is memoized, which makes repeated module
-actions cheap.
+actions cheap, as are the words gen * f^j fb^k (h^q) they read.
 """
 
 from functools import lru_cache
 
 from .scalars import Q
-from .sparse import LinComb, accumulate, powers_text
+from .sparse import LinComb, accumulate, clear_denominators, powers_text
 
 GENERATORS = ("f", "fb", "h", "hb", "e", "eb")
 GEN_INDEX = {g: i for i, g in enumerate(GENERATORS)}
@@ -200,6 +200,19 @@ def gen_times_lowering(g, j, k):
     """Normal form of  g * f^j fb^k  -- the straightening behind every
     highest-weight module action."""
     return _left_mul_cache(g, j, k)
+
+
+_WORDS = {}  # (gen, j, k, q) -> (den, {mono: int}), treat values as frozen
+
+
+def gen_times_word(gen, j, k, q):
+    """gen * f^j fb^k h^q straightened, as (den, {mono: int}): the
+    parameter-free word behind every induced action, memoized."""
+    key = (gen, j, k, q)
+    if key not in _WORDS:
+        _WORDS[key] = clear_denominators(
+            (UeaElement.gen(gen) * UeaElement.monomial(1, j=j, k=k, q=q)).terms)
+    return _WORDS[key]
 
 
 def annihilator_element(family, r, lam, a=None):

@@ -13,6 +13,8 @@ check_phi runs on integers: both sides of every comparison are
 (den, ints) vectors on packed tensor keys -- TensorModule.image for the
 module action, PhiValues for phi, InducedAction for the induced action
 -- and equality is decided by cross-multiplication (``_same``).
+InducedAction keeps only the spec's letters; its straightened words
+come from gen_times_word, one parameter-free memo for the process.
 ind_act, phi_map, borel_act and borel_to_operator are the rational
 routes; the tests hold the integer path equal to them, and check_phi
 itself uses them only to render the witness of a failing element.
@@ -25,7 +27,7 @@ from math import lcm, perm
 from .scalars import Q, format_scalar
 from .poly import UniPoly, BiPoly
 from .skew import SkewOperator
-from .algebra import bracket, UeaElement
+from .algebra import bracket, gen_times_word, UeaElement
 from .families import FamilyParams
 from .verma import verma_reducible_predicate
 from .report import Report, PASS, FAIL, INCONCLUSIVE
@@ -335,9 +337,9 @@ class InducedAction:
     straightened word.  The tail letters act through integer forms of
     the subalgebra operators: each letter is den * letter = sum of
     n * hb^j d^k, read off borel_to_operator once, in the constructor.
-    The straightened words are kept per (gen, j, k, q), since every
-    hb^i shares them.  All of it belongs to the instance; ind_act and
-    borel_act stay the independent oracle the tests check it against.
+    Only the letters belong to the instance: the straightened words come
+    from gen_times_word, one parameter-free memo for every hb^i and spec.
+    ind_act and borel_act stay the oracle the tests check it against.
     """
 
     def __init__(self, spec):
@@ -346,18 +348,11 @@ class InducedAction:
             den, ops = clear_denominators(borel_to_operator(gen, spec).terms)
             self._letters[gen] = (den, [(j, k, n) for (_, j, k, _), n
                                         in ops.items()])
-        self._words = {}
 
     def image(self, gen, key):
         j, k, q, i = key
-        word = self._words.get((gen, j, k, q))
-        if word is None:
-            word = self._words[(gen, j, k, q)] = clear_denominators(
-                (UeaElement.gen(gen)
-                 * UeaElement.monomial(1, j=j, k=k, q=q)).terms)
-        wden, terms = word
-        den = 1
-        parts = []
+        wden, terms = gen_times_word(gen, j, k, q)
+        den, parts = 1, []
         for (j2, k2, q2, i2, p2, m2), c in terms.items():
             if p2 and "e" not in self._letters:
                 raise ValueError(

@@ -145,22 +145,30 @@ class TensorModule:
         """gen applied to a flat vector, as (den, ints).
 
         flat maps packed keys to ints or rationals; the image is the
-        returned int dict divided by den > 0.  Each term's column
-        and its own denominator fix one common denominator, so the merge
-        runs on ints.
+        returned int dict divided by den > 0, with no zero stored.  The
+        columns' denominators, and a rational input's own, fix one common
+        denominator; an all-int input (a closure row, a phi value) takes
+        it from the columns alone.  One merge loop then runs on ints.
         """
         cols = self._columns.get(gen, {})
-        den = 1
-        parts = []
+        ints = all(type(c) is int for c in flat.values())
+        den, parts = 1, []
         for key, c in flat.items():
             col = cols.get(key) or self.column(gen, key)
-            d = col[0] * int(c.denominator)
-            den = lcm(den, d)
-            parts.append((int(c.numerator), d, col[1], col[2]))
+            d = col[0] if ints else col[0] * int(c.denominator)
+            if d != 1:
+                den = lcm(den, d)
+            parts.append((c if ints else int(c.numerator), d, col[1], col[2]))
         out = {}
+        get = out.get
         for n, d, keys, nums in parts:
             f = n * (den // d)
-            accumulate(out, zip(keys, map(f.__mul__, nums)))
+            for k, v in zip(keys, nums):
+                v = get(k, 0) + f * v
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
         return den, out
 
     def image_reduced(self, gen, den, ints):
@@ -178,9 +186,7 @@ class TensorModule:
         first use.  (Lists, not tuples: freed tuples of many lengths
         would stay cached by the interpreter after the module is gone.)
         """
-        cols = self._columns.get(gen)
-        if cols is None:
-            cols = self._columns[gen] = {}
+        cols = self._columns.setdefault(gen, {})
         col = cols.get(key)
         if col is None:
             col = cols[key] = self._compile(gen, key)

@@ -10,8 +10,10 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, BorelSpec, FamilyParams,
                     check_borel_axioms, check_phi, format_scalar, ind_act,
                     ind_window_basis, induced_reducibility_predicate, phi_map,
                     verma_reducible_predicate)
-from takiff import induced
+from takiff import GENERATORS, induced, uea_normalize
+from takiff.algebra import gen_times_word
 from takiff.induced import InducedAction, PhiValues, borel_spec_for
+from takiff.sparse import clear_denominators
 
 HOM_GENS = ("e", "f", "h", "eb", "fb", "hb")
 # rationals with denominators 1, 2 and 3
@@ -175,6 +177,45 @@ def test_compiled_induced_action_matches_ind_act(family, lam, a, eta, keys):
             assert den > 0 and all(ints.values())
             assert IndElement({k: Q(n, den) for k, n in ints.items()}) == \
                 ind_act(gen, spec, x)
+
+
+def test_shared_words_are_the_naive_rewrite():
+    """The memoised gen * f^j fb^k h^q against the raw-word rewrite,
+    which shares no table with the straightening memos."""
+    for gen in GENERATORS:
+        for j in range(3):
+            for k in range(3):
+                for q in range(3):
+                    word = [gen] + ["f"] * j + ["fb"] * k + ["h"] * q
+                    naive = uea_normalize(word, strategy="leftmost")
+                    assert gen_times_word(gen, j, k, q) == \
+                        clear_denominators(naive.terms), word
+                    # one value per key for the whole process
+                    assert gen_times_word(gen, j, k, q) is \
+                        gen_times_word(gen, j, k, q)
+
+
+def test_shared_words_carry_no_parameter_between_specs():
+    keys = [(j, k, q, i) for j in range(3) for k in range(3 - j)
+            for q in range(3) for i in range(2)]
+    warm = InducedAction(BorelSpec("gamma", 3, eta=Q(1, 2)))
+    for key in keys:
+        for gen in HOM_GENS:
+            warm.image(gen, key)
+    for spec in (BorelSpec("gamma", Q(-2, 3), eta=5),
+                 BorelSpec("theta", 2, a=Q(1, 3), eta=-1),
+                 BorelSpec("omega", Q(1, 2), a=3, eta=2)):
+        action = InducedAction(spec)
+        for key in keys:
+            x = IndElement.basis(*key)
+            for gen in HOM_GENS:
+                if gen == "e" and spec.family != "gamma":
+                    with pytest.raises(ValueError, match="free e letter"):
+                        action.image(gen, key)
+                    continue
+                den, ints = action.image(gen, key)
+                assert IndElement({k: Q(n, den) for k, n in ints.items()}) \
+                    == ind_act(gen, spec, x), (spec, gen, key)
 
 
 def tensor_module(family, lam, a, b, eta, theta):

@@ -20,6 +20,7 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
 from takiff.algebra import annihilator_element, mono_letters
 from takiff.families import family_act
 from takiff.linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p
+from takiff.sparse import lowest_terms
 from takiff.tensor import KEY_FIELD, WhittakerWindow
 
 GENS = ("e", "f", "h", "eb", "fb", "hb")
@@ -75,6 +76,56 @@ def test_compiled_action_matches_the_leibniz_oracle(params, hw, data):
                            max_size=3))})
     for gen in GENS:
         assert mod.act(gen, x) == leibniz(mod, gen, x), (gen, x.text())
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda p: p.family)
+@pytest.mark.parametrize("hw", ORACLE_FACTORS, ids=lambda hw: hw.kind)
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_image_of_int_and_rational_inputs_agree(params, hw, data):
+    """An all-int input takes its den from the columns alone; the same
+    vector over a common d goes the rational route."""
+    mod = TensorModule(params, hw)
+    ints = data.draw(st.dictionaries(
+        st.sampled_from(mod.window_basis(2)),
+        st.integers(-6, 6).filter(bool), min_size=1, max_size=4))
+    d = data.draw(st.integers(1, 4))
+    x = mod.from_ints(1, ints)
+    for gen in GENS:
+        den, out = mod.image(gen, ints)
+        rden, rout = mod.image(gen, {k: Q(n, d) for k, n in ints.items()})
+        assert den > 0 and rden > 0 and all(out.values()) and all(rout.values())
+        assert lowest_terms(den * d, out) == lowest_terms(rden, rout)
+        assert mod.from_ints(den, out) == leibniz(mod, gen, x)
+
+
+def meeting_columns(mod, gen, keys):
+    """Two labels whose gen-columns share a key, and that key."""
+    for n, k1 in enumerate(keys):
+        for k2 in keys[n + 1:]:
+            shared = set(mod.column(gen, k1)[1]) & set(mod.column(gen, k2)[1])
+            if shared:
+                return k1, k2, min(shared)
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda p: p.family)
+@pytest.mark.parametrize("hw", ORACLE_FACTORS, ids=lambda hw: hw.kind)
+def test_image_drops_a_key_whose_terms_cancel(params, hw):
+    mod = TensorModule(params, hw)
+    k1, k2, shared = meeting_columns(mod, "h", mod.window_basis(2))
+    (d1, keys1, nums1), (d2, keys2, nums2) = (mod.column("h", k1),
+                                              mod.column("h", k2))
+    # weighted so that the two images cancel on the shared key
+    ints = {k1: nums2[keys2.index(shared)] * d1,
+            k2: -nums1[keys1.index(shared)] * d2}
+    # all ints, mixed, and all rationals over a common denominator
+    for vec in (ints, {k1: Q(ints[k1]), k2: ints[k2]},
+                {k: Q(n, 3) for k, n in ints.items()}):
+        den, out = mod.image("h", vec)
+        assert shared not in out and all(out.values())
+        assert mod.from_ints(den, out) == leibniz(
+            mod, "h", TensorElement.from_flat(
+                {mod.unpack(k): Q(c) for k, c in vec.items()}))
 
 
 def test_columns_belong_to_their_module():
