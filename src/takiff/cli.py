@@ -250,7 +250,7 @@ def main(argv=None):
         try:
             result = act_eval(_params(args), args.expr,
                               BiPoly.parse(args.target))
-        except (ValueError, PolyParseError) as exc:
+        except (ValueError, PolyParseError, ZeroDivisionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(result.text())

@@ -4,10 +4,10 @@
 span of sparse dicts keyed by hashable basis labels, used directly by
 submodule closure and through ``nullspace`` by everything else.  It is
 fraction-free: every stored row is a primitive integer vector whose
-pivot is the minimum of its support, under a keyfn or, without one, in
-the labels' natural order (the packed int keys of the tensor engines).
-Elimination is gcd-reduced cross-multiplication on ints, in the style
-of Bareiss, with the (den, ints) helpers of ``sparse``.  ``nullspace``,
+pivot is the minimum of its support in the labels' natural order (the
+packed int keys of the tensor engines).  Elimination is gcd-reduced
+cross-multiplication on ints, in the style of Bareiss, with the
+(den, ints) helpers of ``sparse``.  ``nullspace``,
 ``solve_unique`` (the omega alpha constraint) and ``unit_solutions``
 (the Vandermonde inverse of the eb pump) read kernels and inverses off
 one elimination.  ``independent_mod_p`` is a one-sided certificate:
@@ -32,19 +32,17 @@ RANK_PRIME = 2**61 - 1
 class Echelon:
     """Incremental echelon span of sparse dict-vectors, fraction-free.
 
-    keyfn maps a basis label to a sortable value; smaller keys are
-    preferred as pivots.  Without a keyfn the heap holds and compares
-    the labels themselves (natural order, as for packed int keys).
-    Every stored row is a primitive integer vector: its entries are ints
-    with gcd 1, its pivot, ``pivots[i]`` for ``rows[i]`` (``pivot_of``
-    inverts it), is the minimal key of its support, and the pivot entry
-    is positive.  Rows, once stored, are never modified.  Input vectors
+    Labels are compared as they are (natural order, as for packed int
+    keys); smaller labels are preferred as pivots.  Every stored row is
+    a primitive integer vector: its entries are ints with gcd 1, its
+    pivot, ``pivots[i]`` for ``rows[i]`` (``pivot_of`` inverts it), is
+    the smallest label of its support, and the pivot entry is
+    positive.  Rows, once stored, are never modified.  Input vectors
     may hold ints or rationals; their denominators are cleared once (an
     all-int vector is only copied), and elimination runs on ints alone.
     """
 
-    def __init__(self, keyfn=None):
-        self.keyfn = keyfn
+    def __init__(self):
         self.rows = []
         self.pivots = []    # row index -> basis label
         self.pivot_of = {}  # basis label -> row index
@@ -66,19 +64,13 @@ class Echelon:
         """
         mult, residual = clear_denominators(vec)
         steps = []  # (row index, coefficient, mult when it was taken)
-        keyfn = self.keyfn
         pivot_of = self.pivot_of
         rows = self.rows
         pop, push = heapq.heappop, heapq.heappush
-        if keyfn is None:
-            heap = [k for k in residual if k in pivot_of]
-        else:
-            heap = [(keyfn(k), k) for k in residual if k in pivot_of]
+        heap = [k for k in residual if k in pivot_of]
         heapq.heapify(heap)
         while heap:
             k = pop(heap)
-            if keyfn is not None:
-                k = k[1]
             c = residual.get(k)
             if not c:
                 continue
@@ -99,7 +91,7 @@ class Echelon:
                 if s:
                     residual[k2] = s
                     if not old and k2 in pivot_of:
-                        push(heap, k2 if keyfn is None else (keyfn(k2), k2))
+                        push(heap, k2)
                 else:
                     del residual[k2]
         # a coefficient taken at multiplier m was scaled by mult / m since
@@ -130,7 +122,7 @@ class Echelon:
         residual, mult, combo = self._eliminate(vec)
         if not residual:
             return None, combo, mult, 0
-        pivot = min(residual, key=self.keyfn)
+        pivot = min(residual)
         content = reduce(gcd, residual.values(), 0)
         if residual[pivot] < 0:
             content = -content
@@ -141,7 +133,7 @@ class Echelon:
         return idx, combo, mult, content
 
 
-def _tagged_echelon(columns, keyfn=None):
+def _tagged_echelon(columns):
     """Insert the columns in order into one ``Echelon``.
 
     Returns (span, tags, kernel).  tags[i] = (den, ints) writes
@@ -150,7 +142,7 @@ def _tagged_echelon(columns, keyfn=None):
     dict column index -> Q with 1 at that column and support on earlier
     columns only.
     """
-    span = Echelon(keyfn)
+    span = Echelon()
     tags = []
     kernel = []
     for t, col in enumerate(columns):
@@ -166,17 +158,17 @@ def _tagged_echelon(columns, keyfn=None):
     return span, tags, kernel
 
 
-def nullspace(columns, keyfn=None):
+def nullspace(columns):
     """Basis of the kernel of the matrix with the given sparse columns.
 
-    Columns are inserted in order into one ``Echelon`` (keyfn orders its
-    row labels), and each stored row keeps its combination of columns.
+    Columns are inserted in order into one ``Echelon``, and each stored
+    row keeps its combination of columns.
     A column that reduces to zero gives one basis vector: a dict column
     index -> Q with 1 at that column and support on earlier columns
     only.  That is the basis the reduced row echelon form reads off its
     free columns, and the vectors come in column order.
     """
-    return _tagged_echelon(columns, keyfn)[2]
+    return _tagged_echelon(columns)[2]
 
 
 def solve_unique(columns, rhs):
@@ -211,7 +203,7 @@ def unit_solutions(columns):
     if kernel or len(labels) != len(columns):
         return None
     units = {}  # row label -> (den, ints): e_r as a combination of columns
-    for r in sorted(span.pivot_of, key=span.keyfn, reverse=True):
+    for r in sorted(span.pivot_of, reverse=True):
         ri = span.pivot_of[r]
         row = span.rows[ri]
         # rows[ri] = row[r] e_r + sum(row[k] e_k), every other k after r

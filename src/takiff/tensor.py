@@ -30,8 +30,8 @@ raises ValueError instead of wrapping.  ``act``, ``act_uea``, the eb
 pump and the closure, Whittaker and phi engines are integer sparse
 combinations of the columns on packed keys.  Keys are unpacked only at
 the element and witness edge (``from_ints``, Whittaker solutions, the
-invariant-subspace witness, the span ``closure_search`` returns) and
-for ``tensor_order_key`` in the triangularity walk.
+invariant-subspace witness) and for ``tensor_order_key`` in the
+triangularity walk.
 
 Everything is exact; "certified" means a genuine membership witness
 exists (and can be replayed), never "converged numerically".
@@ -461,8 +461,9 @@ def closure_search(mod, seed, depth, track_tags=False):
     sub-windows, whose level cap s comes with degree cap min(2s, depth)
     because raising a level costs up to two degrees, and only widens to
     the full depth window when the target is still missing (a hit in
-    any sub-window is already sound).  The search runs on packed keys;
-    the returned span is re-keyed to (idx, i, j), ordered by ``mod.pack``.
+    any sub-window is already sound).  The span is the ``Echelon`` the
+    search eliminated on, keyed by ``mod.pack`` ints; ``mod.unpack``
+    reads a key back as (idx, i, j).
     """
     if seed.is_zero():
         raise ValueError("seed must be nonzero")
@@ -479,12 +480,7 @@ def closure_search(mod, seed, depth, track_tags=False):
                                             track_tags)
         if found:
             break
-    keyed = Echelon(keyfn=mod.pack)
-    keyed.rows = [{mod.unpack(k): c for k, c in row.items()}
-                  for row in span.rows]
-    keyed.pivots = [mod.unpack(k) for k in span.pivots]
-    keyed.pivot_of = {k: n for n, k in enumerate(keyed.pivots)}
-    return found, keyed, tags
+    return found, span, tags
 
 
 def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
@@ -747,20 +743,17 @@ class WhittakerWindow:
             stacked = {e_row | k: n * (den // d0) for k, n in zip(k0, n0)}
             stacked.update((k, n * (den // d1)) for k, n in zip(k1, n1))
             self.columns.append((den, stacked))
-        # The certificate's columns: the images mod p on integer row
-        # keys ranked in pivot order, and each column's two diagonal
-        # row keys; None when p divides a denominator.
-        keys = {k for _, img in self.columns for k in img}
-        keys.update(k for b in self.basis for k in (b, e_row | b))
-        rank = {k: n for n, k in enumerate(sorted(keys))}
-        self._diag = [(rank[e_row | b], rank[b]) for b in self.basis]
+        # The certificate's columns: the images mod p on the same row
+        # keys, and each column's two diagonal row keys; None when p
+        # divides a denominator.
+        self._diag = [(e_row | b, b) for b in self.basis]
         self._residues = []
         for den, img in self.columns:
             if den % RANK_PRIME == 0:
                 self._residues = None
                 break
             inv = pow(den, -1, RANK_PRIME)
-            col = {rank[k]: n * inv % RANK_PRIME for k, n in img.items()}
+            col = {k: n * inv % RANK_PRIME for k, n in img.items()}
             self._residues.append({k: r for k, r in col.items() if r})
 
     def certify_empty(self, mu1, mu2):

@@ -83,6 +83,31 @@ MUTANTS = (
            "((k2, -b * v2) for k2, v2 in row.items())",
            "((k2, b * v2) for k2, v2 in row.items())",
            ("tests/test_tensor.py::test_certification_examples",)),
+    Mutant("echelon-pivots-on-the-largest-key", "linalg.py",
+           "pivot = min(residual)", "pivot = max(residual)",
+           ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
+    # the compiled action columns
+    Mutant("compile-drops-the-leibniz-term", "tensor.py",
+           "f = den // sden", "f = 0",
+           ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
+    # the mod-p certificates: Whittaker window and singular scan
+    Mutant("independent-mod-p-accepts-a-dependent-vector", "linalg.py",
+           "if pivot is None:\n            return False",
+           "if pivot is None:\n            return True",
+           ("tests/test_tensor.py::test_whittaker_certificate_agrees_with_the_exact_solve",
+            "tests/test_tensor.py::test_whittaker_certificate_declines_and_the_exact_path_decides")),
+    Mutant("whittaker-diagonal-pair-swapped", "tensor.py",
+           "[(e_row | b, b) for b in self.basis]",
+           "[(b, e_row | b) for b in self.basis]",
+           ("tests/test_tensor.py::test_whittaker_certificate_agrees_with_the_exact_solve",)),
+    Mutant("singular-scan-swaps-theta-and-eta", "verma.py",
+           "c.numerator * theta**qq * eta**ii", "c.numerator * eta**qq * theta**ii",
+           ("tests/test_verma.py::test_the_certificate_reads_the_level_matrix_mod_p",)),
+    # check_phi's triangularity walk
+    Mutant("triangularity-accepts-a-higher-coordinate", "induced.py",
+           "not tensor_order_key(fk) < t\n               for fk in map(unpack, flat)",
+           "False\n               for fk in map(unpack, flat)",
+           ("tests/test_induced.py::test_non_lower_coordinate_is_named_in_the_rational_order",)),
 )
 
 

@@ -137,7 +137,7 @@ def test_criterion_04_irreducibility_certificates_at_scale():
         found, span, _ = closure_search(red, seed, 4)
         assert not found
         for row in span.rows:
-            assert all(key[2] >= 1 for key in row)
+            assert all(red.unpack(key)[2] >= 1 for key in row)
     assert time.time() - start < 60.0
 
 

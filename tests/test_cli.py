@@ -51,6 +51,15 @@ def test_usage_errors_exit_two():
     assert "parse error at symbol 'q'" in proc.stderr
 
 
+@pytest.mark.parametrize("flag", ["--lambda", "--a", "--b"])
+def test_a_zero_denominator_in_act_is_a_usage_error(flag):
+    proc = run_cli("act", "--family", "gamma", "--lambda", "1", flag, "1/0",
+                   "--expr", "e", "--target", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_a_key_field_past_its_width_is_one_error_record():
     """hb^(KEY_FIELD + 1) (x) v cannot be packed: the probe stops with
     one ERROR record and no traceback."""

@@ -64,11 +64,6 @@ def test_solve_unique_rejects_an_inconsistent_system():
     assert solve_unique([col(1, 2), col(1, 2)], col(1, 3)) is None
 
 
-def pivot_order(k):
-    # a nontrivial ordering: pivots prefer odd labels, then larger ones
-    return (k % 2 == 0, -k)
-
-
 def combine(pairs):
     """sum(c * vec) over (c, vec) pairs, as a dict without zeros."""
     out = {}
@@ -87,7 +82,9 @@ sparse_vectors = st.dictionaries(
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(st.lists(sparse_vectors, max_size=8), sparse_vectors)
 def test_echelon_is_fraction_free_and_exact(vectors, probe):
-    span = Echelon(keyfn=pivot_order)
+    """Pivots follow the labels' natural order: each is the smallest
+    key of its row, and pivot_of inverts pivots."""
+    span = Echelon()
     seen = []
     for vec in vectors:
         before = rank(seen)
@@ -104,29 +101,15 @@ def test_echelon_is_fraction_free_and_exact(vectors, probe):
     for idx, row in enumerate(span.rows):
         assert all(type(x) is int and x for x in row.values())
         assert gcd(*row.values()) == 1
-        pivot = min(row, key=pivot_order)
+        pivot = min(row)
         assert row[pivot] > 0 and span.pivot_of[pivot] == idx
         assert span.pivots[idx] == pivot
+    assert span.pivot_of == {k: n for n, k in enumerate(span.pivots)}
     residual, combo = span.reduce(probe)
     assert combine([(1, probe)]) == combine(
         [(1, residual)] + [(c, span.rows[i]) for i, c in combo.items()])
     assert not set(residual) & set(span.pivot_of)
     assert (not residual) == (rank(vectors + [probe]) == len(span))
-
-
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(st.lists(sparse_vectors, max_size=8), sparse_vectors)
-def test_echelon_without_a_keyfn_pivots_in_natural_order(vectors, probe):
-    """No keyfn: the heap holds the int keys themselves, each pivot is
-    the smallest key of its row, and every step agrees with the keyfn
-    path under the identity order."""
-    plain, keyed = Echelon(), Echelon(keyfn=lambda k: k)
-    for vec in vectors:
-        assert plain.insert(vec) == keyed.insert(vec)
-    assert plain.rows == keyed.rows and plain.pivots == keyed.pivots
-    assert plain.pivots == [min(row) for row in plain.rows]
-    assert plain.pivot_of == {k: n for n, k in enumerate(plain.pivots)}
-    assert plain.reduce(probe) == keyed.reduce(probe)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -144,8 +127,10 @@ def test_nullspace_is_the_free_column_basis(columns):
         assert all(type(c) is Q and c for c in vec.values())
         assert combine([(c, columns[t]) for t, c in vec.items()]) == {}
     assert tops == sorted(set(tops))
-    # the basis is unique, so the row ordering cannot change it
-    assert nullspace(columns, keyfn=pivot_order) == kernel
+    # the basis is unique, so the row ordering cannot change it: the
+    # order-reversing relabelling k -> 5 - k gives the same kernel
+    assert nullspace([{5 - k: x for k, x in c.items()}
+                      for c in columns]) == kernel
 
 
 @pytest.mark.parametrize("points", [[0], [1, 2], [2, 3, 4, 5], [-1, 0, 3, 7, 8]]

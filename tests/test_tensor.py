@@ -21,7 +21,7 @@ from takiff.algebra import annihilator_element, mono_letters
 from takiff.families import family_act
 from takiff.linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p
 from takiff.sparse import lowest_terms
-from takiff.tensor import KEY_FIELD, WhittakerWindow
+from takiff.tensor import KEY_FIELD, RecoveredParams, WhittakerWindow
 
 GENS = ("e", "f", "h", "eb", "fb", "hb")
 
@@ -360,8 +360,8 @@ def test_closure_tags_replay_through_the_action():
     found, span, tags = closure_search(mod, seed, 4, track_tags=True)
     assert found
     for i, row in enumerate(span.rows):
-        assert mod.act_uea(tags[i], seed) == TensorElement.from_flat(row)
-    residual, combo = span.reduce(mod.one_v().flatten())
+        assert mod.act_uea(tags[i], seed) == mod.from_ints(1, row)
+    residual, combo = span.reduce(mod.flat(mod.one_v()))
     assert not residual
     witness = UeaElement.zero()
     for i, c in combo.items():
@@ -370,14 +370,16 @@ def test_closure_tags_replay_through_the_action():
 
 
 def test_closure_span_comes_back_on_labels_in_pivot_order():
-    """The search runs on packed keys; the span it returns is keyed by
-    (idx, i, j), and mod.pack orders it as the search pivoted."""
+    """The span the search returns is the one it eliminated on: keyed
+    by packed ints, each pivot the smallest key of its row, and every
+    pivot a label that mod.unpack and mod.pack carry back and forth."""
     mod = over_verma(FamilyParams("theta", 2, 1, 1), eta=1, theta=1)
     found, span, _ = closure_search(mod, mod.pure("h*hb"), 4)
     assert found and any(len(row) > 1 for row in span.rows)
     assert span.pivot_of == {k: n for n, k in enumerate(span.pivots)}
-    for row, pivot in zip(span.rows, span.pivots):
-        assert pivot == min(row, key=span.keyfn) == min(row, key=mod.pack)
+    assert span.pivots == [min(row) for row in span.rows]
+    for pivot in span.pivots:
+        assert mod.pack(mod.unpack(pivot)) == pivot
 
 
 def test_certification_examples():
@@ -402,7 +404,7 @@ def test_degenerate_point_is_never_certified():
     assert not found
     # the whole closure stays inside hb*Q[h,hb] (x) L
     for row in span.rows:
-        assert all(key[2] >= 1 for key in row)
+        assert all(mod.unpack(key)[2] >= 1 for key in row)
     rep = certify_irreducible(mod, [seed], 4)
     assert all(c.status == INCONCLUSIVE for c in rep.checks)
     inv = check_invariant_subspace(mod, 5)
@@ -635,6 +637,38 @@ def test_parameters_are_recovered_exactly():
         else:
             assert rec.b == mod.params.b
         assert recover_report(mod).ok
+
+
+small_rationals = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_random_parameters_are_recovered_exactly(data):
+    """gamma/theta (lam != 0, a, b) and omega (lam != 0, a, beta of
+    degree <= 2), over a Verma factor (eta != 0) or L(0, theta): the
+    probe actions read back exactly the parameters they were built from."""
+    family = data.draw(st.sampled_from(["gamma", "theta", "omega"]))
+    lam = data.draw(small_rationals.filter(bool))
+    a = data.draw(small_rationals)
+    if family == "omega":
+        coeffs = data.draw(st.lists(small_rationals, max_size=3))
+        beta = UniPoly({j: c for j, c in enumerate(coeffs) if c})
+        params, b = FamilyParams(family, lam, a, beta=beta), None
+    else:
+        b, beta = data.draw(small_rationals), None
+        params = FamilyParams(family, lam, a, b)
+    if data.draw(st.booleans()):
+        weight = HighestWeight(data.draw(small_rationals.filter(bool)),
+                               data.draw(small_rationals))
+        hw = build_verma_module(weight)
+    else:
+        weight = HighestWeight(Q(0), Q(data.draw(st.integers(0, 3))))
+        hw = build_hw_module(weight)
+    mod = TensorModule(params, hw)
+    assert recover_parameters(mod) == RecoveredParams(
+        family, lam, a, b, beta, weight.eta, weight.theta)
+    assert recover_report(mod).ok
 
 
 def test_distinct_parameters_recover_distinctly():
