@@ -113,6 +113,25 @@ def test_echelon_is_fraction_free_and_exact(vectors, probe):
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(sparse_vectors, max_size=8), sparse_vectors)
+def test_echelon_without_a_keyfn_pivots_in_natural_order(vectors, probe):
+    """The labels' own order is the pivot order: each pivot is the
+    smallest key of its row, and relabelling by an order-preserving map
+    (k -> 3k + 7) changes every step only by that relabelling."""
+    def moved(vec):
+        return {3 * k + 7: x for k, x in vec.items()}
+    plain, shifted = Echelon(), Echelon()
+    for vec in vectors:
+        assert plain.insert(vec) == shifted.insert(moved(vec))
+    assert [moved(row) for row in plain.rows] == shifted.rows
+    assert [3 * k + 7 for k in plain.pivots] == shifted.pivots
+    assert plain.pivots == [min(row) for row in plain.rows]
+    assert plain.pivot_of == {k: n for n, k in enumerate(plain.pivots)}
+    residual, combo = plain.reduce(probe)
+    assert shifted.reduce(moved(probe)) == (moved(residual), combo)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(st.lists(sparse_vectors, max_size=8))
 def test_nullspace_is_the_free_column_basis(columns):
     kernel = nullspace(columns)
