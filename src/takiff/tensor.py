@@ -8,18 +8,20 @@ act by the Leibniz rule.  On top of the action sit the five engines:
                          of the generated submodule (gamma only)
   certify_irreducible    sound span-closure reachability of 1 (x) v
   check_invariant_subspace   hb*Q[h,hb] (x) L is closed (omega, a=0), read
-                         off the compiled action columns
+                         off the integer action columns
   annihilator_check      the binomial operators w^(r): kill V, probe L
   whittaker_vector_search    exact eigenvector solve on a finite window
   recover_parameters     read the construction parameters back off
                          probe actions on 1 (x) v
 
-The action is compiled.  Each TensorModule instance keeps a table of
-integer action columns, filled lazily: the image of one basis label
-h^i hb^j (x) idx under one generator, as int numerators over one
-denominator, read in closed form off the words of family_to_operator
-(the first factor) plus hw.act_basis (the second).  The table belongs
-to the instance; family_act stays the oracle the tests check it against.
+The action is compiled.  In the Leibniz rule x.(h^i hb^j (x) w) =
+(x.h^i hb^j) (x) w + h^i hb^j (x) x.w the first term depends on (x, i, j)
+alone and the second on (x, w) alone, so each TensorModule instance
+keeps two integer tables, filled lazily: per generator the words of
+family_to_operator over one denominator, with the image of each
+h^i hb^j read off them in closed form, and per (generator, w) the image
+hw.act_basis gives.  The tables belong to the instance; family_act
+stays the oracle the tests check them against.
 
 Labels are packed ints (``TensorModule.pack``): the fields (level, a, b,
 i, j) of a Verma label idx = (a, b), or (idx, i, j) for L(0, theta),
@@ -28,10 +30,10 @@ KEY_FIELD - f.  So plain int order is the deepest-first pivot order of
 the closure and Whittaker eliminations, and a field past KEY_FIELD
 raises ValueError instead of wrapping.  ``act``, ``act_uea``, the eb
 pump and the closure, Whittaker and phi engines are integer sparse
-combinations of the columns on packed keys.  Keys are unpacked only at
-the element and witness edge (``from_ints``, Whittaker solutions, the
-invariant-subspace witness) and for ``tensor_order_key`` in the
-triangularity walk.
+combinations of the table entries on packed keys.  Keys are unpacked
+only at the element and witness edge (``from_ints``, Whittaker
+solutions, the invariant-subspace witness) and for ``tensor_order_key``
+in the triangularity walk.
 
 Everything is exact; "certified" means a genuine membership witness
 exists (and can be replayed), never "converged numerically".
@@ -39,13 +41,12 @@ exists (and can be replayed), never "converged numerically".
 
 import heapq
 from dataclasses import dataclass
-from functools import reduce
 from math import comb, gcd, lcm, perm
 from typing import Optional
 
 from .scalars import Q, format_scalar
 from .poly import BiPoly, UniPoly
-from .algebra import UeaElement, mono_letters, annihilator_element
+from .algebra import GENERATORS, UeaElement, annihilator_element, mono_letters
 # family_act is not called here, but the name stays bound in this module:
 # perfbench/selfcheck.py looks it up as takiff.tensor.family_act.
 from .families import FamilyParams, family_act, family_to_operator  # noqa: F401
@@ -60,6 +61,8 @@ from .sparse import (LinComb, accumulate, clear_denominators, combine,
 #: Bits per field of a packed flat key, and the largest field value.
 KEY_BITS = 12
 KEY_FIELD = (1 << KEY_BITS) - 1
+#: The (i, j) fields: key | LOW packs (idx, 0, 0), the label's head.
+LOW = (1 << 2 * KEY_BITS) - 1
 
 
 class TensorModule:
@@ -78,11 +81,10 @@ class TensorModule:
             self.expectation = "reducible: a = 0 gives the invariant subspace hb*Q[h,hb] (x) L"
         else:
             self.expectation = "irreducible (family simple and L irreducible)"
-        # Integer forms of the action, filled on first use: per gen the
-        # operator words and per (gen, idx) the second factor's images
-        # as (den, {key: int}), and the assembled columns.
-        self._parts = {}
-        self._columns = {}  # gen -> {packed key: (den, keys, nums)}
+        # The action's tables, filled on first use: gen -> (words' den,
+        # words, {low: (deltas, nums)}) and gen -> {head: (den, heads, nums)}.
+        self._family = {}
+        self._leibniz = {gen: {} for gen in GENERATORS}
 
     def label(self):
         return f"{self.params.label()} (x) {self.hw.label()}"
@@ -145,25 +147,37 @@ class TensorModule:
         """gen applied to a flat vector, as (den, ints).
 
         flat maps packed keys to ints or rationals; the image is the
-        returned int dict divided by den > 0, with no zero stored.  The
-        columns' denominators, and a rational input's own, fix one common
-        denominator; an all-int input (a closure row, a phi value) takes
-        it from the columns alone.  One merge loop then runs on ints.
+        returned int dict divided by den > 0, with no zero stored.  A
+        label adds its value times its family entry, keyed head + delta
+        over the words' den, and times its Leibniz entry, keyed h2 - low
+        over that entry's den; den is the lcm of these, not always the
+        least.  One merge loop runs on ints.
         """
-        cols = self._columns.get(gen, {})
-        ints = all(type(c) is int for c in flat.values())
+        if gen not in self._family:
+            self._family[gen] = (*clear_denominators(
+                family_to_operator(gen, self.params).terms), {})
+        wden, _, family = self._family[gen]
+        leibniz = self._leibniz[gen]
         den, parts = 1, []
         for key, c in flat.items():
-            col = cols.get(key) or self.column(gen, key)
-            d = col[0] if ints else col[0] * int(c.denominator)
-            if d != 1:
-                den = lcm(den, d)
-            parts.append((c if ints else int(c.numerator), d, col[1], col[2]))
+            low, head = LOW ^ (key & LOW), key | LOW
+            deltas, fnums = family.get(low) or self._family_entry(gen, key, low)
+            sden, heads, snums = leibniz.get(head) or self._leibniz_entry(gen, head)
+            if type(c) is int:
+                n, dw, ds = c, wden, sden
+            else:
+                n, d = int(c.numerator), int(c.denominator)
+                dw, ds = wden * d, sden * d
+            den = lcm(den, dw, ds)
+            parts.append((n, dw, head, deltas, fnums))
+            if heads:
+                parts.append((n, ds, -low, heads, snums))
         out = {}
         get = out.get
-        for n, d, keys, nums in parts:
+        for n, d, base, keys, nums in parts:
             f = n * (den // d)
             for k, v in zip(keys, nums):
+                k += base
                 v = get(k, 0) + f * v
                 if v:
                     out[k] = v
@@ -181,51 +195,37 @@ class TensorModule:
         """The image of the packed basis label of (idx, i, j) under gen.
 
         Returned as (den, keys, nums): packed keys and int numerators with
-        gen . (h^i hb^j (x) idx) = sum(num * key) / den, den as small as
-        possible.  Each column is computed once per module instance, on
-        first use.  (Lists, not tuples: freed tuples of many lengths
-        would stay cached by the interpreter after the module is gone.)
+        gen . (h^i hb^j (x) idx) = sum(num * key) / den in lowest terms.
         """
-        cols = self._columns.setdefault(gen, {})
-        col = cols.get(key)
-        if col is None:
-            col = cols[key] = self._compile(gen, key)
-        return col
+        den, out = lowest_terms(*self.image(gen, {key: 1}))
+        return den, list(out), list(out.values())
 
-    def _compile(self, gen, key):
+    def _family_entry(self, gen, key, low):
         # The word c * h^wi hb^wj db^k s^m sends h^i hb^j to
         # c * perm(j, k) * sum_t comb(i, t) (-2m)^(i-t) h^(wi+t) hb^(wj+j-k);
-        # the Leibniz term 1 (x) gen adds h^i hb^j (x) gen.idx.  Keys are
-        # written packed: (idx, i, j) is head - (i << KEY_BITS) - j, head
-        # the packed (idx, 0, 0), valid while i and j stay in range.
+        # packed, h^i' hb^j' (x) idx is head - (i' << KEY_BITS) - j' while
+        # i' and j' stay in range, so (i, j) keeps those deltas to head.
+        _, words, family = self._family[gen]
         idx, i, j = self.unpack(key)
-        words = self._parts.get(gen)
-        if words is None:
-            words = self._parts[gen] = clear_denominators(
-                family_to_operator(gen, self.params).terms)
-        second = self._parts.get((gen, idx))
-        if second is None:
-            sden, snums = clear_denominators(self.hw.act_basis(gen, idx))
-            second = self._parts[(gen, idx)] = (
-                sden, {self.pack((idx2, 0, 0)): n for idx2, n in snums.items()})
-        (wden, wnums), (sden, snums) = words, second
-        den = lcm(wden, sden)
-        low = (i << KEY_BITS) + j
-        head = key + low
         out = {}
-        for (wi, wj, k, m), n in wnums.items():
-            n *= (den // wden) * perm(j, k)
+        for (wi, wj, k, m), n in words.items():
+            n *= perm(j, k)
             if n:
                 if wi + i > KEY_FIELD or wj + j - k > KEY_FIELD:
                     raise ValueError(f"{gen} takes the flat key {(idx, i, j)} "
                                      f"past the field limit {KEY_FIELD}")
-                accumulate(out, ((head - ((wi + t) << KEY_BITS) - (wj + j - k),
+                accumulate(out, ((-((wi + t) << KEY_BITS) - (wj + j - k),
                                   n * comb(i, t) * (-2 * m) ** (i - t))
                                  for t in range(i + 1)))
-        f = den // sden
-        accumulate(out, ((h2 - low, n * f) for h2, n in snums.items()))
-        g = reduce(gcd, out.values(), den)
-        return den // g, list(out), [n // g for n in out.values()]
+        entry = family[low] = (list(out), list(out.values()))
+        return entry
+
+    def _leibniz_entry(self, gen, head):
+        idx = self.unpack(head)[0]
+        sden, snums = clear_denominators(self.hw.act_basis(gen, idx))
+        entry = self._leibniz[gen][head] = (
+            sden, [self.pack((idx2, 0, 0)) for idx2 in snums], list(snums.values()))
+        return entry
 
     def act_uea(self, u, x):
         """Universal-envelope action: each PBW word acts rightmost-first.
@@ -599,9 +599,9 @@ def certify_irreducible(mod, seeds, depth):
 def check_invariant_subspace(mod, depth):
     """Exact closure of hb*Q[h,hb] (x) L under all six generators (omega, a=0).
 
-    A label's compiled column is its exact image, so h^i hb^(j+1) (x) idx
-    leaves hb*Q[h,hb] exactly when its column has a key of hb-exponent
-    0, that is, a packed key whose low field holds KEY_FIELD.  Only a
+    A label's ``column``, read off the tables, is its exact image, so
+    h^i hb^(j+1) (x) idx leaves hb*Q[h,hb] exactly when it has a key of
+    hb-exponent 0, a packed key whose low field holds KEY_FIELD.  Only a
     failing label is rendered, through ``act``, to name the first
     non-divisible polynomial as the witness.
     """

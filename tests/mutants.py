@@ -45,11 +45,13 @@ MUTANTS = (
            "out.pop(k, None)", "out[k] = v",
            ("tests/test_tensor.py::test_image_drops_a_key_whose_terms_cancel",)),
     Mutant("image-int-input-ignores-column-den", "tensor.py",
-           "d = col[0] if ints else", "d = 1 if ints else",
+           "n, dw, ds = c, wden, sden", "n, dw, ds = c, 1, 1",
            ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
     Mutant("image-den-is-the-largest-not-the-lcm", "tensor.py",
-           "den = lcm(den, d)\n            parts.append((c if ints",
-           "den = max(den, d)\n            parts.append((c if ints",
+           "den = lcm(den, dw, ds)", "den = max(den, dw, ds)",
+           ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
+    Mutant("image-rational-family-den-drops-the-words-den", "tensor.py",
+           "dw, ds = wden * d, sden * d", "dw, ds = d, sden * d",
            ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
     # the process-wide word memo behind InducedAction
     Mutant("word-memo-key-without-q", "algebra.py",
@@ -86,9 +88,17 @@ MUTANTS = (
     Mutant("echelon-pivots-on-the-largest-key", "linalg.py",
            "pivot = min(residual)", "pivot = max(residual)",
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
-    # the compiled action columns
+    # the family and Leibniz tables behind the action
     Mutant("compile-drops-the-leibniz-term", "tensor.py",
-           "f = den // sden", "f = 0",
+           "[self.pack((idx2, 0, 0)) for idx2 in snums]", "[]",
+           ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
+    Mutant("family-entry-keyed-by-head", "tensor.py",
+           "family.get(low) or self._family_entry(gen, key, low)",
+           "family.get(head) or self._family_entry(gen, key, head)",
+           ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
+    Mutant("leibniz-key-adds-low", "tensor.py",
+           "parts.append((n, ds, -low, heads, snums))",
+           "parts.append((n, ds, low, heads, snums))",
            ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
     # the mod-p certificates: Whittaker window and singular scan
     Mutant("independent-mod-p-accepts-a-dependent-vector", "linalg.py",

@@ -13,7 +13,8 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, BorelSpec, FamilyParams,
 from takiff import GENERATORS, induced, uea_normalize
 from takiff.algebra import gen_times_word
 from takiff.induced import InducedAction, PhiValues, borel_spec_for
-from takiff.sparse import clear_denominators
+from takiff.sparse import (accumulate, clear_denominators, combine,
+                           lowest_terms)
 
 HOM_GENS = ("e", "f", "h", "eb", "fb", "hb")
 # rationals with denominators 1, 2 and 3
@@ -301,17 +302,22 @@ def failures(report):
 
 
 def corrupt_column(monkeypatch, mod, gen, key, scale=1, extra=()):
-    """Make one of mod's compiled action columns wrong, on this instance."""
-    compile_ = mod._compile
+    """Make gen's image of one basis label wrong, on this instance: its
+    column (den, keys, nums) in lowest terms becomes (den, keys + extra
+    keys, scale * nums + extra nums), in every image that reads it."""
+    image = mod.image
+    key = mod.pack(key)
+    den, col = lowest_terms(*image(gen, {key: 1}))
+    wrong = accumulate({k: (scale - 1) * n for k, n in col.items()},
+                       ((mod.pack(k), n) for k, n in extra))
 
-    def corrupted(gen2, key2):
-        den, keys, nums = compile_(gen2, key2)
-        if (gen2, key2) == (gen, mod.pack(key)):
-            keys = keys + [mod.pack(k) for k, _ in extra]
-            nums = [scale * n for n in nums] + [n for _, n in extra]
-        return den, keys, nums
+    def corrupted(gen2, flat):
+        parts = [(1, *image(gen2, flat))]
+        if gen2 == gen and key in flat:
+            parts.append((flat[key], den, wrong))
+        return combine(parts)
 
-    monkeypatch.setattr(mod, "_compile", corrupted)
+    monkeypatch.setattr(mod, "image", corrupted)
 
 
 CORRUPT_MODULES = (

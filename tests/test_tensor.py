@@ -6,6 +6,10 @@ witnesses the engines hand back.
 """
 
 import random
+import re
+from collections import Counter
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +21,11 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
                     check_invariant_subspace, closure_search, make_seeds,
                     recover_parameters, recover_report, vandermonde_reduce,
                     whittaker_report, whittaker_vector_search)
+from takiff import tensor
 from takiff.algebra import annihilator_element, mono_letters
 from takiff.families import family_act
 from takiff.linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p
-from takiff.sparse import lowest_terms
+from takiff.sparse import combine, lowest_terms
 from takiff.tensor import KEY_FIELD, RecoveredParams, WhittakerWindow
 
 GENS = ("e", "f", "h", "eb", "fb", "hb")
@@ -83,7 +88,7 @@ def test_compiled_action_matches_the_leibniz_oracle(params, hw, data):
 @settings(max_examples=15, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_image_of_int_and_rational_inputs_agree(params, hw, data):
-    """An all-int input takes its den from the columns alone; the same
+    """An int value takes its dens from the tables alone; the same
     vector over a common d goes the rational route."""
     mod = TensorModule(params, hw)
     ints = data.draw(st.dictionaries(
@@ -128,6 +133,54 @@ def test_image_drops_a_key_whose_terms_cancel(params, hw):
                 {mod.unpack(k): Q(c) for k, c in vec.items()}))
 
 
+@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda p: p.family)
+@pytest.mark.parametrize("hw", ORACLE_FACTORS, ids=lambda hw: hw.kind)
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_columns_are_the_leibniz_oracle_in_lowest_terms(params, hw, data):
+    mod = TensorModule(params, hw)
+    for key in data.draw(st.lists(st.sampled_from(mod.window_basis(3)),
+                                  min_size=1, max_size=3)):
+        x = mod.from_ints(1, {key: 1})
+        for gen in GENS:
+            den, keys, nums = mod.column(gen, key)
+            assert den > 0 and all(nums) and len(set(keys)) == len(keys)
+            assert reduce(gcd, nums, den) == 1
+            assert mod.from_ints(den, dict(zip(keys, nums))) == \
+                leibniz(mod, gen, x), (gen, mod.unpack(key))
+
+
+def test_tables_are_built_once_per_instance(monkeypatch):
+    """Imaging every window label under one generator reads the words
+    once per generator and hw.act_basis once per L-label, and builds one
+    family entry per (i, j), label by label or all at once; a second
+    module with the same parameters builds its own tables."""
+    calls = Counter()
+    hw = build_verma_module(HighestWeight(Q(2), Q(-1, 3)))
+    to_operator, act_basis = tensor.family_to_operator, hw.act_basis
+
+    def counted_to_operator(gen, params):
+        calls[gen] += 1
+        return to_operator(gen, params)
+
+    def counted_act_basis(gen, idx):
+        calls[gen, idx] += 1
+        return act_basis(gen, idx)
+
+    monkeypatch.setattr(tensor, "family_to_operator", counted_to_operator)
+    monkeypatch.setattr(hw, "act_basis", counted_act_basis)
+    for _ in range(2):
+        calls.clear()
+        mod = TensorModule(ORACLE_PARAMS[0], hw)
+        labels = mod.window_basis(3)
+        for key in labels:
+            mod.image("f", {key: 1})
+        mod.image("f", dict.fromkeys(labels, Q(1, 2)))
+        idxs = {mod.unpack(key)[0] for key in labels}
+        assert calls == Counter({"f": 1, **{("f", idx): 1 for idx in idxs}})
+        assert len(mod._family["f"][2]) == 4 * 4
+
+
 def test_columns_belong_to_their_module():
     hw = ORACLE_FACTORS[0]
     one, two = (TensorModule(FamilyParams("gamma", lam), hw) for lam in (1, 2))
@@ -139,7 +192,7 @@ def test_columns_belong_to_their_module():
     key = one.pack(key)
     assert one.column("eb", key) == (1, keys, [-2, 1])
     assert two.column("eb", key) == (1, keys, [-4, 2])
-    # a new module with the same parameters compiles its own columns
+    # a new module with the same parameters builds its own tables
     again = TensorModule(FamilyParams("gamma", 1), hw)
     assert again.column("eb", key) == one.column("eb", key)
     assert again.column("eb", key) is not one.column("eb", key)
@@ -180,7 +233,9 @@ def test_a_field_past_its_width_raises():
     mod = over_verma(FamilyParams("gamma", 1))
     edge = TensorElement({(0, 0): BiPoly.monomial(1, 0, KEY_FIELD)})
     assert mod.act("eb", edge) == edge  # eb = lam * s keeps the hb-degree
-    with pytest.raises(ValueError, match="field"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"hb takes the flat key {((0, 0), 0, KEY_FIELD)} past the "
+            f"field limit {KEY_FIELD}")):
         mod.act("hb", edge)  # hb^KEY_FIELD * hb
     deep = TensorElement({(KEY_FIELD, 0): BiPoly.const(1)})
     with pytest.raises(ValueError, match="field"):
@@ -416,16 +471,19 @@ def test_degenerate_point_is_never_certified():
 def test_invariant_subspace_names_the_first_label_that_leaves_it(monkeypatch):
     mod = over_verma(FamilyParams("omega", 1, 0, beta=UniPoly.zero()),
                      eta=1, theta=1)
-    compile_ = mod._compile
+    image = mod.image
+    bad = {mod.pack(key) for key in (((1, 0), 1, 2), ((1, 1), 0, 1))}
 
-    def corrupted(gen, key):
-        # two labels leave the subspace; ((1, 0), 1, 2) comes first
-        den, keys, nums = compile_(gen, key)
-        if gen == "fb" and mod.unpack(key) in (((1, 0), 1, 2), ((1, 1), 0, 1)):
-            return den, keys + [mod.pack((mod.unpack(key)[0], 1, 0))], nums + [den]
-        return den, keys, nums
+    def corrupted(gen, flat):
+        # two labels leave the subspace, ((1, 0), 1, 2) first: fb adds
+        # h (x) idx to each, and so to ``column`` and ``act``
+        parts = [(1, *image(gen, flat))]
+        if gen == "fb":
+            parts += [(c, 1, {mod.pack((mod.unpack(key)[0], 1, 0)): 1})
+                      for key, c in flat.items() if key in bad]
+        return combine(parts)
 
-    monkeypatch.setattr(mod, "_compile", corrupted)
+    monkeypatch.setattr(mod, "image", corrupted)
     rep = check_invariant_subspace(mod, 3)
     assert [c.status for c in rep.checks] == [PASS, PASS, PASS, PASS, FAIL, PASS]
     img = mod.act("fb", TensorElement({(1, 0): BiPoly.monomial(1, 1, 2)}))
