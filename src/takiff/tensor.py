@@ -461,21 +461,26 @@ def closure_search(mod, seed, depth, track_tags=False):
     sub-windows, whose level cap s comes with degree cap min(2s, depth)
     because raising a level costs up to two degrees, and only widens to
     the full depth window when the target is still missing (a hit in
-    any sub-window is already sound).  The span is the ``Echelon`` the
-    search eliminated on, keyed by ``mod.pack`` ints; ``mod.unpack``
-    reads a key back as (idx, i, j).
+    any sub-window is already sound).  A level cap is clipped to the
+    module's deepest level within it and a repeated rung is skipped: the
+    window reads the cap only through lvl > cap on the module's labels,
+    so neither changes an elimination step, and a repeat would miss
+    again.  The span is the ``Echelon`` the search eliminated on, keyed
+    by ``mod.pack`` ints; ``mod.unpack`` reads a key back as (idx, i, j).
     """
     if seed.is_zero():
         raise ValueError("seed must be nonzero")
     if not mod.in_window(seed, depth):
-        raise ValueError("seed lies outside the window")
+        raise ValueError(f"seed {seed.text()} lies outside the depth-{depth} window")
     start = 0
     for idx, p in seed.terms.items():
         start = max(start, mod.hw.level(idx), p.deg_h(), p.deg_hb())
     start = max(start, 2)
     rungs = [(s, min(2 * s, depth)) for s in range(start, depth, 2)]
     rungs.append((depth, depth))
-    for lvl_cap, deg_cap in rungs:
+    for lvl_cap, deg_cap in dict.fromkeys(
+            (mod.hw.level(mod.hw.basis_through_level(s)[-1]), d)
+            for s, d in rungs):
         found, span, tags = _closure_window(mod, seed, lvl_cap, deg_cap,
                                             track_tags)
         if found:

@@ -88,6 +88,18 @@ MUTANTS = (
     Mutant("echelon-pivots-on-the-largest-key", "linalg.py",
            "pivot = min(residual)", "pivot = max(residual)",
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
+    # the closure's rung schedule
+    Mutant("closure-clips-to-the-shallowest-level", "tensor.py",
+           "basis_through_level(s)[-1]", "basis_through_level(s)[0]",
+           ("tests/test_tensor.py::test_closure_runs_each_distinct_window_once",)),
+    Mutant("closure-dedup-drops-the-degree-cap", "tensor.py",
+           "dict.fromkeys(\n"
+           "            (mod.hw.level(mod.hw.basis_through_level(s)[-1]), d)\n"
+           "            for s, d in rungs):",
+           "{\n"
+           "            mod.hw.level(mod.hw.basis_through_level(s)[-1]): d\n"
+           "            for s, d in rungs}.items():",
+           ("tests/test_tensor.py::test_closure_runs_each_distinct_window_once",)),
     # the family and Leibniz tables behind the action
     Mutant("compile-drops-the-leibniz-term", "tensor.py",
            "[self.pack((idx2, 0, 0)) for idx2 in snums]", "[]",

@@ -166,6 +166,9 @@ def test_act_eval_applies_words_in_order():
                  "r must be >= 1", id="lemma51-r"),
     pytest.param({"suite": "lemma51", "eta": "1", "g": "0", "r": 1},
                  "g must be nonzero", id="lemma51-zero-g"),
+    pytest.param({"suite": "irreducible", "depth": 1},
+                 "seed hb^2 (x) v lies outside the depth-1 window",
+                 id="irreducible-seed-outside"),
 ])
 def test_sizes_below_their_minimum_are_errors(fields, message):
     """A run on an empty window, seed list, grid or scan is one ERROR

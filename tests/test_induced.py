@@ -241,6 +241,21 @@ def test_integer_phi_values_match_phi_map(family, lam, a, b, eta, theta):
             phi_map(mod, IndElement.basis(*key))
 
 
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(family=st.sampled_from(("gamma", "theta", "omega")), lam=NONZERO,
+       a=RATIONALS, b=RATIONALS, eta=RATIONALS, theta=RATIONALS)
+def test_phi_replay_on_random_parameters(family, lam, a, b, eta, theta):
+    """check_phi passes on random parameters: phi is unitriangular, and
+    the only open records are the free-e replays of theta and omega."""
+    rep = check_phi(tensor_module(family, lam, a, b, eta, theta), 2)
+    assert rep.ok, rep.render_text()
+    tri = next(c for c in rep.checks if c.id.startswith("phi-unitriangular"))
+    assert tri.status == PASS
+    inconclusive = [c for c in rep.checks if c.status == INCONCLUSIVE]
+    assert all("free e letter" in c.witness for c in inconclusive)
+    assert family != "gamma" or not inconclusive
+
+
 # -- FAIL witnesses, rendered through the rational routes --------------------
 
 

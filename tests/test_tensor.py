@@ -493,6 +493,38 @@ def test_invariant_subspace_names_the_first_label_that_leaves_it(monkeypatch):
                                      f"leaves hb*Q[h,hb]: {q.text()}")
 
 
+@pytest.mark.parametrize("eta, theta, depth, windows", [
+    pytest.param(None, 1, 3, [(1, 3)], id="L(0,1)"),
+    pytest.param(None, 2, 3, [(2, 3)], id="L(0,2)"),
+    pytest.param(None, 0, 5, [(0, 4), (0, 5)], id="L(0,0)"),
+    pytest.param(1, 1, 4, [(2, 4), (4, 4)], id="Lbar(1,1)"),
+])
+def test_closure_runs_each_distinct_window_once(monkeypatch, eta, theta,
+                                                depth, windows):
+    """Level caps are clipped to the deepest level of the factor and a
+    repeated rung is skipped, so a miss over L(0, theta) sweeps each
+    distinct window once.  The verdict and span are those of the last
+    rung of the unclipped schedule, (depth, depth), run directly."""
+    hw = (build_hw_module(HighestWeight(Q(0), Q(theta))) if eta is None
+          else build_verma_module(HighestWeight(Q(eta), Q(theta))))
+    mod = TensorModule(FamilyParams("omega", 1, 0, beta=UniPoly.zero()), hw)
+    seed = mod.pure("h")
+    window = tensor._closure_window
+    calls = []
+
+    def recording(mod, seed, lvl_cap, deg_cap, track_tags):
+        calls.append((lvl_cap, deg_cap))
+        return window(mod, seed, lvl_cap, deg_cap, track_tags)
+
+    monkeypatch.setattr(tensor, "_closure_window", recording)
+    found, span, _ = closure_search(mod, seed, depth)
+    assert calls == windows
+    assert not found
+    direct, oracle, _ = window(mod, seed, depth, depth, False)
+    assert (found, span.rows, span.pivots) == (direct, oracle.rows,
+                                               oracle.pivots)
+
+
 def test_closure_rejects_bad_seeds():
     mod = over_verma(FamilyParams("gamma", 1))
     with pytest.raises(ValueError):
