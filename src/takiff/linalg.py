@@ -6,14 +6,15 @@ submodule closure and through ``nullspace`` by everything else.  It is
 fraction-free: every stored row is a primitive integer vector whose
 pivot is the minimum of its support in the labels' natural order (the
 packed int keys of the tensor engines).  Elimination is gcd-reduced
-cross-multiplication on ints, in the style of Bareiss, with the
-(den, ints) helpers of ``sparse``.  ``nullspace``,
+cross-multiplication on ints alone, in the style of Bareiss (Math.
+Comp. 22, 1968), in place on the int vector it is handed.  Rationals
+are cleared once, in ``_tagged_echelon``, behind ``nullspace``,
 ``solve_unique`` (the omega alpha constraint) and ``unit_solutions``
-(the Vandermonde inverse of the eb pump) read kernels and inverses off
-one elimination.  ``independent_mod_p`` is a one-sided certificate:
-it can prove rational vectors independent by eliminating their images
-in F_p, and when it cannot, the caller decides exactly.  Its readers
-are ``WhittakerWindow`` and ``verma.singular_vectors``.
+(the Vandermonde inverse of the eb pump), which read kernels and
+inverses off one elimination.  ``independent_mod_p`` is a one-sided
+certificate: it can prove rational vectors independent by eliminating
+their images in F_p, and when it cannot, the caller decides exactly.
+Its readers are ``WhittakerWindow`` and ``verma.singular_vectors``.
 
 No floats anywhere; there is no tolerance to tune.
 """
@@ -38,8 +39,9 @@ class Echelon:
     pivot, ``pivots[i]`` for ``rows[i]`` (``pivot_of`` inverts it), is
     the smallest label of its support, and the pivot entry is
     positive.  Rows, once stored, are never modified.  Input vectors
-    may hold ints or rationals; their denominators are cleared once (an
-    all-int vector is only copied), and elimination runs on ints alone.
+    are dicts of nonzero ints, and the eliminator owns them: ``insert``
+    and ``reduce`` reduce their argument in place, so a caller that
+    still needs its vector passes a copy.
     """
 
     def __init__(self):
@@ -52,7 +54,7 @@ class Echelon:
 
     def _eliminate(self, vec):
         """(residual, mult, combo), all ints, with mult > 0 and
-        mult * vec == residual + sum(combo[i] * rows[i]).
+        mult * vec == residual + sum(combo[i] * rows[i]); residual is vec.
 
         Pivot hits are consumed smallest-first through a heap; since a
         stored row's support never goes below its own pivot, each
@@ -62,7 +64,7 @@ class Echelon:
         times the row, g = gcd(c, p): cross-multiplication reduced by
         the gcd, so no rational is ever formed.
         """
-        mult, residual = clear_denominators(vec)
+        mult, residual = 1, vec
         steps = []  # (row index, coefficient, mult when it was taken)
         pivot_of = self.pivot_of
         rows = self.rows
@@ -101,7 +103,7 @@ class Echelon:
         return residual, mult, combo
 
     def reduce(self, vec):
-        """Fully reduce a sparse vector against the span.
+        """Fully reduce an int vector against the span; vec is consumed.
 
         Returns (residual, combo) as rationals: residual is what
         remains, and combo maps row indices to the coefficients that
@@ -112,7 +114,7 @@ class Echelon:
                 {i: Q(c, mult) for i, c in combo.items()})
 
     def insert(self, vec):
-        """Reduce and, if independent, store as a primitive integer row.
+        """Reduce an int vector (consumed) and store it if independent.
 
         Returns (row_index, combo, mult, content), all ints, with
         mult > 0 and mult * vec == content * rows[row_index] +
@@ -136,8 +138,9 @@ class Echelon:
 def _tagged_echelon(columns):
     """Insert the columns in order into one ``Echelon``.
 
-    Returns (span, tags, kernel).  tags[i] = (den, ints) writes
-    span.rows[i] as sum(ints[t] * columns[t]) / den, den > 0, in lowest
+    Each column, a dict of rationals, is cleared to a new int vector and
+    its den folded into mult.  Returns (span, tags, kernel).  tags[i] =
+    (den, ints) writes span.rows[i] as sum(ints[t] * columns[t]) / den, den > 0, in lowest
     terms.  Each column that reduces to zero gives one kernel vector, a
     dict column index -> Q with 1 at that column and support on earlier
     columns only.
@@ -146,7 +149,9 @@ def _tagged_echelon(columns):
     tags = []
     kernel = []
     for t, col in enumerate(columns):
-        ridx, combo, mult, content = span.insert(col)
+        cden, ints = clear_denominators(col)
+        ridx, combo, mult, content = span.insert(ints)
+        mult *= cden
         # mult * col - sum(combo[i] * rows[i]) is content * rows[ridx],
         # or zero; as a combination of columns it is tag / den
         den, tag = combine([(mult, 1, {t: 1})]

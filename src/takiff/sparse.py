@@ -13,10 +13,10 @@ rational, ``==`` and truth (nonzero).
 
 The engines run on integer vectors written (den, ints): an int dict
 with no zero value and one positive common denominator, standing for
-ints / den.  ``clear_denominators`` makes one from rationals (an
-all-int vector is only copied), ``combine`` sums multiples of several
-over one denominator, and ``lowest_terms`` divides out their common
-gcd.
+ints / den.  Rationals are cleared once, at the edge where they enter
+an engine: ``clear_denominators`` makes a (den, ints) vector from them,
+``combine`` sums multiples of several over one denominator, and
+``lowest_terms`` divides out their common gcd.
 
 Term text lives here too.  ``LinComb.text`` joins ``term_text`` of
 each coefficient and the word a subclass gives its key (``_word``),
@@ -51,17 +51,14 @@ def accumulate(out, items):
 
 def clear_denominators(vec):
     """(den, ints) for a dict of rationals: den > 0 is the least common
-    denominator, and ints maps each key with a nonzero value to the int
-    den * value.  A vector of nonzero ints (a stored row, an image) is
-    returned as (1, a copy) after one type scan.
+    denominator, and ints, a new dict, maps each key with a nonzero value
+    to the int den * value.  An int is a rational of denominator 1.
 
     Here and in the other hot loops gcd and lcm are folded with reduce
     rather than called on *values: a star call builds a tuple of the
     vector's length, and the interpreter keeps up to 2000 freed tuples
     of each short length, so the process would grow with every size seen.
     """
-    if all(type(c) is int and c for c in vec.values()):
-        return 1, dict(vec)
     den = reduce(lcm, (int(c.denominator) for c in vec.values()), 1)
     return den, {k: int(c.numerator) * (den // int(c.denominator))
                  for k, c in vec.items() if c}

@@ -30,10 +30,11 @@ KEY_FIELD - f.  So plain int order is the deepest-first pivot order of
 the closure and Whittaker eliminations, and a field past KEY_FIELD
 raises ValueError instead of wrapping.  ``act``, ``act_uea``, the eb
 pump and the closure, Whittaker and phi engines are integer sparse
-combinations of the table entries on packed keys.  Keys are unpacked
-only at the element and witness edge (``from_ints``, Whittaker
-solutions, the invariant-subspace witness) and for ``tensor_order_key``
-in the triangularity walk.
+combinations of the table entries on packed keys; ``image`` takes int
+vectors only, and rationals are cleared once where they enter.  Keys
+are unpacked only at the element and witness edge (``from_ints``,
+Whittaker solutions, the invariant-subspace witness) and for
+``tensor_order_key`` in the triangularity walk.
 
 Everything is exact; "certified" means a genuine membership witness
 exists (and can be replayed), never "converged numerically".
@@ -141,14 +142,15 @@ class TensorModule:
     # -- the Leibniz action ----------------------------------------------
 
     def act(self, gen, x):
-        return self.from_ints(*self.image(gen, self.flat(x)))
+        den, ints = clear_denominators(self.flat(x))
+        return self.from_ints(*self.image_reduced(gen, den, ints))
 
-    def image(self, gen, flat):
-        """gen applied to a flat vector, as (den, ints).
+    def image(self, gen, ints):
+        """gen applied to an int vector, as (den, ints).
 
-        flat maps packed keys to ints or rationals; the image is the
-        returned int dict divided by den > 0, with no zero stored.  A
-        label adds its value times its family entry, keyed head + delta
+        ints maps packed keys to nonzero ints and is only read; the image
+        is the returned int dict divided by den > 0, with no zero stored.
+        A label adds its value times its family entry, keyed head + delta
         over the words' den, and times its Leibniz entry, keyed h2 - low
         over that entry's den; den is the lcm of these, not always the
         least.  One merge loop runs on ints.
@@ -159,19 +161,14 @@ class TensorModule:
         wden, _, family = self._family[gen]
         leibniz = self._leibniz[gen]
         den, parts = 1, []
-        for key, c in flat.items():
+        for key, n in ints.items():
             low, head = LOW ^ (key & LOW), key | LOW
             deltas, fnums = family.get(low) or self._family_entry(gen, key, low)
             sden, heads, snums = leibniz.get(head) or self._leibniz_entry(gen, head)
-            if type(c) is int:
-                n, dw, ds = c, wden, sden
-            else:
-                n, d = int(c.numerator), int(c.denominator)
-                dw, ds = wden * d, sden * d
-            den = lcm(den, dw, ds)
-            parts.append((n, dw, head, deltas, fnums))
+            den = lcm(den, wden, sden)
+            parts.append((n, wden, head, deltas, fnums))
             if heads:
-                parts.append((n, ds, -low, heads, snums))
+                parts.append((n, sden, -low, heads, snums))
         out = {}
         get = out.get
         for n, d, base, keys, nums in parts:
@@ -187,18 +184,10 @@ class TensorModule:
 
     def image_reduced(self, gen, den, ints):
         """gen applied to the vector ints / den, as (den, ints) in lowest
-        terms: the gcd of the new den and every int is 1."""
+        terms: the gcd of the new den and every int is 1.  With (1,
+        {key: 1}) it is the column of one packed label."""
         d, out = self.image(gen, ints)
         return lowest_terms(den * d, out)
-
-    def column(self, gen, key):
-        """The image of the packed basis label of (idx, i, j) under gen.
-
-        Returned as (den, keys, nums): packed keys and int numerators with
-        gen . (h^i hb^j (x) idx) = sum(num * key) / den in lowest terms.
-        """
-        den, out = lowest_terms(*self.image(gen, {key: 1}))
-        return den, list(out), list(out.values())
 
     def _family_entry(self, gen, key, low):
         # The word c * h^wi hb^wj db^k s^m sends h^i hb^j to
@@ -563,7 +552,8 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
             counter += 1
         return False
 
-    if push(mod.flat(seed), UeaElement.one()):
+    den, ints = clear_denominators(mod.flat(seed))
+    if push(ints, UeaElement.one().scale(den)):
         return True, span, tags
 
     gens = ("eb", "e", "hb", "h", "fb", "f")
@@ -604,7 +594,7 @@ def certify_irreducible(mod, seeds, depth):
 def check_invariant_subspace(mod, depth):
     """Exact closure of hb*Q[h,hb] (x) L under all six generators (omega, a=0).
 
-    A label's ``column``, read off the tables, is its exact image, so
+    A label's ``image``, read off the tables, is exact, so
     h^i hb^(j+1) (x) idx leaves hb*Q[h,hb] exactly when it has a key of
     hb-exponent 0, a packed key whose low field holds KEY_FIELD.  Only a
     failing label is rendered, through ``act``, to name the first
@@ -623,7 +613,7 @@ def check_invariant_subspace(mod, depth):
         check_id = f"hb-subspace[{gen}]/{label}"
         bad = next((key for key in labels
                     if any(k & KEY_FIELD == KEY_FIELD
-                           for k in mod.column(gen, key)[1])), None)
+                           for k in mod.image(gen, {key: 1})[1])), None)
         if bad is None:
             report.add(check_id, PASS, f"closed through depth {depth}")
             continue
@@ -743,10 +733,11 @@ class WhittakerWindow:
         self._e_row = e_row = 1 << mod.key_bits
         self.columns = []
         for key in self.basis:
-            (d0, k0, n0), (d1, k1, n1) = mod.column("e", key), mod.column("eb", key)
+            (d0, i0), (d1, i1) = (mod.image_reduced(gen, 1, {key: 1})
+                                  for gen in ("e", "eb"))
             den = lcm(d0, d1)
-            stacked = {e_row | k: n * (den // d0) for k, n in zip(k0, n0)}
-            stacked.update((k, n * (den // d1)) for k, n in zip(k1, n1))
+            stacked = {e_row | k: n * (den // d0) for k, n in i0.items()}
+            stacked.update((k, n * (den // d1)) for k, n in i1.items())
             self.columns.append((den, stacked))
         # The certificate's columns: the images mod p on the same row
         # keys, and each column's two diagonal row keys; None when p

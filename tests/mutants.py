@@ -45,14 +45,27 @@ MUTANTS = (
            "out.pop(k, None)", "out[k] = v",
            ("tests/test_tensor.py::test_image_drops_a_key_whose_terms_cancel",)),
     Mutant("image-int-input-ignores-column-den", "tensor.py",
-           "n, dw, ds = c, wden, sden", "n, dw, ds = c, 1, 1",
+           "parts.append((n, wden, head, deltas, fnums))",
+           "parts.append((n, 1, head, deltas, fnums))",
            ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
     Mutant("image-den-is-the-largest-not-the-lcm", "tensor.py",
-           "den = lcm(den, dw, ds)", "den = max(den, dw, ds)",
+           "den = lcm(den, wden, sden)", "den = max(den, wden, sden)",
            ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
+    # the merge's den leaves out the words' den, which every label's
+    # family part is scaled over
     Mutant("image-rational-family-den-drops-the-words-den", "tensor.py",
-           "dw, ds = wden * d, sden * d", "dw, ds = d, sden * d",
+           "den = lcm(den, wden, sden)", "den = lcm(den, sden)",
            ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
+    # the rational edges: act, the closure seed, _tagged_echelon
+    Mutant("act-drops-the-input-den", "tensor.py",
+           "self.image_reduced(gen, den, ints)", "self.image_reduced(gen, 1, ints)",
+           ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
+    Mutant("closure-seed-tag-ignores-the-seed-den", "tensor.py",
+           "UeaElement.one().scale(den)", "UeaElement.one()",
+           ("tests/test_tensor.py::test_closure_tags_replay_through_the_action",)),
+    Mutant("tagged-echelon-drops-the-column-den", "linalg.py",
+           "mult *= cden", "mult *= 1",
+           ("tests/test_linalg.py::test_tagged_echelon_tags_rebuild_each_row",)),
     # the process-wide word memo behind InducedAction
     Mutant("word-memo-key-without-q", "algebra.py",
            "key = (gen, j, k, q)", "key = (gen, j, k)",
@@ -109,8 +122,8 @@ MUTANTS = (
            "family.get(head) or self._family_entry(gen, key, head)",
            ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
     Mutant("leibniz-key-adds-low", "tensor.py",
-           "parts.append((n, ds, -low, heads, snums))",
-           "parts.append((n, ds, low, heads, snums))",
+           "parts.append((n, sden, -low, heads, snums))",
+           "parts.append((n, sden, low, heads, snums))",
            ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
     # the mod-p certificates: Whittaker window and singular scan
     Mutant("independent-mod-p-accepts-a-dependent-vector", "linalg.py",

@@ -318,8 +318,8 @@ def failures(report):
 
 def corrupt_column(monkeypatch, mod, gen, key, scale=1, extra=()):
     """Make gen's image of one basis label wrong, on this instance: its
-    column (den, keys, nums) in lowest terms becomes (den, keys + extra
-    keys, scale * nums + extra nums), in every image that reads it."""
+    column (den, ints) in lowest terms becomes scale * ints plus the
+    extra terms over den, in every image that reads it."""
     image = mod.image
     key = mod.pack(key)
     den, col = lowest_terms(*image(gen, {key: 1}))

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from takiff import Q
-from takiff.linalg import Echelon, nullspace, solve_unique, unit_solutions
+from takiff.linalg import (Echelon, _tagged_echelon, nullspace, solve_unique,
+                           unit_solutions)
 from takiff.tensor import _vandermonde_inverse
 
 
@@ -77,19 +78,23 @@ sparse_vectors = st.dictionaries(
     st.sampled_from(KEYS),
     st.builds(Q, st.integers(-3, 3), st.sampled_from([1, 2, 3, 6])),
     max_size=4)
+# Echelon's own input: nonzero ints, never a rational
+int_vectors = st.dictionaries(st.sampled_from(KEYS),
+                              st.integers(-6, 6).filter(bool), max_size=4)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(st.lists(sparse_vectors, max_size=8), sparse_vectors)
+@given(st.lists(int_vectors, max_size=8), int_vectors)
 def test_echelon_is_fraction_free_and_exact(vectors, probe):
     """Pivots follow the labels' natural order: each is the smallest
-    key of its row, and pivot_of inverts pivots."""
+    key of its row, and pivot_of inverts pivots.  insert and reduce
+    consume their argument, so each gets a copy."""
     span = Echelon()
     seen = []
     for vec in vectors:
         before = rank(seen)
         seen.append(vec)
-        ridx, combo, mult, content = span.insert(vec)
+        ridx, combo, mult, content = span.insert(dict(vec))
         # the span grows exactly when the rank does
         assert (ridx is None) == (rank(seen) == before)
         assert all(type(x) is int for x in (mult, content, *combo.values()))
@@ -105,7 +110,7 @@ def test_echelon_is_fraction_free_and_exact(vectors, probe):
         assert row[pivot] > 0 and span.pivot_of[pivot] == idx
         assert span.pivots[idx] == pivot
     assert span.pivot_of == {k: n for n, k in enumerate(span.pivots)}
-    residual, combo = span.reduce(probe)
+    residual, combo = span.reduce(dict(probe))
     assert combine([(1, probe)]) == combine(
         [(1, residual)] + [(c, span.rows[i]) for i, c in combo.items()])
     assert not set(residual) & set(span.pivot_of)
@@ -113,7 +118,7 @@ def test_echelon_is_fraction_free_and_exact(vectors, probe):
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(st.lists(sparse_vectors, max_size=8), sparse_vectors)
+@given(st.lists(int_vectors, max_size=8), int_vectors)
 def test_echelon_without_a_keyfn_pivots_in_natural_order(vectors, probe):
     """The labels' own order is the pivot order: each pivot is the
     smallest key of its row, and relabelling by an order-preserving map
@@ -122,13 +127,27 @@ def test_echelon_without_a_keyfn_pivots_in_natural_order(vectors, probe):
         return {3 * k + 7: x for k, x in vec.items()}
     plain, shifted = Echelon(), Echelon()
     for vec in vectors:
-        assert plain.insert(vec) == shifted.insert(moved(vec))
+        assert plain.insert(dict(vec)) == shifted.insert(moved(vec))
     assert [moved(row) for row in plain.rows] == shifted.rows
     assert [3 * k + 7 for k in plain.pivots] == shifted.pivots
     assert plain.pivots == [min(row) for row in plain.rows]
     assert plain.pivot_of == {k: n for n, k in enumerate(plain.pivots)}
-    residual, combo = plain.reduce(probe)
+    residual, combo = plain.reduce(dict(probe))
     assert shifted.reduce(moved(probe)) == (moved(residual), combo)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(sparse_vectors, max_size=8))
+def test_tagged_echelon_tags_rebuild_each_row(columns):
+    """The one rational entry: each column is cleared to ints once, and
+    its den is folded into the multiplier, so tags[i] = (den, ints)
+    writes stored row i as a combination of the rational columns."""
+    span, tags, kernel = _tagged_echelon(columns)
+    assert len(tags) == len(span) == rank(columns)
+    assert len(kernel) == len(columns) - len(span)
+    for row, (den, ints) in zip(span.rows, tags):
+        assert den > 0 and gcd(den, *ints.values()) == 1
+        assert combine([(Q(n, den), columns[t]) for t, n in ints.items()]) == row
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

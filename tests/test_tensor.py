@@ -5,6 +5,7 @@ the action itself, so these tests double as soundness proofs for the
 witnesses the engines hand back.
 """
 
+import copy
 import random
 import re
 from collections import Counter
@@ -24,8 +25,9 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
 from takiff import tensor
 from takiff.algebra import annihilator_element, mono_letters
 from takiff.families import family_act
-from takiff.linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p
-from takiff.sparse import combine, lowest_terms
+from takiff.linalg import (RANK_PRIME, Echelon, independent_mod_p, mod_p,
+                           nullspace, solve_unique, unit_solutions)
+from takiff.sparse import combine
 from takiff.tensor import KEY_FIELD, RecoveredParams, WhittakerWindow
 
 GENS = ("e", "f", "h", "eb", "fb", "hb")
@@ -88,27 +90,29 @@ def test_compiled_action_matches_the_leibniz_oracle(params, hw, data):
 @settings(max_examples=15, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_image_of_int_and_rational_inputs_agree(params, hw, data):
-    """An int value takes its dens from the tables alone; the same
-    vector over a common d goes the rational route."""
+    """``image`` takes int vectors, its dens from the tables alone;
+    ``act`` is the rational edge: it clears x = ints / d once, and its
+    value is the image of the cleared ints over d and the Leibniz
+    oracle."""
     mod = TensorModule(params, hw)
     ints = data.draw(st.dictionaries(
         st.sampled_from(mod.window_basis(2)),
         st.integers(-6, 6).filter(bool), min_size=1, max_size=4))
     d = data.draw(st.integers(1, 4))
-    x = mod.from_ints(1, ints)
+    x = mod.from_ints(d, ints)
     for gen in GENS:
         den, out = mod.image(gen, ints)
-        rden, rout = mod.image(gen, {k: Q(n, d) for k, n in ints.items()})
-        assert den > 0 and rden > 0 and all(out.values()) and all(rout.values())
-        assert lowest_terms(den * d, out) == lowest_terms(rden, rout)
-        assert mod.from_ints(den, out) == leibniz(mod, gen, x)
+        assert den > 0 and all(type(n) is int and n for n in out.values())
+        assert mod.act(gen, x) == mod.from_ints(den * d, out) == \
+            leibniz(mod, gen, x), gen
 
 
 def meeting_columns(mod, gen, keys):
     """Two labels whose gen-columns share a key, and that key."""
     for n, k1 in enumerate(keys):
         for k2 in keys[n + 1:]:
-            shared = set(mod.column(gen, k1)[1]) & set(mod.column(gen, k2)[1])
+            shared = (mod.image(gen, {k1: 1})[1].keys()
+                      & mod.image(gen, {k2: 1})[1].keys())
             if shared:
                 return k1, k2, min(shared)
 
@@ -118,19 +122,13 @@ def meeting_columns(mod, gen, keys):
 def test_image_drops_a_key_whose_terms_cancel(params, hw):
     mod = TensorModule(params, hw)
     k1, k2, shared = meeting_columns(mod, "h", mod.window_basis(2))
-    (d1, keys1, nums1), (d2, keys2, nums2) = (mod.column("h", k1),
-                                              mod.column("h", k2))
+    (d1, col1), (d2, col2) = (mod.image_reduced("h", 1, {k: 1})
+                              for k in (k1, k2))
     # weighted so that the two images cancel on the shared key
-    ints = {k1: nums2[keys2.index(shared)] * d1,
-            k2: -nums1[keys1.index(shared)] * d2}
-    # all ints, mixed, and all rationals over a common denominator
-    for vec in (ints, {k1: Q(ints[k1]), k2: ints[k2]},
-                {k: Q(n, 3) for k, n in ints.items()}):
-        den, out = mod.image("h", vec)
-        assert shared not in out and all(out.values())
-        assert mod.from_ints(den, out) == leibniz(
-            mod, "h", TensorElement.from_flat(
-                {mod.unpack(k): Q(c) for k, c in vec.items()}))
+    ints = {k1: col2[shared] * d1, k2: -col1[shared] * d2}
+    den, out = mod.image("h", ints)
+    assert shared not in out and all(out.values())
+    assert mod.from_ints(den, out) == leibniz(mod, "h", mod.from_ints(1, ints))
 
 
 @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda p: p.family)
@@ -143,11 +141,11 @@ def test_columns_are_the_leibniz_oracle_in_lowest_terms(params, hw, data):
                                   min_size=1, max_size=3)):
         x = mod.from_ints(1, {key: 1})
         for gen in GENS:
-            den, keys, nums = mod.column(gen, key)
-            assert den > 0 and all(nums) and len(set(keys)) == len(keys)
-            assert reduce(gcd, nums, den) == 1
-            assert mod.from_ints(den, dict(zip(keys, nums))) == \
-                leibniz(mod, gen, x), (gen, mod.unpack(key))
+            den, col = mod.image_reduced(gen, 1, {key: 1})
+            assert den > 0 and all(col.values())
+            assert reduce(gcd, col.values(), den) == 1
+            assert mod.from_ints(den, col) == leibniz(mod, gen, x), \
+                (gen, mod.unpack(key))
 
 
 def test_tables_are_built_once_per_instance(monkeypatch):
@@ -175,7 +173,7 @@ def test_tables_are_built_once_per_instance(monkeypatch):
         labels = mod.window_basis(3)
         for key in labels:
             mod.image("f", {key: 1})
-        mod.image("f", dict.fromkeys(labels, Q(1, 2)))
+        mod.image("f", dict.fromkeys(labels, 2))
         idxs = {mod.unpack(key)[0] for key in labels}
         assert calls == Counter({"f": 1, **{("f", idx): 1 for idx in idxs}})
         assert len(mod._family["f"][2]) == 4 * 4
@@ -190,12 +188,13 @@ def test_columns_belong_to_their_module():
     # eb = lam * s sends h to lam * (h - 2)
     keys = [one.pack(k) for k in (((0, 0), 0, 0), ((0, 0), 1, 0))]
     key = one.pack(key)
-    assert one.column("eb", key) == (1, keys, [-2, 1])
-    assert two.column("eb", key) == (1, keys, [-4, 2])
+    assert one.image_reduced("eb", 1, {key: 1}) == (1, dict(zip(keys, [-2, 1])))
+    assert two.image_reduced("eb", 1, {key: 1}) == (1, dict(zip(keys, [-4, 2])))
     # a new module with the same parameters builds its own tables
     again = TensorModule(FamilyParams("gamma", 1), hw)
-    assert again.column("eb", key) == one.column("eb", key)
-    assert again.column("eb", key) is not one.column("eb", key)
+    assert again.image_reduced("eb", 1, {key: 1}) == \
+        one.image_reduced("eb", 1, {key: 1})
+    assert again._family["eb"] is not one._family["eb"]
 
 
 def flat_key_order(mod, key):
@@ -410,18 +409,21 @@ def test_pump_on_random_parameters(data):
 
 
 def test_closure_tags_replay_through_the_action():
+    """A seed with a denominator is cleared once: den * seed is what the
+    span sees, and its tag is den, so every tag still acts on the seed."""
     mod = over_verma(FamilyParams("gamma", 1), eta=1, theta=0)
-    seed = mod.pure(BiPoly.var_h())
-    found, span, tags = closure_search(mod, seed, 4, track_tags=True)
-    assert found
-    for i, row in enumerate(span.rows):
-        assert mod.act_uea(tags[i], seed) == mod.from_ints(1, row)
-    residual, combo = span.reduce(mod.flat(mod.one_v()))
-    assert not residual
-    witness = UeaElement.zero()
-    for i, c in combo.items():
-        witness = witness + tags[i].scale(c)
-    assert mod.act_uea(witness, seed) == mod.one_v()
+    for seed in (mod.pure(BiPoly.var_h()), mod.pure(BiPoly.monomial(Q(2, 3), 1, 0))):
+        found, span, tags = closure_search(mod, seed, 4, track_tags=True)
+        assert found
+        for i, row in enumerate(span.rows):
+            assert mod.act_uea(tags[i], seed) == mod.from_ints(1, row)
+        residual, combo = span.reduce(
+            {mod.pack((mod.hw.highest_index, 0, 0)): 1})
+        assert not residual
+        witness = UeaElement.zero()
+        for i, c in combo.items():
+            witness = witness + tags[i].scale(c)
+        assert mod.act_uea(witness, seed) == mod.one_v()
 
 
 def test_closure_span_comes_back_on_labels_in_pivot_order():
@@ -476,7 +478,7 @@ def test_invariant_subspace_names_the_first_label_that_leaves_it(monkeypatch):
 
     def corrupted(gen, flat):
         # two labels leave the subspace, ((1, 0), 1, 2) first: fb adds
-        # h (x) idx to each, and so to ``column`` and ``act``
+        # h (x) idx to each, and so to every image and ``act``
         parts = [(1, *image(gen, flat))]
         if gen == "fb":
             parts += [(c, 1, {mod.pack((mod.unpack(key)[0], 1, 0)): 1})
@@ -643,7 +645,7 @@ def test_whittaker_certificate_declines_and_the_exact_path_decides():
     # an entry equal to p: independent over Q, zero mod p
     assert mod_p(Q(p)) == 0
     assert not independent_mod_p([{0: 1}, {}])
-    assert Echelon().insert({0: Q(p)})[0] == 0
+    assert Echelon().insert({0: p})[0] == 0
     assert mod_p(Q(1, p)) is None and mod_p(Q(3, 2 * p + 2)) is not None
 
     lam = Q(2)
@@ -699,6 +701,38 @@ def test_whittaker_kernel_over_columns_with_different_denominators():
         assert mod.act("eb", x) == x.scale(lam)
         top = mod.unpack(min(mod.flat(x)))
         assert x.flatten()[top] == 1
+
+
+def test_public_entries_never_consume_their_inputs():
+    """``Echelon`` eliminates the vector it is handed in place, so every
+    public entry must clear or copy its caller's data before handing it
+    over: all-int columns, a closure seed and a Whittaker window reused
+    over a grid all come back unchanged."""
+    columns = [{0: 2, 1: 4}, {0: 1, 2: 3}, {0: 3, 1: 4, 2: 3}, {1: 5}]
+    rhs = {0: 1, 1: 2, 2: 3}
+    before = copy.deepcopy((columns, rhs))
+    assert len(nullspace(columns)) == 1
+    assert solve_unique([columns[0], columns[1], columns[3]], rhs) is not None
+    assert unit_solutions([columns[0], columns[1], columns[3]]) is not None
+    assert (columns, rhs) == before
+
+    mod = over_verma(FamilyParams("gamma", 1), eta=1, theta=0)
+    seed = mod.pure(BiPoly.monomial(Q(2, 3), 1, 0)) + TensorElement(
+        {(1, 0): BiPoly.monomial(3, 0, 1)})
+    terms = {idx: dict(p.terms) for idx, p in seed.terms.items()}
+    assert closure_search(mod, seed, 3)[0]
+    assert {idx: p.terms for idx, p in seed.terms.items()} == terms
+
+    lam = Q(2)
+    mod = TensorModule(FamilyParams("gamma", lam),
+                       build_hw_module(HighestWeight(Q(0), Q(0))))
+    window = WhittakerWindow(mod, 2)
+    stacked = copy.deepcopy(window.columns)
+    grid = [(0, lam), (1, 0), (0, lam), (1, lam)]
+    first = [window.exact_solutions(mu1, mu2) for mu1, mu2 in grid]
+    assert window.columns == stacked
+    assert first[0] == first[2] == [mod.one_v()]
+    assert [window.exact_solutions(mu1, mu2) for mu1, mu2 in grid] == first
 
 
 def test_whittaker_grid_report_all_clear():
