@@ -19,9 +19,9 @@ The action is compiled.  In the Leibniz rule x.(h^i hb^j (x) w) =
 alone and the second on (x, w) alone, so each TensorModule instance
 keeps two integer tables, filled lazily: per generator the words of
 family_to_operator over one denominator, with the image of each
-h^i hb^j read off them in closed form, and per (generator, w) the image
-hw.act_basis gives.  The tables belong to the instance; family_act
-stays the oracle the tests check them against.
+h^i hb^j merged from the parameter-free word shapes of one process-wide
+memo (``word_shape``), and per (generator, w) hw.act_ints.  The tables
+belong to the instance; family_act and hw.act_basis stay the oracle.
 
 Labels are packed ints (``TensorModule.pack``): the fields (level, a, b,
 i, j) of a Verma label idx = (a, b), or (idx, i, j) for L(0, theta),
@@ -190,28 +190,21 @@ class TensorModule:
         return lowest_terms(den * d, out)
 
     def _family_entry(self, gen, key, low):
-        # The word c * h^wi hb^wj db^k s^m sends h^i hb^j to
-        # c * perm(j, k) * sum_t comb(i, t) (-2m)^(i-t) h^(wi+t) hb^(wj+j-k);
-        # packed, h^i' hb^j' (x) idx is head - (i' << KEY_BITS) - j' while
-        # i' and j' stay in range, so (i, j) keeps those deltas to head.
         _, words, family = self._family[gen]
         idx, i, j = self.unpack(key)
         out = {}
         for (wi, wj, k, m), n in words.items():
-            n *= perm(j, k)
-            if n:
-                if wi + i > KEY_FIELD or wj + j - k > KEY_FIELD:
-                    raise ValueError(f"{gen} takes the flat key {(idx, i, j)} "
-                                     f"past the field limit {KEY_FIELD}")
-                accumulate(out, ((-((wi + t) << KEY_BITS) - (wj + j - k),
-                                  n * comb(i, t) * (-2 * m) ** (i - t))
-                                 for t in range(i + 1)))
+            shape = word_shape(wi, wj, k, m, i, j)
+            if shape is None:
+                raise ValueError(f"{gen} takes the flat key {(idx, i, j)} "
+                                 f"past the field limit {KEY_FIELD}")
+            accumulate(out, zip(shape[0], map(n.__mul__, shape[1])))
         entry = family[low] = (list(out), list(out.values()))
         return entry
 
     def _leibniz_entry(self, gen, head):
         idx = self.unpack(head)[0]
-        sden, snums = clear_denominators(self.hw.act_basis(gen, idx))
+        sden, snums = self.hw.act_ints(gen, idx)
         entry = self._leibniz[gen][head] = (
             sden, [self.pack((idx2, 0, 0)) for idx2 in snums], list(snums.values()))
         return entry
@@ -256,6 +249,26 @@ class TensorModule:
                        for idx in self.hw.basis_through_level(depth)
                        for i in range(depth + 1) for j in range(depth + 1)),
                       reverse=True)
+
+
+_SHAPES = {}  # (wi, wj, k, m, i, j) -> (deltas, ints) or None, treat as frozen
+
+
+def word_shape(wi, wj, k, m, i, j):
+    """What the word h^wi hb^wj db^k s^m makes of h^i hb^j, memoized:
+    perm(j, k) * sum_t comb(i, t) (-2m)^(i-t) h^(wi+t) hb^(wj+j-k).  As
+    h^i' hb^j' (x) idx packs to head - (i' << KEY_BITS) - j', it is kept
+    as (deltas to head, ints), or None when a term passes KEY_FIELD."""
+    key = (wi, wj, k, m, i, j)
+    if key not in _SHAPES:
+        n, hb = perm(j, k), wj + j - k
+        if n and (wi + i > KEY_FIELD or hb > KEY_FIELD):
+            _SHAPES[key] = None
+        else:
+            ts = (range(i + 1) if m else (i,)) if n else ()
+            _SHAPES[key] = ([-((wi + t) << KEY_BITS) - hb for t in ts],
+                            [n * comb(i, t) * (-2 * m) ** (i - t) for t in ts])
+    return _SHAPES[key]
 
 
 class TensorElement(LinComb):

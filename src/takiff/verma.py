@@ -6,7 +6,10 @@ Generator actions are not hand-coded: the envelope product
 gen * f^i fb^j is straightened to PBW normal form and then evaluated
 by sending e, eb to zero and h, hb to theta, eta on the right.  That
 makes the straightening tables the single source of truth for module
-arithmetic.
+arithmetic.  That action holds no parameter, so one memo per process
+keeps it on ints (``highest_weight_action``); ``HwModule.act_ints``
+evaluates it with the module's powers of theta and eta, the singular
+scan mod p, and ``verma_act_basis`` stays the rational route.
 
 When eta = 0 and theta is a nonnegative integer, the irreducible
 quotient collapses to the classical (theta+1)-dimensional sl2 module
@@ -26,11 +29,12 @@ since those Verma modules are irreducible (Wilson, J. Algebra 336).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .scalars import Q, format_scalar
 from .algebra import GENERATORS, bracket, gen_times_lowering
 from .linalg import RANK_PRIME, independent_mod_p, mod_p, nullspace
-from .sparse import LinComb, accumulate, powers_text
+from .sparse import LinComb, accumulate, lowest_terms, powers_text
 from .report import Report, PASS, FAIL
 
 
@@ -73,6 +77,22 @@ def verma_act_basis(gen, hw, i, j):
                            if not (pp or mm)))
 
 
+@lru_cache(maxsize=None)
+def highest_weight_action(gen, i, j):
+    """gen . f^i fb^j v with theta and eta left as letters, memoized: the
+    terms of gen * f^i fb^j free of e and eb, per target f^i' fb^j' v as
+    triples (q, m, c) for c * theta^q * eta^m, and top, the largest q or
+    m; callers only read it.  Each c is an int, read as its numerator:
+    straightening only adds and multiplies the integer structure
+    constants of the brackets."""
+    top, terms = 0, {}
+    for (jj, kk, qq, ii, pp, mm), c in gen_times_lowering(gen, i, j).terms.items():
+        if not (pp or mm):
+            terms.setdefault((jj, kk), []).append((qq, ii, int(c.numerator)))
+            top = max(top, qq, ii)
+    return top, terms
+
+
 def verma_act(gen, hw, x):
     return VermaElement._raw(accumulate({}, (
         (key, c * v)
@@ -87,11 +107,10 @@ def singular_vectors(hw, level):
     column t holds the images of the t-th level basis vector.  An empty
     kernel is first certified mod p (see the module docstring): row
     b * level + i' of column (i, j) is the coefficient of f^i' fb^j' v
-    in e (b = 0) or eb (b = 1) of f^i fb^j v, the straightened terms
-    c * theta^q * eta^i evaluated mod p.  Each c is an integer, read as
-    its numerator: straightening only adds and multiplies the integer
-    structure constants of the brackets.  Otherwise the kernel, and
-    every vector returned, comes from exact elimination.
+    in e (b = 0) or eb (b = 1) of f^i fb^j v, the triples of
+    ``highest_weight_action`` evaluated mod p.  Otherwise the kernel,
+    and every vector returned, comes from exact elimination on the
+    columns ``HwModule.act_ints`` gives.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -102,17 +121,18 @@ def singular_vectors(hw, level):
         for i, j in basis:
             col = {}
             for b, gen in enumerate(("e", "eb")):
-                terms = gen_times_lowering(gen, i, j).terms
-                for (jj, _, qq, ii, pp, mm), c in terms.items():
-                    if not (pp or mm):
-                        row = b * level + jj
-                        col[row] = col.get(row, 0) + c.numerator * theta**qq * eta**ii
-            residues.append({row: r % p for row, r in col.items() if r % p})
+                for (i2, _), triples in highest_weight_action(gen, i, j)[1].items():
+                    r = sum(c * pow(theta, q, p) * pow(eta, m, p)
+                            for q, m, c in triples) % p
+                    if r:
+                        col[b * level + i2] = r
+            residues.append(col)
         if independent_mod_p(residues):
             return []
-    columns = [{(gen, key): c for gen in ("e", "eb")
-                for key, c in verma_act_basis(gen, hw, i, j).items()}
-               for i, j in basis]
+    act = HwModule(hw, "verma").act_ints
+    columns = [{(gen, key): Q(n, den) for gen in ("e", "eb")
+                for den, ints in [act(gen, idx)] for key, n in ints.items()}
+               for idx in basis]
     return [VermaElement({basis[t]: v[t] for t in sorted(v)})
             for v in nullspace(columns)]
 
@@ -148,6 +168,18 @@ class HwModule:
         self.kind = kind
         self.dimension = dimension
         self.certificate = certificate
+        if kind == "verma":  # theta's and eta's num and den, and their powers
+            self._bases = tuple(int(x) for c in (weight.theta, weight.eta)
+                                for x in (c.numerator, c.denominator))
+            self._powers = ([1], [1], [1], [1])
+            return
+        t = self.theta_int()
+        self._ints = {}  # (gen, i) -> {k: int}, the closed forms
+        for i in range(t + 1):
+            self._ints.update({("h", i): {i: t - 2 * i} if t != 2 * i else {},
+                               ("e", i): {i - 1: i * (t - i + 1)} if i else {},
+                               ("f", i): {i + 1: 1} if i < t else {},
+                               ("eb", i): {}, ("fb", i): {}, ("hb", i): {}})
 
     def label(self):
         base = "Lbar" if self.kind == "verma" else "L"
@@ -175,21 +207,28 @@ class HwModule:
         return int(self.weight.theta)
 
     def act_basis(self, gen, idx):
-        """gen . (basis vector) as a dict index -> Q."""
+        """gen . (basis vector) as a dict index -> Q, the rational route."""
         if self.kind == "verma":
             return verma_act_basis(gen, self.weight, idx[0], idx[1])
-        i = idx
-        theta = self.weight.theta
-        if gen == "h":
-            return {i: theta - 2 * i} if theta != 2 * i else {}
-        if gen == "e":
-            c = Q(i) * (theta - i + 1)
-            return {i - 1: c} if i and c else {}
-        if gen == "f":
-            return {i + 1: Q(1)} if i < self.theta_int() else {}
-        if gen in ("eb", "fb", "hb"):
-            return {}
-        raise KeyError(f"unknown generator {gen!r}")
+        return {k: Q(n) for k, n in self._ints[gen, idx].items()}
+
+    def act_ints(self, gen, idx):
+        """gen . (basis vector) as (den, {index: int}) in lowest terms, a
+        dict callers only read: on a Verma module ``highest_weight_action``
+        over the den (theta's den * eta's den)^top, the powers grown as
+        needed; on L(0, theta) its one int table of closed forms, den 1."""
+        if self.kind != "verma":
+            return 1, self._ints[gen, idx]
+        top, terms = highest_weight_action(gen, *idx)
+        powers = self._powers
+        while len(powers[0]) <= top:
+            for table, base in zip(powers, self._bases):
+                table.append(table[-1] * base)
+        tn, td, en, ed = powers
+        return lowest_terms(td[top] * ed[top], {
+            key: n for key, triples in terms.items()
+            if (n := sum(c * tn[q] * td[top - q] * en[m] * ed[top - m]
+                         for q, m, c in triples))})
 
     def nilpotence(self, gen, idx):
         """Smallest n >= 1 with gen^n . (basis vector idx) = 0.
@@ -217,14 +256,12 @@ def _check_findim(module):
     it to exactly a nonzero multiple of basis i-1.  Walking down with e
     and up with f then reaches every basis vector from any one of them.
 
-    theta is a nonnegative integer here, so every coefficient of the
-    basis action is an int; the action is tabulated once, on ints, as
-    {(gen, i): {k: int}}, and both checks read the table.
+    Both checks read the int table ``act_ints`` serves the tensor engine;
+    a bracket holds on basis i when x.y.i - y.x.i - [x,y].i is zero.
     """
     dim = module.dimension
     idxs = range(dim)
-    act = {(gen, i): {k: int(c) for k, c in module.act_basis(gen, i).items()}
-           for gen in GENERATORS for i in idxs}
+    act = module._ints
     for i in idxs:
         for gen, to, moves in (("f", i + 1, i < dim - 1), ("e", i - 1, i > 0)):
             img = act[(gen, i)]
@@ -234,17 +271,17 @@ def _check_findim(module):
         for y in GENERATORS:
             if x >= y:
                 continue
+            bracket_xy = bracket(x, y).items()
             for i in idxs:
-                lhs = accumulate({}, ((k2, c * c2)
-                                      for k, c in act[(y, i)].items()
-                                      for k2, c2 in act[(x, k)].items()))
-                accumulate(lhs, ((k2, -c * c2)
-                                 for k, c in act[(x, i)].items()
-                                 for k2, c2 in act[(y, k)].items()))
-                rhs = accumulate({}, ((k, cz * c)
-                                      for z, cz in bracket(x, y).items()
-                                      for k, c in act[(z, i)].items()))
-                if lhs != rhs:
+                res = {}
+                for s, a, b in ((1, x, y), (-1, y, x)):
+                    for k, c in act[b, i].items():
+                        for k2, c2 in act[a, k].items():
+                            res[k2] = res.get(k2, 0) + s * c * c2
+                for z, cz in bracket_xy:
+                    for k, c in act[z, i].items():
+                        res[k] = res.get(k, 0) - cz * c
+                if any(res.values()):
                     return f"bracket [{x},{y}] fails on basis {i}"
     return None
 

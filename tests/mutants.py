@@ -136,8 +136,20 @@ MUTANTS = (
            "[(b, e_row | b) for b in self.basis]",
            ("tests/test_tensor.py::test_whittaker_certificate_agrees_with_the_exact_solve",)),
     Mutant("singular-scan-swaps-theta-and-eta", "verma.py",
-           "c.numerator * theta**qq * eta**ii", "c.numerator * eta**qq * theta**ii",
+           "c * pow(theta, q, p) * pow(eta, m, p)",
+           "c * pow(eta, q, p) * pow(theta, m, p)",
            ("tests/test_verma.py::test_the_certificate_reads_the_level_matrix_mod_p",)),
+    # the int reader of the shared highest-weight action, the word-shape
+    # memo behind the family entries, and the finite quotient's check
+    Mutant("verma-power-table-reads-theta-to-q-plus-1", "verma.py",
+           "c * tn[q] * td[top - q]", "c * tn[q + 1] * td[top - q]",
+           ("tests/test_verma.py::test_act_ints_is_the_rational_action_cleared",)),
+    Mutant("shape-memo-key-without-the-db-exponent", "tensor.py",
+           "key = (wi, wj, k, m, i, j)", "key = (wi, wj, m, i, j)",
+           ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
+    Mutant("findim-check-drops-the-bracket-side", "verma.py",
+           "for z, cz in bracket_xy:", "for z, cz in ():",
+           ("tests/test_verma.py::test_findim_check_reads_the_weight_chain",)),
     # check_phi's triangularity walk
     Mutant("triangularity-accepts-a-higher-coordinate", "induced.py",
            "not tensor_order_key(fk) < t\n               for fk in map(unpack, flat)",

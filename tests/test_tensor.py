@@ -9,6 +9,7 @@ import copy
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 from math import gcd
 
@@ -20,8 +21,9 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
                     UniPoly, annihilator_check, bracket, build_hw_module,
                     build_verma_module, certify_irreducible,
                     check_invariant_subspace, closure_search, make_seeds,
-                    recover_parameters, recover_report, vandermonde_reduce,
-                    whittaker_report, whittaker_vector_search)
+                    recover_parameters, recover_report, singular_vectors,
+                    vandermonde_reduce, whittaker_report,
+                    whittaker_vector_search)
 from takiff import tensor
 from takiff.algebra import annihilator_element, mono_letters
 from takiff.families import family_act
@@ -150,23 +152,23 @@ def test_columns_are_the_leibniz_oracle_in_lowest_terms(params, hw, data):
 
 def test_tables_are_built_once_per_instance(monkeypatch):
     """Imaging every window label under one generator reads the words
-    once per generator and hw.act_basis once per L-label, and builds one
+    once per generator and hw.act_ints once per L-label, and builds one
     family entry per (i, j), label by label or all at once; a second
     module with the same parameters builds its own tables."""
     calls = Counter()
     hw = build_verma_module(HighestWeight(Q(2), Q(-1, 3)))
-    to_operator, act_basis = tensor.family_to_operator, hw.act_basis
+    to_operator, act_ints = tensor.family_to_operator, hw.act_ints
 
     def counted_to_operator(gen, params):
         calls[gen] += 1
         return to_operator(gen, params)
 
-    def counted_act_basis(gen, idx):
+    def counted_act_ints(gen, idx):
         calls[gen, idx] += 1
-        return act_basis(gen, idx)
+        return act_ints(gen, idx)
 
     monkeypatch.setattr(tensor, "family_to_operator", counted_to_operator)
-    monkeypatch.setattr(hw, "act_basis", counted_act_basis)
+    monkeypatch.setattr(hw, "act_ints", counted_act_ints)
     for _ in range(2):
         calls.clear()
         mod = TensorModule(ORACLE_PARAMS[0], hw)
@@ -177,6 +179,52 @@ def test_tables_are_built_once_per_instance(monkeypatch):
         idxs = {mod.unpack(key)[0] for key in labels}
         assert calls == Counter({"f": 1, **{("f", idx): 1 for idx in idxs}})
         assert len(mod._family["f"][2]) == 4 * 4
+
+
+def count_fractions(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
+@pytest.mark.parametrize("weight", [(Q(1, 2), Q(3)), (Q(0), Q(3))],
+                         ids=["verma", "findim"])
+def test_table_entries_are_built_without_a_fraction(monkeypatch, weight):
+    """Once the process-wide memos (the straightened highest-weight
+    action and the word shapes) hold the window's structure, every
+    Leibniz and family entry of a depth-3 window is built on ints: no
+    Fraction is formed, and neither is one in the certificate path of
+    the singular scan.  The memos are filled first through a second
+    factor (of other parameters on the Verma side); each module's words,
+    which come from the rational family_to_operator, are read before
+    counting."""
+    eta, theta = weight
+    warm = build_hw_module(HighestWeight(eta + 1 if eta else eta,
+                                         theta - 1 if eta else theta))
+    hw = build_hw_module(HighestWeight(eta, theta))
+    for params in ORACLE_PARAMS:
+        filled, mod = TensorModule(params, warm), TensorModule(params, hw)
+        for gen in GENS:
+            mod.image(gen, {})
+            for key in filled.window_basis(3):
+                filled.image(gen, {key: 1})
+        made = count_fractions(monkeypatch)
+        for gen in GENS:
+            for key in mod.window_basis(3):
+                mod.image(gen, {key: 1})
+        monkeypatch.undo()
+        assert made == [], params.family
+        assert all(len(mod._family[gen][2]) == 4 * 4 for gen in GENS)
+    if eta:
+        made = count_fractions(monkeypatch)
+        assert all(singular_vectors(hw.weight, level) == [] for level in range(1, 7))
+        assert made == []
 
 
 def test_columns_belong_to_their_module():

@@ -10,8 +10,9 @@ from takiff import (HighestWeight, Q, VermaElement, build_hw_module,
                     build_verma_module, check_singular_levels,
                     singular_vectors, verma_reducible_predicate)
 from takiff import verma
-from takiff.algebra import gen_times_lowering
+from takiff.algebra import GENERATORS, gen_times_lowering
 from takiff.linalg import RANK_PRIME, mod_p, nullspace
+from takiff.sparse import clear_denominators
 from takiff.verma import HwModule, _check_findim, verma_act, verma_act_basis
 
 from test_digests import load_workloads
@@ -154,13 +155,38 @@ def test_nilpotence_on_the_finite_quotient():
         assert [m.nilpotence("eb", i) for i in range(theta + 1)] == [1] * (theta + 1)
 
 
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(eta=st.builds(Q, st.integers(-9, 9).filter(bool), st.integers(1, 6)),
+       theta=st.builds(Q, st.integers(-9, 9), st.integers(1, 6)))
+@example(eta=Q(1, 2), theta=Q(3))
+@example(eta=Q(-2, 3), theta=Q(5, 4))
+def test_act_ints_is_the_rational_action_cleared(eta, theta):
+    """The int reader of the shared straightened action, evaluated with
+    the module's power tables, is verma_act_basis cleared to lowest
+    terms, for every generator through level 4."""
+    m = build_verma_module(HighestWeight(eta, theta))
+    for idx in m.basis_through_level(4):
+        for gen in GENERATORS:
+            want = clear_denominators(m.act_basis(gen, idx))
+            assert m.act_ints(gen, idx) == want, (gen, idx)
+
+
+def test_act_ints_on_the_finite_quotient():
+    for theta in range(5):
+        m = build_hw_module(HighestWeight(Q(0), Q(theta)))
+        for i in m.basis_through_level(theta):
+            for gen in GENERATORS:
+                want = clear_denominators(m.act_basis(gen, i))
+                assert m.act_ints(gen, i) == want, (theta, gen, i)
+
+
 def test_findim_check_reads_the_weight_chain():
     for theta in range(6):
         m = HwModule(HighestWeight(Q(0), Q(theta)), "findim", dimension=theta + 1)
         assert _check_findim(m) is None
     m = HwModule(HighestWeight(Q(0), Q(3)), "findim", dimension=4)
-    act_basis = m.act_basis
-    m.act_basis = lambda gen, idx: {} if (gen, idx) == ("f", 1) else act_basis(gen, idx)
+    m._ints["f", 1] = {}  # the int table act_ints and the engine read
+    assert m.act_ints("f", 1) == (1, {})
     problem = _check_findim(m)
     assert problem == "f does not send basis 1 to a multiple of basis 2"
 
@@ -226,10 +252,10 @@ def test_singular_vectors_match_a_dense_reference_kernel(eta, theta, level):
 
 
 def test_the_scanned_straightening_coefficients_are_integers():
-    """singular_vectors reads each coefficient's residue off its numerator."""
+    """highest_weight_action reads each coefficient off its numerator."""
     for level in range(1, 8):
         for i in range(level + 1):
-            for gen in ("e", "eb"):
+            for gen in GENERATORS:
                 terms = gen_times_lowering(gen, i, level - i).terms
                 assert all(c.denominator == 1 for c in terms.values())
 
