@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from .scalars import Q
+from .scalars import parse_scalar
 from .poly import BiPoly, UniPoly, PolyParseError
 from .algebra import GENERATORS
 from .families import (FamilyParams, family_act, check_family_axioms,
@@ -56,20 +56,22 @@ class JobConfig:
 
 
 def _params(config):
+    lam, a = parse_scalar(config.lam), parse_scalar(config.a)
     if config.family == "omega":
-        return FamilyParams("omega", Q(config.lam), a=Q(config.a),
-                            beta=UniPoly.parse(config.beta))
-    return FamilyParams(config.family, Q(config.lam), a=Q(config.a),
-                        b=Q(config.b))
+        return FamilyParams("omega", lam, a=a, beta=UniPoly.parse(config.beta))
+    return FamilyParams(config.family, lam, a=a, b=parse_scalar(config.b))
+
+
+def _weight(config):
+    return HighestWeight(parse_scalar(config.eta), parse_scalar(config.theta))
 
 
 def _module(config):
-    hw = HighestWeight(Q(config.eta), Q(config.theta))
-    return TensorModule(_params(config), build_hw_module(hw))
+    return TensorModule(_params(config), build_hw_module(_weight(config)))
 
 
 def _scalar_list(text):
-    return [Q(part.strip()) for part in text.split(",") if part.strip()]
+    return [parse_scalar(part) for part in text.split(",") if part.strip()]
 
 
 # The smallest meaningful value of each size field, and the suites that
@@ -118,7 +120,8 @@ def run_suite(config):
         if config.suite == "axioms":
             return check_family_axioms(_params(config))
         if config.suite == "omega-constraint":
-            return check_omega_constraint(Q(config.lam), Q(config.a),
+            return check_omega_constraint(parse_scalar(config.lam),
+                                          parse_scalar(config.a),
                                           UniPoly.parse(config.beta))
         if config.suite == "irreducible":
             return _run_irreducible(config)
@@ -128,8 +131,7 @@ def run_suite(config):
         if config.suite == "recover":
             return recover_report(_module(config))
         if config.suite == "singular":
-            hw = HighestWeight(Q(config.eta), Q(config.theta))
-            return check_singular_levels(hw, config.max_level)
+            return check_singular_levels(_weight(config), config.max_level)
         if config.suite == "induced":
             return _run_induced(config)
         if config.suite == "whittaker":

@@ -7,11 +7,12 @@ fraction-free: every stored row is a primitive integer vector whose
 pivot is the minimum of its support in the labels' natural order (the
 packed int keys of the tensor engines).  Elimination is gcd-reduced
 cross-multiplication on ints alone, in the style of Bareiss (Math.
-Comp. 22, 1968), in place on the int vector it is handed.  Rationals
-are cleared once, in ``_tagged_echelon``, behind ``nullspace``,
-``solve_unique`` (the omega alpha constraint) and ``unit_solutions``
-(the Vandermonde inverse of the eb pump), which read kernels and
-inverses off one elimination.  ``independent_mod_p`` is a one-sided
+Comp. 22, 1968), in place on the int vector it is handed; ``insert``
+returns the stored row's combination of the rows before it, which the
+closure keeps as each row's int provenance.  Rationals are cleared
+once, in ``nullspace``, which reads a kernel off one elimination;
+``solve_unique`` (the omega alpha constraint) reads its solution off
+that kernel.  ``independent_mod_p`` is a one-sided
 certificate: it can prove rational vectors independent by eliminating
 their images in F_p, and when it cannot, the caller decides exactly.
 Its readers are ``WhittakerWindow`` and ``verma.singular_vectors``.
@@ -135,18 +136,19 @@ class Echelon:
         return idx, combo, mult, content
 
 
-def _tagged_echelon(columns):
-    """Insert the columns in order into one ``Echelon``.
+def nullspace(columns):
+    """Basis of the kernel of the matrix with the given sparse columns.
 
-    Each column, a dict of rationals, is cleared to a new int vector and
-    its den folded into mult.  Returns (span, tags, kernel).  tags[i] =
-    (den, ints) writes span.rows[i] as sum(ints[t] * columns[t]) / den, den > 0, in lowest
-    terms.  Each column that reduces to zero gives one kernel vector, a
-    dict column index -> Q with 1 at that column and support on earlier
-    columns only.
+    Columns, dicts of rationals, are cleared to new int vectors and
+    inserted in order into one ``Echelon``, each column's den folded
+    into mult; each stored row keeps its combination of columns.
+    A column that reduces to zero gives one basis vector: a dict column
+    index -> Q with 1 at that column and support on earlier columns
+    only.  That is the basis the reduced row echelon form reads off its
+    free columns, and the vectors come in column order.
     """
     span = Echelon()
-    tags = []
+    tags = []  # tags[i] = (den, ints): rows[i] = sum(ints[t] * columns[t]) / den
     kernel = []
     for t, col in enumerate(columns):
         cden, ints = clear_denominators(col)
@@ -158,22 +160,9 @@ def _tagged_echelon(columns):
                            + [(-c, *tags[i]) for i, c in combo.items()])
         if ridx is None:
             kernel.append({k: Q(n, den * mult) for k, n in tag.items()})
-            continue
-        tags.append(lowest_terms(den * content, tag))
-    return span, tags, kernel
-
-
-def nullspace(columns):
-    """Basis of the kernel of the matrix with the given sparse columns.
-
-    Columns are inserted in order into one ``Echelon``, and each stored
-    row keeps its combination of columns.
-    A column that reduces to zero gives one basis vector: a dict column
-    index -> Q with 1 at that column and support on earlier columns
-    only.  That is the basis the reduced row echelon form reads off its
-    free columns, and the vectors come in column order.
-    """
-    return _tagged_echelon(columns)[2]
+        else:
+            tags.append(lowest_terms(den * content, tag))
+    return kernel
 
 
 def solve_unique(columns, rhs):
@@ -189,34 +178,6 @@ def solve_unique(columns, rhs):
     if len(kernel) != 1 or n not in kernel[0]:
         return None
     return [-kernel[0].get(t, ZERO) for t in range(n)]
-
-
-def unit_solutions(columns):
-    """Every column of the inverse of a square matrix, from one elimination.
-
-    Columns are sparse dicts over n row labels, n = len(columns).
-    Returns {r: x} with sum(x[t] * columns[t]) == e_r for each row
-    label r, the answer ``solve_unique(columns, {r: 1})`` gives, or None
-    when the matrix is singular or not square.  The columns are
-    inserted once; each stored row's pivot is the smallest label of its
-    support, so with n independent rows over n labels, back-substitution
-    from the largest pivot down writes each e_r in the rows, and the
-    rows' tags write it in the columns.
-    """
-    span, tags, kernel = _tagged_echelon(columns)
-    labels = {r for col in columns for r in col}
-    if kernel or len(labels) != len(columns):
-        return None
-    units = {}  # row label -> (den, ints): e_r as a combination of columns
-    for r in sorted(span.pivot_of, reverse=True):
-        ri = span.pivot_of[r]
-        row = span.rows[ri]
-        # rows[ri] = row[r] e_r + sum(row[k] e_k), every other k after r
-        den, ints = combine([(1, *tags[ri])] + [(-c, *units[k])
-                                                for k, c in row.items() if k != r])
-        units[r] = lowest_terms(den * row[r], ints)
-    return {r: [Q(units[r][1].get(t, 0), units[r][0]) for t in range(len(columns))]
-            for r in labels}
 
 
 def mod_p(c):

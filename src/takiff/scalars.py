@@ -41,8 +41,10 @@ def parse_scalar(text):
         raise ScalarParseError("empty scalar literal")
     try:
         return Q(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ScalarParseError(f"bad scalar literal {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ScalarParseError(f"bad scalar literal {text!r}: zero denominator") from None
 
 
 def format_scalar(x):

@@ -52,8 +52,7 @@ from .algebra import GENERATORS, UeaElement, annihilator_element, mono_letters
 # perfbench/selfcheck.py looks it up as takiff.tensor.family_act.
 from .families import FamilyParams, family_act, family_to_operator  # noqa: F401
 from .verma import HwModule, VermaElement
-from .linalg import (RANK_PRIME, Echelon, independent_mod_p, mod_p,
-                     nullspace, unit_solutions)
+from .linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p, nullspace
 from .skew import SkewOperator
 from .report import Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import (LinComb, accumulate, clear_denominators, combine,
@@ -388,12 +387,20 @@ def vandermonde_reduce(mod, x):
 
 
 def _vandermonde_inverse(points):
-    """Inverse of the matrix [m^d] (rows m in points, columns d)."""
-    n = len(points)
-    columns = [{r: Q(m) ** d for r, m in enumerate(points)} for d in range(n)]
-    # column c of V^-1 solves V x = e_c; row d weights sample column c
-    inverse = unit_solutions(columns)
-    return [[inverse[c][d] for c in range(n)] for d in range(n)]
+    """Inverse of the matrix [m^d] (rows m in points, columns d).
+
+    Column r holds the coefficients of the Lagrange basis polynomial
+    prod_{s != r} (m - m_s) / (m_r - m_s), which is 1 at m_r and 0 at
+    every other point; row d weights the samples for the power m^d."""
+    columns = []
+    for r, mr in enumerate(points):
+        poly, den = [1], 1  # int coefficients, lowest power first
+        for s, ms in enumerate(points):
+            if s != r:
+                poly = [a - ms * b for a, b in zip([0, *poly], [*poly, 0])]
+                den *= mr - ms
+        columns.append([Q(c, den) for c in poly])
+    return [list(row) for row in zip(*columns)]
 
 
 # -- irreducibility certification ------------------------------------------
@@ -450,14 +457,19 @@ def make_seeds(mod, count, rng_seed):
     return seeds[:count]
 
 
-def closure_search(mod, seed, depth, track_tags=False):
+def closure_search(mod, seed, depth):
     """Grow the exact span closure of the seed under all six generators.
 
     Only elements inside the window (every term of h-degree, hb-degree
     and L-level at most depth) are expanded further; their images are
     kept whole, never truncated, so membership in the span always means
-    membership in the submodule.  Returns (found, span, tags): found is
-    True once 1 (x) v enters the span, at which point the search stops.
+    membership in the submodule.  Returns (found, span, steps): found
+    is True once 1 (x) v enters the span, at which point the search
+    stops.  steps[r] = (parent, gen, scale, combo, content), all ints
+    but gen, records how row r arose: scale * gen . rows[parent] ==
+    content * rows[r] + sum(combo[i] * rows[i]), each i < r, and for the
+    seed's step (parent = gen = None, combo empty) scale * seed ==
+    content * rows[0].  Replayed in order, they rebuild every row.
 
     The window is escalated: the search first runs inside smaller
     sub-windows, whose level cap s comes with degree cap min(2s, depth)
@@ -483,14 +495,13 @@ def closure_search(mod, seed, depth, track_tags=False):
     for lvl_cap, deg_cap in dict.fromkeys(
             (mod.hw.level(mod.hw.basis_through_level(s)[-1]), d)
             for s, d in rungs):
-        found, span, tags = _closure_window(mod, seed, lvl_cap, deg_cap,
-                                            track_tags)
+        found, span, steps = _closure_window(mod, seed, lvl_cap, deg_cap)
         if found:
             break
-    return found, span, tags
+    return found, span, steps
 
 
-def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
+def _closure_window(mod, seed, lvl_cap, deg_cap):
     # Pivots sit on the deepest column of each row, the smallest packed
     # key: breadth-first images concentrate at high level/degree, so
     # eliminating those columns first keeps the stored rows sparse.
@@ -507,7 +518,7 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
     field, bits = KEY_FIELD, KEY_BITS
     level_shift = mod.key_bits - 3 * bits  # the level field of a label's head
     span = Echelon()
-    tags = []
+    steps = []
     target_res = {mod.pack((mod.hw.highest_index, 0, 0)): 1}
 
     def window_score(row):
@@ -533,7 +544,8 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
     counter = 0
     heap = []
 
-    def push(vec, tag):
+    def push(vec, parent, gen, scale):
+        # vec is scale * gen . rows[parent] (the seed: scale * seed).
         # Returns True once the target is in the span.  The target
         # residual stays reduced against every stored row, so only the
         # newly inserted row can shrink it further: one subtraction
@@ -542,13 +554,7 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
         ridx, combo, mult, content = span.insert(vec)
         if ridx is None:
             return False
-        if track_tags:
-            t = tag.scale(mult)
-            for i, c in combo.items():
-                t = t - tags[i].scale(c)
-            tags.append(t.scale(Q(1, content)))
-        else:
-            tags.append(None)
+        steps.append((parent, gen, scale * mult, combo, content))
         row = span.rows[ridx]
         pk = span.pivots[ridx]
         c = target_res.get(pk)
@@ -566,8 +572,8 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
         return False
 
     den, ints = clear_denominators(mod.flat(seed))
-    if push(ints, UeaElement.one().scale(den)):
-        return True, span, tags
+    if push(ints, None, None, den):
+        return True, span, steps
 
     gens = ("eb", "e", "hb", "h", "fb", "f")
     while heap:
@@ -575,14 +581,9 @@ def _closure_window(mod, seed, lvl_cap, deg_cap, track_tags):
         row = span.rows[ridx]
         for gen in gens:
             den, img = mod.image(gen, row)
-            if not img:
-                continue
-            tag = None
-            if track_tags:
-                tag = (UeaElement.gen(gen) * tags[ridx]).scale(den)
-            if push(img, tag):
-                return True, span, tags
-    return False, span, tags
+            if img and push(img, ridx, gen, den):
+                return True, span, steps
+    return False, span, steps
 
 
 def certify_irreducible(mod, seeds, depth):

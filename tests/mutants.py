@@ -56,16 +56,28 @@ MUTANTS = (
     Mutant("image-rational-family-den-drops-the-words-den", "tensor.py",
            "den = lcm(den, wden, sden)", "den = lcm(den, sden)",
            ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
-    # the rational edges: act, the closure seed, _tagged_echelon
+    # the rational edges: act, the closure seed's step, nullspace
     Mutant("act-drops-the-input-den", "tensor.py",
            "self.image_reduced(gen, den, ints)", "self.image_reduced(gen, 1, ints)",
            ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
     Mutant("closure-seed-tag-ignores-the-seed-den", "tensor.py",
-           "UeaElement.one().scale(den)", "UeaElement.one()",
-           ("tests/test_tensor.py::test_closure_tags_replay_through_the_action",)),
+           "push(ints, None, None, den)", "push(ints, None, None, 1)",
+           ("tests/test_tensor.py::test_closure_steps_replay_through_the_leibniz_oracle",)),
     Mutant("tagged-echelon-drops-the-column-den", "linalg.py",
            "mult *= cden", "mult *= 1",
-           ("tests/test_linalg.py::test_tagged_echelon_tags_rebuild_each_row",)),
+           ("tests/test_linalg.py::test_nullspace_folds_each_column_den",)),
+    # the closure's int provenance: each stored row's step
+    Mutant("closure-step-drops-the-image-den", "tensor.py",
+           "push(img, ridx, gen, den)", "push(img, ridx, gen, 1)",
+           ("tests/test_tensor.py::test_closure_steps_replay_through_the_leibniz_oracle",)),
+    Mutant("closure-step-stores-an-empty-combo", "tensor.py",
+           "steps.append((parent, gen, scale * mult, combo, content))",
+           "steps.append((parent, gen, scale * mult, {}, content))",
+           ("tests/test_tensor.py::test_closure_steps_replay_through_the_leibniz_oracle",)),
+    # the eb pump's closed-form Vandermonde inverse
+    Mutant("lagrange-denominator-sign-flipped", "tensor.py",
+           "den *= mr - ms", "den *= ms - mr",
+           ("tests/test_linalg.py::test_vandermonde_inverse_inverts",)),
     # the process-wide word memo behind InducedAction
     Mutant("word-memo-key-without-q", "algebra.py",
            "key = (gen, j, k, q)", "key = (gen, j, k)",

@@ -56,7 +56,25 @@ def test_a_zero_denominator_in_act_is_a_usage_error(flag):
     proc = run_cli("act", "--family", "gamma", "--lambda", "1", flag, "1/0",
                    "--expr", "e", "--target", "1")
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith("error: bad scalar literal '1/0'")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("verify", "irreducible", "--eta", "1/0"), id="verify-eta"),
+    pytest.param(("verify", "axioms", "--b", "1/0"), id="verify-b"),
+    pytest.param(("verify", "whittaker", "--mu2", "0,1/0"), id="verify-mu2"),
+    pytest.param(("singular", "--theta", "1/0"), id="singular-theta"),
+])
+def test_a_zero_denominator_in_a_suite_names_the_literal(args):
+    """A scalar flag goes through parse_scalar: the one ERROR record
+    names the literal, not the exception's Fraction(1, 0)."""
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert [c["status"] for c in payload["checks"]] == [ERROR]
+    assert payload["checks"][0]["witness"] == (
+        "bad scalar literal '1/0': zero denominator")
     assert "Traceback" not in proc.stderr
 
 

@@ -1,6 +1,6 @@
-"""The fraction-free eliminator, the kernel, unique-solve and inverse
-readings built on it, and the Vandermonde inverse, each against a small
-dense elimination written out here as the oracle."""
+"""The fraction-free eliminator, the kernel and unique-solve readings
+built on it, each against a small dense elimination written out here as
+the oracle, and the closed-form Vandermonde inverse."""
 
 from math import gcd
 
@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from takiff import Q
-from takiff.linalg import (Echelon, _tagged_echelon, nullspace, solve_unique,
-                           unit_solutions)
+from takiff.linalg import Echelon, nullspace, solve_unique
 from takiff.tensor import _vandermonde_inverse
 
 
@@ -138,20 +137,6 @@ def test_echelon_without_a_keyfn_pivots_in_natural_order(vectors, probe):
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(st.lists(sparse_vectors, max_size=8))
-def test_tagged_echelon_tags_rebuild_each_row(columns):
-    """The one rational entry: each column is cleared to ints once, and
-    its den is folded into the multiplier, so tags[i] = (den, ints)
-    writes stored row i as a combination of the rational columns."""
-    span, tags, kernel = _tagged_echelon(columns)
-    assert len(tags) == len(span) == rank(columns)
-    assert len(kernel) == len(columns) - len(span)
-    for row, (den, ints) in zip(span.rows, tags):
-        assert den > 0 and gcd(den, *ints.values()) == 1
-        assert combine([(Q(n, den), columns[t]) for t, n in ints.items()]) == row
-
-
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(st.lists(sparse_vectors, max_size=8))
 def test_nullspace_is_the_free_column_basis(columns):
     kernel = nullspace(columns)
     assert len(kernel) == len(columns) - rank(columns)
@@ -171,48 +156,21 @@ def test_nullspace_is_the_free_column_basis(columns):
                       for c in columns]) == kernel
 
 
+def test_nullspace_folds_each_column_den():
+    """Columns over dens 2, 3, 5 and 7: each is cleared to ints on its
+    own, so the kernel is written in the rational columns themselves."""
+    columns = [{0: Q(1, 2)}, {0: Q(1, 3)}, {0: Q(1), 1: Q(1, 5)}, {1: Q(2, 7)}]
+    assert nullspace(columns) == [{0: Q(-2, 3), 1: Q(1)},
+                                  {0: Q(20, 7), 2: Q(-10, 7), 3: Q(1)}]
+
+
 @pytest.mark.parametrize("points", [[0], [1, 2], [2, 3, 4, 5], [-1, 0, 3, 7, 8]]
                          + [list(range(K, K + n))
                             for K in range(7) for n in range(1, 9)])
 def test_vandermonde_inverse_inverts(points):
     n = len(points)
     inverse = _vandermonde_inverse(points)
+    assert all(type(x) is Q for row in inverse for x in row)
     product = [[sum(inverse[d][c] * Q(points[c]) ** k for c in range(n))
                 for k in range(n)] for d in range(n)]
     assert product == [[Q(int(d == k)) for k in range(n)] for d in range(n)]
-
-
-def test_unit_solutions_examples():
-    # [[1, 2], [3, 4]]^-1 = [[-2, 1], [3/2, -1/2]]
-    assert unit_solutions([col(1, 3), col(2, 4)]) == {
-        0: [Q(-2), Q(3, 2)], 1: [Q(1), Q(-1, 2)]}
-    # labels need not be 0..n-1
-    assert unit_solutions([{"a": Q(2)}, {"a": Q(1), "b": Q(3)}]) == {
-        "a": [Q(1, 2), Q(0)], "b": [Q(-1, 6), Q(1, 3)]}
-    assert unit_solutions([]) == {}
-    # singular, or not square
-    assert unit_solutions([col(1, 2), col(2, 4)]) is None
-    assert unit_solutions([col(1, 2, 3), col(0, 1, 1)]) is None
-    assert unit_solutions([col(1), col(0, 1), col(1, 1)]) is None
-
-
-square_matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(st.builds(Q, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
-             min_size=n, max_size=n),
-    min_size=n, max_size=n))
-
-
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
-@given(square_matrices)
-def test_unit_solutions_match_one_solve_per_unit_vector(dense):
-    n = len(dense)
-    columns = [{r: x for r, x in enumerate(column) if x} for column in dense]
-    solved = {r: solve_unique(columns, {r: Q(1)}) for r in range(n)}
-    inverse = unit_solutions(columns)
-    if any(x is None for x in solved.values()):
-        # one unit vector out of reach means the matrix is singular
-        assert all(x is None for x in solved.values())
-        assert inverse is None
-        assert reference_rank(dense) < n
-    else:
-        assert inverse == solved

@@ -28,7 +28,7 @@ from takiff import tensor
 from takiff.algebra import annihilator_element, mono_letters
 from takiff.families import family_act
 from takiff.linalg import (RANK_PRIME, Echelon, independent_mod_p, mod_p,
-                           nullspace, solve_unique, unit_solutions)
+                           nullspace, solve_unique)
 from takiff.sparse import combine
 from takiff.tensor import KEY_FIELD, RecoveredParams, WhittakerWindow
 
@@ -456,22 +456,50 @@ def test_pump_on_random_parameters(data):
     assert leibniz_replay(mod, red.combo, x) == red.element
 
 
-def test_closure_tags_replay_through_the_action():
-    """A seed with a denominator is cleared once: den * seed is what the
-    span sees, and its tag is den, so every tag still acts on the seed."""
-    mod = over_verma(FamilyParams("gamma", 1), eta=1, theta=0)
-    for seed in (mod.pure(BiPoly.var_h()), mod.pure(BiPoly.monomial(Q(2, 3), 1, 0))):
-        found, span, tags = closure_search(mod, seed, 4, track_tags=True)
-        assert found
-        for i, row in enumerate(span.rows):
-            assert mod.act_uea(tags[i], seed) == mod.from_ints(1, row)
-        residual, combo = span.reduce(
-            {mod.pack((mod.hw.highest_index, 0, 0)): 1})
-        assert not residual
-        witness = UeaElement.zero()
+def replay_steps(mod, seed, span, steps):
+    """Rebuild every stored row from the seed by its int step, with each
+    generator applied through ``leibniz`` (family_act and hw.act_basis,
+    not the compiled tables), and check it against the stored row."""
+    assert len(steps) == len(span.rows)
+    rebuilt = []
+    for r, (parent, gen, scale, combo, content) in enumerate(steps):
+        assert all(type(n) is int for n in (scale, content, *combo.values()))
+        assert scale > 0 and content and all(i < r for i in combo)
+        if parent is None:
+            assert r == 0 and gen is None and not combo
+            x = seed
+        else:
+            assert parent < r and gen in GENS
+            x = leibniz(mod, gen, rebuilt[parent])
+        x = x.scale(scale)
         for i, c in combo.items():
-            witness = witness + tags[i].scale(c)
-        assert mod.act_uea(witness, seed) == mod.one_v()
+            x = x - rebuilt[i].scale(c)
+        x = x.scale(Q(1, content))
+        assert x == mod.from_ints(1, span.rows[r]), r
+        rebuilt.append(x)
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS + [
+    FamilyParams("omega", Q(1, 2), 0, beta=UniPoly.zero())],
+    ids=lambda p: f"{p.family}-a={p.a}")
+@pytest.mark.parametrize("hw", ORACLE_FACTORS, ids=lambda hw: hw.kind)
+def test_closure_steps_replay_through_the_leibniz_oracle(params, hw):
+    """Each stored row's step (parent, gen, scale, combo, content) holds
+    scale * gen . rows[parent] == content * rows[r] + sum(combo[i] *
+    rows[i]) through the oracle action.  The seed has a denominator,
+    which its step's scale clears.  On a hit the span reduces 1 (x) v to
+    zero; omega with a = 0 misses, and its steps replay all the same."""
+    mod = TensorModule(params, hw)
+    low = hw.basis_through_level(1)[-1]
+    seed = (mod.pure(BiPoly.monomial(Q(2, 3), 1, 0))
+            + TensorElement({low: BiPoly.monomial(Q(-1, 2), 0, 1)}))
+    found, span, steps = closure_search(mod, seed, 3)
+    assert found == mod.expectation.startswith("irreducible")
+    assert steps[0][2] % 6 == 0
+    replay_steps(mod, seed, span, steps)
+    if found:
+        residual, _ = span.reduce({mod.pack((hw.highest_index, 0, 0)): 1})
+        assert not residual
 
 
 def test_closure_span_comes_back_on_labels_in_pivot_order():
@@ -562,15 +590,15 @@ def test_closure_runs_each_distinct_window_once(monkeypatch, eta, theta,
     window = tensor._closure_window
     calls = []
 
-    def recording(mod, seed, lvl_cap, deg_cap, track_tags):
+    def recording(mod, seed, lvl_cap, deg_cap):
         calls.append((lvl_cap, deg_cap))
-        return window(mod, seed, lvl_cap, deg_cap, track_tags)
+        return window(mod, seed, lvl_cap, deg_cap)
 
     monkeypatch.setattr(tensor, "_closure_window", recording)
     found, span, _ = closure_search(mod, seed, depth)
     assert calls == windows
     assert not found
-    direct, oracle, _ = window(mod, seed, depth, depth, False)
+    direct, oracle, _ = window(mod, seed, depth, depth)
     assert (found, span.rows, span.pivots) == (direct, oracle.rows,
                                                oracle.pivots)
 
@@ -761,7 +789,6 @@ def test_public_entries_never_consume_their_inputs():
     before = copy.deepcopy((columns, rhs))
     assert len(nullspace(columns)) == 1
     assert solve_unique([columns[0], columns[1], columns[3]], rhs) is not None
-    assert unit_solutions([columns[0], columns[1], columns[3]]) is not None
     assert (columns, rhs) == before
 
     mod = over_verma(FamilyParams("gamma", 1), eta=1, theta=0)
