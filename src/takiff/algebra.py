@@ -17,7 +17,10 @@ normal form
 by straightening: a generator is bubbled left through larger letters,
 each swap paying the bracket correction.  The straightening of
 (monomial, generator) pairs is memoized, which makes repeated module
-actions cheap, as are the words gen * f^j fb^k (h^q) they read.
+actions cheap, as are the words gen * f^j fb^k (h^q) they read.  The
+straightening memo holds ints: it is seeded with coefficient 1 and
+only adds and multiplies the integer structure constants, so a
+product's rationals come only from its factors' coefficients.
 """
 
 from functools import lru_cache
@@ -62,7 +65,7 @@ def mono_letters(mono):
     return tuple(g for g, exp in zip(GENERATORS, mono) for _ in range(exp))
 
 
-_STRAIGHTEN = {}  # (mono, gen) -> dict mono -> Q, treat values as frozen
+_STRAIGHTEN = {}  # (mono, gen) -> dict mono -> int, treat values as frozen
 
 
 def _mono_times_gen(mono, g):
@@ -80,7 +83,7 @@ def _mono_times_gen(mono, g):
     if top <= gi:
         lifted = list(mono)
         lifted[gi] += 1
-        result = {tuple(lifted): Q(1)}
+        result = {tuple(lifted): 1}
     else:
         # mono = rest * y with y the largest letter; push g left past y:
         #   rest * y * g = (rest * g) * y + rest * [y, g]

@@ -6,13 +6,16 @@ Reports are emitted as versioned JSON (schema 1) on stdout or to
 rng seed), so identical invocations produce byte-identical files;
 wall-clock timing goes to stderr only.  Exit status is 0 exactly when
 no check FAILed or ERRORed, 2 for usage errors.
+
+A size flag outside its range (``_SIZES``) is one ERROR record before
+any work.  JobConfig is a plain class whose FIELDS are the flags a
+suite reads, and ``argparse`` is imported only by ``build_parser``, so
+a library ``import takiff`` pays for neither dataclasses nor argparse.
 """
 
-import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
 
 from .scalars import parse_scalar
 from .poly import BiPoly, UniPoly, PolyParseError
@@ -20,9 +23,9 @@ from .algebra import GENERATORS
 from .families import (FamilyParams, family_act, check_family_axioms,
                        check_omega_constraint)
 from .verma import HighestWeight, build_hw_module, check_singular_levels
-from .tensor import (TensorModule, make_seeds, certify_irreducible,
-                     check_invariant_subspace, annihilator_check,
-                     whittaker_report, recover_report)
+from .tensor import (KEY_FIELD, TensorModule, make_seeds,
+                     certify_irreducible, check_invariant_subspace,
+                     annihilator_check, whittaker_report, recover_report)
 from .induced import (borel_spec_for, check_borel_axioms,
                       borel_reducibility_check, check_phi)
 from .report import Report, ERROR
@@ -31,28 +34,24 @@ SUITES = ("axioms", "irreducible", "lemma51", "recover", "singular",
           "induced", "whittaker", "omega-constraint")
 
 
-@dataclass
 class JobConfig:
     """Everything a suite run depends on; scalars stay as text so the
     config echo in the report is exactly what was typed."""
 
-    suite: str
-    family: str = "gamma"
-    lam: str = "1"
-    a: str = "0"
-    b: str = "0"
-    beta: str = "0"
-    eta: str = "0"
-    theta: str = "0"
-    depth: int = 6
-    seeds: int = 10
-    rng: int = 42
-    mu1: str = "-1,0,1"
-    mu2: str = "-1,0,1"
-    g: str = "h"
-    r: int = 2
-    max_level: int = 6
-    out: str = None
+    FIELDS = ("suite", "family", "lam", "a", "b", "beta", "eta", "theta",
+              "depth", "seeds", "rng", "mu1", "mu2", "g", "r", "max_level",
+              "out")
+
+    def __init__(self, suite, family="gamma", lam="1", a="0", b="0",
+                 beta="0", eta="0", theta="0", depth=6, seeds=10, rng=42,
+                 mu1="-1,0,1", mu2="-1,0,1", g="h", r=2, max_level=6,
+                 out=None):
+        self.suite, self.family, self.lam, self.a, self.b = (
+            suite, family, lam, a, b)
+        self.beta, self.eta, self.theta = beta, eta, theta
+        self.depth, self.seeds, self.rng = depth, seeds, rng
+        self.mu1, self.mu2, self.g, self.r = mu1, mu2, g, r
+        self.max_level, self.out = max_level, out
 
 
 def _params(config):
@@ -74,20 +73,27 @@ def _scalar_list(text):
     return [parse_scalar(part) for part in text.split(",") if part.strip()]
 
 
-# The smallest meaningful value of each size field, and the suites that
-# read it: below it a suite would run on an empty window, seed list or
-# scan and report a vacuous verdict.
-_MINIMUMS = (("depth", 0, ("irreducible", "induced", "whittaker")),
-             ("seeds", 1, ("irreducible",)),
-             ("r", 1, ("lemma51",)),
-             ("max_level", 1, ("singular",)))
+# The range of each size field, and the suites that read it.  Below the
+# low end a suite would run on an empty window, seed list or scan and
+# report a vacuous verdict.  Past the high end of depth the window cannot
+# be packed: its rows have fields up to depth, and one generator raises a
+# field by up to 2 (the hb^2 words of gamma and theta; on omega, up to
+# the degree of beta or alpha), so their images pass KEY_FIELD.
+_SIZES = (("depth", 0, KEY_FIELD - 2, ("irreducible", "induced", "whittaker")),
+          ("seeds", 1, None, ("irreducible",)),
+          ("r", 1, None, ("lemma51",)),
+          ("max_level", 1, None, ("singular",)))
 
 
 def _check_sizes(config):
-    for name, low, suites in _MINIMUMS:
+    for name, low, high, suites in _SIZES:
         value = getattr(config, name)
-        if config.suite in suites and value < low:
+        if config.suite not in suites:
+            continue
+        if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 def _run_irreducible(config):
@@ -213,6 +219,8 @@ def _add_suite_flags(parser):
 
 
 def build_parser():
+    import argparse  # here, so that import takiff does not load it
+
     ap = argparse.ArgumentParser(
         prog="takiff",
         description="exact verification suites for the polynomial modules",
@@ -270,8 +278,8 @@ def main(argv=None):
 
 def _suite_kwargs(args):
     """Every JobConfig field but the suite, read off the parsed flags."""
-    return {f.name: getattr(args, f.name) for f in fields(JobConfig)
-            if f.name != "suite"}
+    return {name: getattr(args, name) for name in JobConfig.FIELDS
+            if name != "suite"}
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ checked at the operator level, where they are identities of normal
 forms, not spot checks.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .scalars import Q, format_scalar
@@ -27,7 +26,7 @@ from .poly import BiPoly, UniPoly
 from .skew import SkewOperator
 from .algebra import GENERATORS, bracket
 from .linalg import solve_unique
-from .report import Report, PASS, FAIL
+from .report import Frozen, Report, PASS, FAIL
 
 FAMILIES = ("gamma", "theta", "omega")
 
@@ -80,8 +79,7 @@ def eq1_alpha(lam, b, beta):
     return UniPoly(p)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Frozen):
     """Validated parameter pack for one family module.
 
     gamma/theta take rationals (lam, a, b); omega takes (lam, a) and a
@@ -90,38 +88,32 @@ class FamilyParams:
     pairs can be fed to the axiom checker on purpose).
     """
 
-    family: str
-    lam: "Q"
-    a: "Q" = 0
-    b: "Q" = 0
-    beta: UniPoly = field(default_factory=UniPoly.zero)
-    alpha: UniPoly = None
+    _fields = ("family", "lam", "a", "b", "beta", "alpha")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "lam", Q(self.lam))
-        if self.lam == 0:
+    def __init__(self, family, lam, a=0, b=0, beta=None, alpha=None):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        lam = Q(lam)
+        if lam == 0:
             raise ValueError("lambda must be nonzero")
-        object.__setattr__(self, "a", Q(self.a))
-        object.__setattr__(self, "b", Q(self.b))
-        beta = self.beta
-        if isinstance(beta, str):
+        a = Q(a)
+        if beta is None:
+            beta = UniPoly.zero()
+        elif isinstance(beta, str):
             beta = UniPoly.parse(beta)
         if not isinstance(beta, UniPoly):
             raise ValueError("beta must be a UniPoly")
-        object.__setattr__(self, "beta", beta)
-        alpha = self.alpha
-        if self.family == "omega":
+        if family == "omega":
             if isinstance(alpha, str):
                 alpha = UniPoly.parse(alpha)
             elif alpha is None:
-                alpha = solve_omega_alpha(self.lam, self.a, beta)
+                alpha = solve_omega_alpha(lam, a, beta)
             if not isinstance(alpha, UniPoly):
                 raise ValueError("alpha must be a UniPoly")
         else:
             alpha = UniPoly.zero()
-        object.__setattr__(self, "alpha", alpha)
+        self.__dict__.update(family=family, lam=lam, a=a, b=Q(b), beta=beta,
+                             alpha=alpha)
 
     def config_dict(self):
         out = {"family": self.family, "lambda": format_scalar(self.lam),

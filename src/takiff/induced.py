@@ -21,7 +21,6 @@ itself uses them only to render the witness of a failing element.
 """
 
 import random
-from dataclasses import dataclass
 from math import lcm, perm
 
 from .scalars import Q, format_scalar
@@ -30,7 +29,7 @@ from .skew import SkewOperator
 from .algebra import bracket, gen_times_word, UeaElement
 from .families import FamilyParams
 from .verma import verma_reducible_predicate
-from .report import Report, PASS, FAIL, INCONCLUSIVE
+from .report import Frozen, Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import (LinComb, accumulate, clear_denominators, combine,
                      lowest_terms, powers_text)
 
@@ -41,27 +40,22 @@ BOREL_GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class BorelSpec:
+class BorelSpec(Frozen):
     """Parameters of one upper-subalgebra module on Q[hb].
 
     gamma uses (lam, eta); theta and omega also read a.  The generator
     set depends only on the family.
     """
 
-    family: str
-    lam: "Q"
-    a: "Q" = 0
-    eta: "Q" = 0
+    _fields = ("family", "lam", "a", "eta")
 
-    def __post_init__(self):
-        if self.family not in BOREL_GENERATORS:
-            raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "lam", Q(self.lam))
-        if self.lam == 0:
+    def __init__(self, family, lam, a=0, eta=0):
+        if family not in BOREL_GENERATORS:
+            raise ValueError(f"unknown family {family!r}")
+        lam = Q(lam)
+        if lam == 0:
             raise ValueError("lambda must be nonzero")
-        object.__setattr__(self, "a", Q(self.a))
-        object.__setattr__(self, "eta", Q(self.eta))
+        self.__dict__.update(family=family, lam=lam, a=Q(a), eta=Q(eta))
 
     @property
     def generators(self):

@@ -5,9 +5,15 @@ of the configuration that produced it.  Everything placed in a report
 is already a string or an int, so serializing twice with the same
 config and seed yields byte-identical files; wall-clock timings are
 deliberately kept out (the CLI prints them to stderr instead).
-"""
 
-from dataclasses import dataclass, field
+The package's records are plain classes with explicit constructors,
+not dataclasses: ``dataclasses`` imports ``inspect`` (with ``ast``,
+``dis`` and ``tokenize``), and each dataclass execs generated source,
+which every process would pay for at ``import takiff``.  ``Frozen`` is
+the base of the immutable parameter records: value equality, hashing
+and repr over the field names a subclass lists in ``_fields``, and no
+assignment.
+"""
 
 from . import __version__
 
@@ -21,22 +27,46 @@ _STATUSES = (PASS, FAIL, ERROR, INCONCLUSIVE)
 ENGINE = f"takiff {__version__}"
 
 
-@dataclass
+class Frozen:
+    """Value equality, hashing and repr over ``_fields``; a subclass
+    sets its fields once, through ``__dict__``, and they stay."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._fields)
+        return f"{type(self).__name__}({body})"
+
+
 class CheckRecord:
-    id: str
-    status: str
-    witness: str = ""
+    __slots__ = ("id", "status", "witness")
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
+    def __init__(self, id, status, witness=""):
+        if status not in _STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        self.id, self.status, self.witness = id, status, witness
 
 
-@dataclass
 class Report:
-    suite: str
-    config: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+    def __init__(self, suite, config=None, checks=None):
+        self.suite = suite
+        self.config = {} if config is None else config
+        self.checks = [] if checks is None else checks
 
     def add(self, check_id, status, witness=""):
         self.checks.append(CheckRecord(check_id, status, witness))

@@ -41,9 +41,7 @@ exists (and can be replayed), never "converged numerically".
 """
 
 import heapq
-from dataclasses import dataclass
 from math import comb, gcd, lcm, perm
-from typing import Optional
 
 from .scalars import Q, format_scalar
 from .poly import BiPoly, UniPoly
@@ -54,7 +52,7 @@ from .families import FamilyParams, family_act, family_to_operator  # noqa: F401
 from .verma import HwModule, VermaElement
 from .linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p, nullspace
 from .skew import SkewOperator
-from .report import Report, PASS, FAIL, INCONCLUSIVE
+from .report import Frozen, Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import (LinComb, accumulate, clear_denominators, combine,
                      lowest_terms)
 
@@ -314,10 +312,10 @@ def _ab(idx):
 # -- Vandermonde reduction ------------------------------------------------
 
 
-@dataclass
 class Reduced:
-    element: TensorElement
-    combo: UeaElement  # replay: act_uea(combo, input) == element
+    def __init__(self, element, combo):
+        self.element = element
+        self.combo = combo  # replay: act_uea(combo, input) == element
 
 
 def vandermonde_reduce(mod, x):
@@ -493,8 +491,7 @@ def closure_search(mod, seed, depth):
     rungs = [(s, min(2 * s, depth)) for s in range(start, depth, 2)]
     rungs.append((depth, depth))
     for lvl_cap, deg_cap in dict.fromkeys(
-            (mod.hw.level(mod.hw.basis_through_level(s)[-1]), d)
-            for s, d in rungs):
+            (mod.hw.deepest_level(s), d) for s, d in rungs):
         found, span, steps = _closure_window(mod, seed, lvl_cap, deg_cap)
         if found:
             break
@@ -847,15 +844,14 @@ def whittaker_report(mod, grid, depth):
 # -- parameter recovery ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecoveredParams:
-    family: str
-    lam: "Q"
-    a: "Q"
-    b: Optional["Q"]
-    beta: Optional[UniPoly]
-    eta: "Q"
-    theta: "Q"
+class RecoveredParams(Frozen):
+    """b is None for omega and beta is None for gamma and theta."""
+
+    _fields = ("family", "lam", "a", "b", "beta", "eta", "theta")
+
+    def __init__(self, family, lam, a, b, beta, eta, theta):
+        self.__dict__.update(family=family, lam=lam, a=a, b=b, beta=beta,
+                             eta=eta, theta=theta)
 
     def as_tuple(self):
         beta = self.beta.text() if self.beta is not None else None

@@ -28,24 +28,20 @@ exactly.  For eta != 0 the certificate should hold at every level,
 since those Verma modules are irreducible (Wilson, J. Algebra 336).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .scalars import Q, format_scalar
 from .algebra import GENERATORS, bracket, gen_times_lowering
 from .linalg import RANK_PRIME, independent_mod_p, mod_p, nullspace
 from .sparse import LinComb, accumulate, lowest_terms, powers_text
-from .report import Report, PASS, FAIL
+from .report import Frozen, Report, PASS, FAIL
 
 
-@dataclass(frozen=True)
-class HighestWeight:
-    eta: "Q"
-    theta: "Q"
+class HighestWeight(Frozen):
+    _fields = ("eta", "theta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "eta", Q(self.eta))
-        object.__setattr__(self, "theta", Q(self.theta))
+    def __init__(self, eta, theta):
+        self.__dict__.update(eta=Q(eta), theta=Q(theta))
 
     def label(self):
         return f"(eta={format_scalar(self.eta)},theta={format_scalar(self.theta)})"
@@ -108,9 +104,10 @@ def singular_vectors(hw, level):
     kernel is first certified mod p (see the module docstring): row
     b * level + i' of column (i, j) is the coefficient of f^i' fb^j' v
     in e (b = 0) or eb (b = 1) of f^i fb^j v, the triples of
-    ``highest_weight_action`` evaluated mod p.  Otherwise the kernel,
-    and every vector returned, comes from exact elimination on the
-    columns ``HwModule.act_ints`` gives.
+    ``highest_weight_action`` evaluated mod p on powers of theta and eta
+    tabulated once per call.  Otherwise the kernel, and every vector
+    returned, comes from exact elimination on the columns
+    ``HwModule.act_ints`` gives.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -118,12 +115,16 @@ def singular_vectors(hw, level):
     p, theta, eta = RANK_PRIME, mod_p(hw.theta), mod_p(hw.eta)
     if theta is not None and eta is not None:
         residues = []
+        tp, ep = [1], [1]  # powers of theta and eta mod p
         for i, j in basis:
             col = {}
             for b, gen in enumerate(("e", "eb")):
-                for (i2, _), triples in highest_weight_action(gen, i, j)[1].items():
-                    r = sum(c * pow(theta, q, p) * pow(eta, m, p)
-                            for q, m, c in triples) % p
+                top, terms = highest_weight_action(gen, i, j)
+                while len(tp) <= top:
+                    tp.append(tp[-1] * theta % p)
+                    ep.append(ep[-1] * eta % p)
+                for (i2, _), triples in terms.items():
+                    r = sum(c * tp[q] * ep[m] for q, m, c in triples) % p
                     if r:
                         col[b * level + i2] = r
             residues.append(col)
@@ -196,6 +197,10 @@ class HwModule:
         if self.kind == "verma":
             return [(i, level - i) for i in range(level + 1)]
         return [level] if 0 <= level <= self.theta_int() else []
+
+    def deepest_level(self, cap):
+        """The deepest level of the basis at or below cap >= 0."""
+        return cap if self.kind == "verma" else min(cap, self.theta_int())
 
     def basis_through_level(self, depth):
         out = []

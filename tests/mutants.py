@@ -113,17 +113,20 @@ MUTANTS = (
     Mutant("echelon-pivots-on-the-largest-key", "linalg.py",
            "pivot = min(residual)", "pivot = max(residual)",
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
-    # the closure's rung schedule
-    Mutant("closure-clips-to-the-shallowest-level", "tensor.py",
-           "basis_through_level(s)[-1]", "basis_through_level(s)[0]",
-           ("tests/test_tensor.py::test_closure_runs_each_distinct_window_once",)),
+    # the closure's rung schedule and its clipped level cap
+    Mutant("closure-clips-to-the-shallowest-level", "verma.py",
+           "min(cap, self.theta_int())", "min(cap, 0)",
+           ("tests/test_verma.py::test_the_deepest_level_is_that_of_the_last_basis_vector",
+            "tests/test_tensor.py::test_closure_runs_each_distinct_window_once")),
+    Mutant("deepest-level-clips-a-verma-factor", "verma.py",
+           "return cap if self.kind", "return min(cap, 2) if self.kind",
+           ("tests/test_verma.py::test_the_deepest_level_is_that_of_the_last_basis_vector",
+            "tests/test_tensor.py::test_closure_runs_each_distinct_window_once")),
     Mutant("closure-dedup-drops-the-degree-cap", "tensor.py",
            "dict.fromkeys(\n"
-           "            (mod.hw.level(mod.hw.basis_through_level(s)[-1]), d)\n"
-           "            for s, d in rungs):",
+           "            (mod.hw.deepest_level(s), d) for s, d in rungs):",
            "{\n"
-           "            mod.hw.level(mod.hw.basis_through_level(s)[-1]): d\n"
-           "            for s, d in rungs}.items():",
+           "            mod.hw.deepest_level(s): d for s, d in rungs}.items():",
            ("tests/test_tensor.py::test_closure_runs_each_distinct_window_once",)),
     # the family and Leibniz tables behind the action
     Mutant("compile-drops-the-leibniz-term", "tensor.py",
@@ -148,8 +151,10 @@ MUTANTS = (
            "[(b, e_row | b) for b in self.basis]",
            ("tests/test_tensor.py::test_whittaker_certificate_agrees_with_the_exact_solve",)),
     Mutant("singular-scan-swaps-theta-and-eta", "verma.py",
-           "c * pow(theta, q, p) * pow(eta, m, p)",
-           "c * pow(eta, q, p) * pow(theta, m, p)",
+           "c * tp[q] * ep[m]", "c * ep[q] * tp[m]",
+           ("tests/test_verma.py::test_the_certificate_reads_the_level_matrix_mod_p",)),
+    Mutant("singular-scan-reads-eta-at-the-theta-index", "verma.py",
+           "c * tp[q] * ep[m]", "c * tp[q] * ep[q]",
            ("tests/test_verma.py::test_the_certificate_reads_the_level_matrix_mod_p",)),
     # the int reader of the shared highest-weight action, the word-shape
     # memo behind the family entries, and the finite quotient's check
@@ -167,6 +172,31 @@ MUTANTS = (
            "not tensor_order_key(fk) < t\n               for fk in map(unpack, flat)",
            "False\n               for fk in map(unpack, flat)",
            ("tests/test_induced.py::test_non_lower_coordinate_is_named_in_the_rational_order",)),
+    # the record classes' hand-written validation and freezing
+    Mutant("check-record-accepts-any-status", "report.py",
+           "if status not in _STATUSES:", "if False:",
+           ("tests/test_records.py::test_an_unknown_status_is_refused",)),
+    Mutant("family-params-accept-lambda-zero", "families.py",
+           "if family not in FAMILIES:\n"
+           "            raise ValueError(f\"unknown family {family!r}\")\n"
+           "        lam = Q(lam)\n"
+           "        if lam == 0:",
+           "if family not in FAMILIES:\n"
+           "            raise ValueError(f\"unknown family {family!r}\")\n"
+           "        lam = Q(lam)\n"
+           "        if False:",
+           ("tests/test_records.py::test_family_params_validation_messages",)),
+    Mutant("frozen-record-allows-assignment", "report.py",
+           "raise AttributeError(f\"cannot assign to field {name!r}\")",
+           "object.__setattr__(self, name, value)",
+           ("tests/test_records.py::test_frozen_records_refuse_assignment",)),
+    # what import takiff loads, and the CLI's size bounds
+    Mutant("cli-imports-argparse-at-load", "cli.py",
+           "import json\nimport sys\n", "import argparse\nimport json\nimport sys\n",
+           ("tests/test_imports.py::test_import_takiff_loads_no_heavy_module",)),
+    Mutant("depth-bound-one-past-the-margin", "cli.py",
+           "KEY_FIELD - 2", "KEY_FIELD - 1",
+           ("tests/test_cli.py::test_a_depth_past_the_packing_bound_is_one_error_record",)),
 )
 
 

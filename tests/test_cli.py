@@ -1,6 +1,5 @@
 """Command-line surface: exit codes, the JSON report format, determinism."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import pytest
 
 from takiff import (ERROR, BiPoly, FamilyParams, JobConfig, PolyParseError,
                     act_eval, run_suite)
-from takiff.cli import _suite_kwargs, build_parser
+from takiff.cli import _check_sizes, _suite_kwargs, build_parser
 from takiff.tensor import KEY_FIELD
 
 
@@ -204,6 +203,35 @@ def test_sizes_at_their_minimum_still_run():
     assert rep.ok and len(rep.checks) == 2
 
 
+DEPTH_BOUND = KEY_FIELD - 2  # window fields reach depth + 2 in one step
+
+
+@pytest.mark.parametrize("suite", ["irreducible", "induced", "whittaker"])
+def test_a_depth_past_the_packing_bound_is_one_error_record(suite):
+    """The window of depth bound + 1 cannot be packed, so the run stops
+    before any work; the bound itself passes the size check."""
+    _check_sizes(JobConfig(suite=suite, eta="1", depth=DEPTH_BOUND))
+    config = JobConfig(suite=suite, eta="1", depth=DEPTH_BOUND + 1)
+    message = f"depth must be <= {DEPTH_BOUND}, got {DEPTH_BOUND + 1}"
+    with pytest.raises(ValueError, match=message):
+        _check_sizes(config)  # first, so a wrong bound fails before a run
+    rep = run_suite(config)
+    assert [c.status for c in rep.checks] == [ERROR]
+    assert rep.checks[0].witness == message
+
+
+def test_a_huge_depth_exits_at_once():
+    proc = subprocess.run(
+        [sys.executable, "-m", "takiff", "verify", "irreducible", "--family",
+         "gamma", "--lambda", "1", "--eta", "1", "--theta", "0", "--depth",
+         "5000", "--seeds", "1"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert [c["status"] for c in payload["checks"]] == [ERROR]
+    assert payload["checks"][0]["witness"] == (f"depth must be <= "
+                                               f"{DEPTH_BOUND}, got 5000")
+
+
 def test_empty_sizes_exit_one_with_an_error_record():
     for args in (("singular", "--max-level", "0"),
                  ("verify", "whittaker", "--mu1", "")):
@@ -219,6 +247,6 @@ def test_empty_sizes_exit_one_with_an_error_record():
 def test_every_job_field_is_forwarded_from_the_flags(argv):
     args = build_parser().parse_args(argv + ["--depth", "3", "--rng", "7"])
     kwargs = _suite_kwargs(args)
-    fields = {f.name for f in dataclasses.fields(JobConfig)} - {"suite"}
+    fields = set(JobConfig.FIELDS) - {"suite"}
     assert set(kwargs) == fields
     assert kwargs["depth"] == 3 and kwargs["rng"] == 7

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and
+``import takiff`` loads no heavy standard-library module.
 
 Each module under src/takiff is parsed, and every name an import binds
 must be read somewhere in that module.  The package ``__init__`` binds
@@ -7,6 +8,8 @@ ALLOWED lists the names a module keeps bound for readers elsewhere.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,22 @@ def test_the_walk_sees_unused_and_used_names():
     tree = ast.parse("import os.path\nfrom math import gcd, lcm as l\n"
                      "from .x import y\nl(os.sep, 2)\n")
     assert unused_imports(tree) == ["gcd", "y"]
+
+
+# Modules every takiff process would pay for at start-up: dataclasses
+# brings inspect (and ast, dis, tokenize) with it, and argparse is read
+# by the command line only.
+HEAVY = ("dataclasses", "inspect", "argparse", "typing")
+
+
+def test_import_takiff_loads_no_heavy_module():
+    """In an isolated interpreter (no site, no environment), importing
+    the package leaves each HEAVY module out of sys.modules.  -B: -I
+    drops PYTHONDONTWRITEBYTECODE, and the run writes no bytecode."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import takiff; "
+            "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code,
+                           str(SRC.parent), *HEAVY],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

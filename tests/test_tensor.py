@@ -293,6 +293,24 @@ def test_a_field_past_its_width_raises():
             mod.pack(key)
 
 
+@pytest.mark.parametrize("family, gen", [("gamma", "fb"), ("theta", "eb")])
+def test_one_step_from_the_window_raises_a_field_by_two(family, gen):
+    """The margin behind the CLI's depth bound KEY_FIELD - 2: the images
+    of h hb^d (x) f v, in the depth-d window, pack under all six
+    generators, and their largest field is d + 2 (gen's hb^2 word); at
+    hb-degree d + 1, gen's image cannot be packed."""
+    mod = over_verma(FamilyParams(family, 1))
+    d = KEY_FIELD - 2
+    reach = 0
+    for g in GENS:
+        for key in mod.image(g, {mod.pack(((1, 0), 1, d)): 1})[1]:
+            (a, b), i, j = mod.unpack(key)
+            reach = max(reach, a + b, i, j)
+    assert reach == d + 2 == KEY_FIELD
+    with pytest.raises(ValueError, match="field"):
+        mod.image(gen, {mod.pack(((1, 0), 1, d + 1)): 1})
+
+
 def test_action_satisfies_the_bracket():
     rng = random.Random(61)
     mods = [

@@ -115,6 +115,16 @@ def test_finite_quotient_weights_and_raising():
     assert m.basis_through_level(10) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("eta, theta", [(1, 2), (0, 0), (0, 1), (0, 2), (0, 3)])
+def test_the_deepest_level_is_that_of_the_last_basis_vector(eta, theta):
+    """The closure's clipped level cap, computed directly, is the level
+    of the last basis vector through s, on Lbar(1, 2) and on L(0, theta)."""
+    weight = HighestWeight(Q(eta), Q(theta))
+    hw = build_hw_module(weight) if eta == 0 else build_verma_module(weight)
+    for s in range(9):
+        assert hw.deepest_level(s) == hw.level(hw.basis_through_level(s)[-1])
+
+
 def test_annihilation_index_terminates_on_raising():
     hw = HighestWeight(Q(1), Q(2))
     m = build_verma_module(hw)
