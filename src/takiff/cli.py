@@ -73,27 +73,44 @@ def _scalar_list(text):
     return [parse_scalar(part) for part in text.split(",") if part.strip()]
 
 
-# The range of each size field, and the suites that read it.  Below the
-# low end a suite would run on an empty window, seed list or scan and
-# report a vacuous verdict.  Past the high end of depth the window cannot
-# be packed: its rows have fields up to depth, and one generator raises a
-# field by up to 2 (the hb^2 words of gamma and theta; on omega, up to
-# the degree of beta or alpha), so their images pass KEY_FIELD.
-_SIZES = (("depth", 0, KEY_FIELD - 2, ("irreducible", "induced", "whittaker")),
-          ("seeds", 1, None, ("irreducible",)),
-          ("r", 1, None, ("lemma51",)),
-          ("max_level", 1, None, ("singular",)))
+def _depth_reach(config):
+    """(r, step): the run at depth d has fields up to r * d, and one
+    generator raises a field by up to step: 2 on gamma and theta (the
+    hb^2 words of fb and eb), max(1, deg beta) on omega (f, and e through
+    alpha, of beta's degree).  A closure or Whittaker window has r = 1.
+    The induced suite reads phi of f^j fb^k h^q (x) hb^i, j + k, q, i <=
+    d: level j + k, h-degree q + j at most, and each lowering letter adds
+    to the hb-degree 2 on gamma (fb), 0 on theta and step on omega (f,
+    fb); r is 1 plus that."""
+    step = 2
+    if config.family == "omega":
+        step = max(1, UniPoly.parse(config.beta).deg() or 0)
+    if config.suite != "induced":
+        return 1, step
+    return 1 + {"gamma": 2, "theta": 0}.get(config.family, step), step
+
+
+# The low end of each size field, and the suites that read it.  Below
+# it a suite would run on an empty window, seed list or scan and report
+# a vacuous verdict.  Past the high end of depth, read off _depth_reach,
+# a field of the run would pass KEY_FIELD, so it could not be packed.
+_SIZES = (("depth", 0, ("irreducible", "induced", "whittaker")),
+          ("seeds", 1, ("irreducible",)),
+          ("r", 1, ("lemma51",)),
+          ("max_level", 1, ("singular",)))
 
 
 def _check_sizes(config):
-    for name, low, high, suites in _SIZES:
+    for name, low, suites in _SIZES:
         value = getattr(config, name)
         if config.suite not in suites:
             continue
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise ValueError(f"{name} must be <= {high}, got {value}")
+        if name == "depth":
+            r, step = _depth_reach(config)
+            if value > (high := (KEY_FIELD - step) // r):
+                raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 def _run_irreducible(config):

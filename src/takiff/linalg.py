@@ -15,7 +15,7 @@ once, in ``nullspace``, which reads a kernel off one elimination;
 that kernel.  ``independent_mod_p`` is a one-sided
 certificate: it can prove rational vectors independent by eliminating
 their images in F_p, and when it cannot, the caller decides exactly.
-Its readers are ``WhittakerWindow`` and ``verma.singular_vectors``.
+Its one reader is ``tensor.WhittakerWindow``.
 
 No floats anywhere; there is no tolerance to tune.
 """

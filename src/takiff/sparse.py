@@ -147,6 +147,9 @@ class LinComb:
     def __eq__(self, other):
         return isinstance(other, type(self)) and self.terms == other.terms
 
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
     def __bool__(self):
         return bool(self.terms)
 

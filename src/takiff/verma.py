@@ -8,8 +8,8 @@ by sending e, eb to zero and h, hb to theta, eta on the right.  That
 makes the straightening tables the single source of truth for module
 arithmetic.  That action holds no parameter, so one memo per process
 keeps it on ints (``highest_weight_action``); ``HwModule.act_ints``
-evaluates it with the module's powers of theta and eta, the singular
-scan mod p, and ``verma_act_basis`` stays the rational route.
+evaluates it with the module's powers of theta and eta, and
+``verma_act_basis`` stays the rational route.
 
 When eta = 0 and theta is a nonnegative integer, the irreducible
 quotient collapses to the classical (theta+1)-dimensional sl2 module
@@ -20,11 +20,8 @@ moves it back to a nonzero multiple of f^(i-1) v, so every basis
 vector generates the whole module.  Any other eta = 0 quotient is
 rejected rather than approximated.
 
-The singular-vector scan first tries the one-sided certificate
-``linalg.independent_mod_p``: a level's stacked e/eb columns, mapped to
-F_p, independent there are independent over Q, so the kernel is empty.
-Dependence mod p proves nothing, and then the kernel is computed
-exactly.  For eta != 0 the certificate should hold at every level,
+The singular-vector scan is one exact elimination per (weight, level),
+memoized for the process.  For eta != 0 every level comes out empty,
 since those Verma modules are irreducible (Wilson, J. Algebra 336).
 """
 
@@ -32,7 +29,7 @@ from functools import lru_cache
 
 from .scalars import Q, format_scalar
 from .algebra import GENERATORS, bracket, gen_times_lowering
-from .linalg import RANK_PRIME, independent_mod_p, mod_p, nullspace
+from .linalg import nullspace
 from .sparse import LinComb, accumulate, lowest_terms, powers_text
 from .report import Frozen, Report, PASS, FAIL
 
@@ -78,7 +75,8 @@ def highest_weight_action(gen, i, j):
     """gen . f^i fb^j v with theta and eta left as letters, memoized: the
     terms of gen * f^i fb^j free of e and eb, per target f^i' fb^j' v as
     triples (q, m, c) for c * theta^q * eta^m, and top, the largest q or
-    m; callers only read it.  Each c is an int, read as its numerator:
+    m.  Its one reader is ``HwModule.act_ints``, which evaluates it on a
+    weight and only reads it.  Each c is an int, read as its numerator:
     straightening only adds and multiplies the integer structure
     constants of the brackets."""
     top, terms = 0, {}
@@ -96,40 +94,19 @@ def verma_act(gen, hw, x):
         for key, v in verma_act_basis(gen, hw, i, j).items())))
 
 
+@lru_cache(maxsize=256)
 def singular_vectors(hw, level):
     """Basis of the vectors at the given level killed by both e and eb.
 
-    Kernel of the stacked e and eb actions from level to level-1:
-    column t holds the images of the t-th level basis vector.  An empty
-    kernel is first certified mod p (see the module docstring): row
-    b * level + i' of column (i, j) is the coefficient of f^i' fb^j' v
-    in e (b = 0) or eb (b = 1) of f^i fb^j v, the triples of
-    ``highest_weight_action`` evaluated mod p on powers of theta and eta
-    tabulated once per call.  Otherwise the kernel, and every vector
-    returned, comes from exact elimination on the columns
-    ``HwModule.act_ints`` gives.
+    Kernel of the stacked e and eb actions from level to level-1: column
+    t holds the images of the t-th level basis vector, read with
+    ``HwModule.act_ints``, and every vector returned comes from the exact
+    elimination ``nullspace``.  Memoized per (hw, level), 256 entries at
+    most; callers only read the returned list.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     basis = [(i, level - i) for i in range(level + 1)]
-    p, theta, eta = RANK_PRIME, mod_p(hw.theta), mod_p(hw.eta)
-    if theta is not None and eta is not None:
-        residues = []
-        tp, ep = [1], [1]  # powers of theta and eta mod p
-        for i, j in basis:
-            col = {}
-            for b, gen in enumerate(("e", "eb")):
-                top, terms = highest_weight_action(gen, i, j)
-                while len(tp) <= top:
-                    tp.append(tp[-1] * theta % p)
-                    ep.append(ep[-1] * eta % p)
-                for (i2, _), triples in terms.items():
-                    r = sum(c * tp[q] * ep[m] for q, m, c in triples) % p
-                    if r:
-                        col[b * level + i2] = r
-            residues.append(col)
-        if independent_mod_p(residues):
-            return []
     act = HwModule(hw, "verma").act_ints
     columns = [{(gen, key): Q(n, den) for gen in ("e", "eb")
                 for den, ints in [act(gen, idx)] for key, n in ints.items()}

@@ -140,7 +140,7 @@ MUTANTS = (
            "parts.append((n, sden, -low, heads, snums))",
            "parts.append((n, sden, low, heads, snums))",
            ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
-    # the mod-p certificates: Whittaker window and singular scan
+    # the Whittaker window's mod-p certificate
     Mutant("independent-mod-p-accepts-a-dependent-vector", "linalg.py",
            "if pivot is None:\n            return False",
            "if pivot is None:\n            return True",
@@ -150,12 +150,10 @@ MUTANTS = (
            "[(e_row | b, b) for b in self.basis]",
            "[(b, e_row | b) for b in self.basis]",
            ("tests/test_tensor.py::test_whittaker_certificate_agrees_with_the_exact_solve",)),
-    Mutant("singular-scan-swaps-theta-and-eta", "verma.py",
-           "c * tp[q] * ep[m]", "c * ep[q] * tp[m]",
-           ("tests/test_verma.py::test_the_certificate_reads_the_level_matrix_mod_p",)),
-    Mutant("singular-scan-reads-eta-at-the-theta-index", "verma.py",
-           "c * tp[q] * ep[m]", "c * tp[q] * ep[q]",
-           ("tests/test_verma.py::test_the_certificate_reads_the_level_matrix_mod_p",)),
+    # the exact singular scan behind its memo
+    Mutant("singular-scan-drops-the-eb-block", "verma.py",
+           'Q(n, den) for gen in ("e", "eb")', 'Q(n, den) for gen in ("e",)',
+           ("tests/test_verma.py::test_interleaved_scans_match_the_reference_kernel",)),
     # the int reader of the shared highest-weight action, the word-shape
     # memo behind the family entries, and the finite quotient's check
     Mutant("verma-power-table-reads-theta-to-q-plus-1", "verma.py",
@@ -195,8 +193,15 @@ MUTANTS = (
            "import json\nimport sys\n", "import argparse\nimport json\nimport sys\n",
            ("tests/test_imports.py::test_import_takiff_loads_no_heavy_module",)),
     Mutant("depth-bound-one-past-the-margin", "cli.py",
-           "KEY_FIELD - 2", "KEY_FIELD - 1",
+           "step = 2", "step = 1",
            ("tests/test_cli.py::test_a_depth_past_the_packing_bound_is_one_error_record",)),
+    Mutant("induced-depth-bound-off-by-one", "cli.py",
+           "(KEY_FIELD - step) // r", "(KEY_FIELD - step) // r + 1",
+           ("tests/test_cli.py::test_a_depth_past_the_family_bound_is_one_error_record",)),
+    # parameter packs hash through LinComb
+    Mutant("lincomb-hash-from-id", "sparse.py",
+           "return hash(frozenset(self.terms.items()))", "return id(self)",
+           ("tests/test_records.py::test_equal_parameter_packs_hash_equal",)),
 )
 
 

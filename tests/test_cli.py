@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
-from takiff import (ERROR, BiPoly, FamilyParams, JobConfig, PolyParseError,
-                    act_eval, run_suite)
-from takiff.cli import _check_sizes, _suite_kwargs, build_parser
+from takiff import (ERROR, GENERATORS, BiPoly, FamilyParams, HighestWeight,
+                    JobConfig, PolyParseError, TensorModule, UniPoly,
+                    act_eval, build_hw_module, ind_window_basis, run_suite)
+from takiff.cli import _check_sizes, _depth_reach, _suite_kwargs, build_parser
+from takiff.induced import InducedAction, PhiValues, borel_spec_for
 from takiff.tensor import KEY_FIELD
 
 
@@ -209,10 +211,78 @@ DEPTH_BOUND = KEY_FIELD - 2  # window fields reach depth + 2 in one step
 @pytest.mark.parametrize("suite", ["irreducible", "induced", "whittaker"])
 def test_a_depth_past_the_packing_bound_is_one_error_record(suite):
     """The window of depth bound + 1 cannot be packed, so the run stops
-    before any work; the bound itself passes the size check."""
-    _check_sizes(JobConfig(suite=suite, eta="1", depth=DEPTH_BOUND))
-    config = JobConfig(suite=suite, eta="1", depth=DEPTH_BOUND + 1)
+    before any work; the bound itself passes the size check.  On theta,
+    whose phi adds no hb-degree, every suite has this bound."""
+    _check_sizes(JobConfig(suite=suite, family="theta", eta="1",
+                           depth=DEPTH_BOUND))
+    config = JobConfig(suite=suite, family="theta", eta="1",
+                       depth=DEPTH_BOUND + 1)
     message = f"depth must be <= {DEPTH_BOUND}, got {DEPTH_BOUND + 1}"
+    with pytest.raises(ValueError, match=message):
+        _check_sizes(config)  # first, so a wrong bound fails before a run
+    rep = run_suite(config)
+    assert [c.status for c in rep.checks] == [ERROR]
+    assert rep.checks[0].witness == message
+
+
+@pytest.mark.parametrize("family, beta, r, step", [
+    pytest.param("gamma", "0", 3, 2, id="gamma"),
+    pytest.param("theta", "0", 1, 2, id="theta"),
+    pytest.param("omega", "0", 2, 1, id="omega-0"),
+    pytest.param("omega", "hb", 2, 1, id="omega-hb"),
+    pytest.param("omega", "hb^2", 3, 2, id="omega-hb2"),
+    pytest.param("omega", "hb^3 + 1", 4, 3, id="omega-hb3"),
+])
+def test_the_depth_reach_is_the_measured_reach(family, beta, r, step):
+    """At depth d = 1-4, the images of the window under the six
+    generators reach field d + step exactly; phi of every induced window
+    tuple reaches r * d exactly, and the homomorphism replay over the
+    whole induced window, on both sides, reaches r * d + step exactly."""
+    for suite in ("irreducible", "whittaker"):
+        config = JobConfig(suite=suite, family=family, beta=beta)
+        assert _depth_reach(config) == (1, step)
+    config = JobConfig(suite="induced", family=family, beta=beta)
+    assert _depth_reach(config) == (r, step)
+    params = FamilyParams(family, 1, a=1, beta=UniPoly.parse(beta))
+    mod = TensorModule(params, build_hw_module(HighestWeight(1, 0)))
+    gens = [g for g in GENERATORS
+            if g != "e" or "e" in borel_spec_for(mod).generators]
+
+    def reach(vec):
+        return max((max(sum(idx), i, j) for idx, i, j in map(mod.unpack, vec)),
+                   default=0)
+
+    for d in range(1, 5):
+        assert max(reach(mod.image(gen, {key: 1})[1])
+                   for key in mod.window_basis(d)
+                   for gen in GENERATORS) == d + step
+        phi, induced = PhiValues(mod), InducedAction(borel_spec_for(mod))
+        window = ind_window_basis(d)
+        assert max(reach(phi.of(key)[1]) for key in window) == r * d
+        step_reach = max(max(reach(mod.image(gen, phi.of(key)[1])[1]),
+                             reach(phi.lin(*induced.image(gen, key))[1]))
+                         for key in window for gen in gens)
+        assert step_reach == r * d + step, d
+
+
+@pytest.mark.parametrize("suite, family, beta, bound", [
+    ("induced", "gamma", "0", 1364),
+    ("induced", "theta", "0", 4093),
+    ("induced", "omega", "hb", 2047),
+    ("induced", "omega", "hb^2", 1364),
+    ("induced", "omega", "hb^3 + 1", 1023),
+    ("irreducible", "omega", "hb^3 + 1", 4092),
+    ("whittaker", "omega", "hb", 4094),
+])
+def test_a_depth_past_the_family_bound_is_one_error_record(suite, family,
+                                                           beta, bound):
+    """(KEY_FIELD - step) // r with the measured r and step: some field
+    of the run at depth bound + 1 would pass KEY_FIELD, so the run is
+    one ERROR record before any work; the bound passes the size check."""
+    fields = dict(suite=suite, family=family, beta=beta, eta="1")
+    _check_sizes(JobConfig(**fields, depth=bound))
+    config = JobConfig(**fields, depth=bound + 1)
+    message = f"depth must be <= {bound}, got {bound + 1}"
     with pytest.raises(ValueError, match=message):
         _check_sizes(config)  # first, so a wrong bound fails before a run
     rep = run_suite(config)

@@ -3,6 +3,8 @@ parameters.  They are plain classes, so every validation, coercion and
 the frozen records' value semantics are written out by hand; these
 tests pin each of them."""
 
+from functools import lru_cache
+
 import pytest
 
 from takiff import (BorelSpec, FamilyParams, HighestWeight, Q, Report,
@@ -87,3 +89,30 @@ def test_frozen_records_compare_and_hash_by_value():
     # equality is per class, never across two records with equal fields
     assert HighestWeight(1, 0) != RecoveredParams("x", 1, 0, 0, None, 1, 0)
     assert repr(hw) == f"HighestWeight(eta={Q(1)!r}, theta={Q(1, 2)!r})"
+
+
+def test_equal_parameter_packs_hash_equal():
+    """FamilyParams holds UniPolys, so it hashes through LinComb's hash,
+    which agrees with its equality: two omega packs built apart are one
+    dict key and one lru_cache key."""
+    one = FamilyParams("omega", 1, a="1/2", beta="hb^2 + 1")
+    two = FamilyParams("omega", Q(1), a=Q(1, 2),
+                       beta=UniPoly.parse("1 + hb^2"))
+    assert one == two and one.beta is not two.beta
+    assert hash(one) == hash(two) and hash(one.alpha) == hash(two.alpha)
+    assert hash(FamilyParams("gamma", 1)) == hash(FamilyParams("gamma", "1"))
+    table = {one: "first"}
+    table[two] = "second"
+    assert table == {one: "second"}
+    assert {one, two, FamilyParams("omega", 1, a="1/2", beta="hb")} == \
+        {one, FamilyParams("omega", 1, a="1/2", beta="hb")}
+
+    calls = []
+
+    @lru_cache(maxsize=8)
+    def alpha_text(params):
+        calls.append(params)
+        return params.alpha.text()
+
+    assert alpha_text(one) == alpha_text(two)
+    assert calls == [one]

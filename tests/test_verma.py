@@ -11,7 +11,7 @@ from takiff import (HighestWeight, Q, VermaElement, build_hw_module,
                     singular_vectors, verma_reducible_predicate)
 from takiff import verma
 from takiff.algebra import GENERATORS, gen_times_lowering
-from takiff.linalg import RANK_PRIME, mod_p, nullspace
+from takiff.linalg import nullspace
 from takiff.sparse import clear_denominators
 from takiff.verma import HwModule, _check_findim, verma_act, verma_act_basis
 
@@ -270,27 +270,9 @@ def test_the_scanned_straightening_coefficients_are_integers():
                 assert all(c.denominator == 1 for c in terms.values())
 
 
-def test_the_certificate_reads_the_level_matrix_mod_p(monkeypatch):
-    """The residues handed to independent_mod_p are the e/eb images of
-    verma_act_basis mod p, on rows b * level + i' (b = 0 for e, 1 for eb)."""
-    seen = []
-    monkeypatch.setattr(verma, "independent_mod_p",
-                        lambda columns: seen.append(columns) or True)
-    for eta in (Q(0), Q(1), Q(-2, 3), Q(5, 2)):
-        for theta in (Q(0), Q(3), Q(-1, 3)):
-            hw = HighestWeight(eta, theta)
-            for level in range(1, 6):
-                want = [{b * level + i2: mod_p(c)
-                         for b, gen in enumerate(("e", "eb"))
-                         for (i2, _), c in verma_act_basis(gen, hw, i, level - i).items()
-                         if mod_p(c)}
-                        for i in range(level + 1)]
-                seen.clear()
-                assert singular_vectors(hw, level) == []
-                assert seen == [want], (hw, level)
-
-
 def count_exact_kernels(monkeypatch):
+    """Empty the scan's memo and count its eliminations, by level size."""
+    singular_vectors.cache_clear()
     calls = []
 
     def counting(columns):
@@ -301,12 +283,16 @@ def count_exact_kernels(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("eta", [Q(RANK_PRIME), Q(1, RANK_PRIME)],
+P61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("eta", [Q(P61), Q(1, P61)],
                          ids=["singular-mod-p", "p-in-denominator"])
-def test_the_exact_kernel_decides_when_the_certificate_declines(monkeypatch, eta):
+def test_the_exact_scan_is_empty_where_eta_vanishes_mod_p(monkeypatch, eta):
     """eta = p makes every level matrix the eta = 0 one mod p, where
     fb^n v is singular, though it is not over Q; eta = 1/p has no image
-    mod p.  Either way each level runs the exact elimination."""
+    mod p.  The exact elimination finds no singular vector, once per
+    level: build_hw_module rescans levels 1-4 from the memo."""
     calls = count_exact_kernels(monkeypatch)
     hw = HighestWeight(eta, Q(0))
     for level in range(1, 5):
@@ -315,18 +301,54 @@ def test_the_exact_kernel_decides_when_the_certificate_declines(monkeypatch, eta
     calls.clear()
     module = build_hw_module(hw)
     assert module.certificate == "no singular vectors through level 6"
-    assert calls == [2, 3, 4, 5, 6, 7]
+    assert calls == [6, 7]
 
 
-def test_benchmark_verma_weights_are_certified_mod_p(monkeypatch):
-    """Every eta != 0 weight of the benchmark's Verma grid takes the
-    certificate at every level build_hw_module scans, with no exact
-    elimination."""
+def test_benchmark_verma_weights_scan_empty_once_per_level(monkeypatch):
+    """Every eta != 0 weight of the benchmark's Verma grid has no
+    singular vector through level 6, the depth build_hw_module scans,
+    and a second scan of each (weight, level) eliminates nothing."""
     calls = count_exact_kernels(monkeypatch)
     weights = [HighestWeight(Q(eta), Q(theta))
                for eta, theta in load_workloads().VERMA if Q(eta) != 0]
     assert len(weights) == 16
-    for hw in weights:
-        for level in range(1, 7):
-            assert singular_vectors(hw, level) == [], (hw, level)
-    assert calls == []
+    for _ in range(2):
+        for hw in weights:
+            for level in range(1, 7):
+                assert singular_vectors(hw, level) == [], (hw, level)
+    assert calls == [2, 3, 4, 5, 6, 7] * 16
+
+
+def test_interleaved_scans_match_the_reference_kernel(monkeypatch):
+    """Weights and levels in a shuffled order, each (weight, level) met
+    three times, eta = 0 weights with nonempty kernels among them: every
+    call, memo hit or miss, is the dense reference kernel, and each
+    (weight, level) is eliminated once."""
+    calls = count_exact_kernels(monkeypatch)
+    weights = [HighestWeight(eta, theta) for eta, theta in
+               ((0, 0), (0, 2), (0, Q(1, 2)), (0, -3), (1, 0), (Q(-2, 3), 3))]
+    keys = [(hw, level) for hw in weights for level in range(1, 6)] * 3
+    random.Random(71).shuffle(keys)
+    nonempty = set()
+    for hw, level in keys:
+        got = [v.terms for v in singular_vectors(hw, level)]
+        assert got == reference_kernel(hw, level), (hw, level)
+        if got:
+            nonempty.add(hw)
+    assert nonempty == set(weights[:4])
+    assert len(calls) == len(weights) * 5
+    info = singular_vectors.cache_info()
+    assert (info.hits, info.misses) == (len(keys) - len(calls), len(calls))
+
+
+def test_the_scan_memo_stays_within_its_maxsize():
+    """More distinct (weight, level) keys than the memo holds: it fills
+    to its maxsize, never past it, and the least recent keys go."""
+    singular_vectors.cache_clear()
+    maxsize = singular_vectors.cache_info().maxsize
+    assert maxsize == 256
+    for n in range(maxsize + 40):
+        assert singular_vectors(HighestWeight(n + 1, n), 1) == []
+        assert singular_vectors.cache_info().currsize == min(n + 1, maxsize)
+    singular_vectors(HighestWeight(1, 0), 1)
+    assert singular_vectors.cache_info().misses == maxsize + 41
