@@ -70,7 +70,9 @@ def _module(config):
 
 
 def _scalar_list(text):
-    return [parse_scalar(part) for part in text.split(",") if part.strip()]
+    """The distinct scalars of a comma list, each at its first place."""
+    return list(dict.fromkeys(
+        parse_scalar(part) for part in text.split(",") if part.strip()))
 
 
 def _depth_reach(config):

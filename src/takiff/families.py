@@ -59,13 +59,14 @@ def solve_omega_alpha(lam, a, beta):
     return UniPoly({i: c for i, c in enumerate(sol)})
 
 
-def eq1_alpha(lam, b, beta):
+def eq1_alpha(lam, a, beta):
     """alpha from the literal upper-triangular constraint matrix:
-    p = lam^2 * A q with A having unit diagonal and rows (..., 1, 2b, 2b^2, ...)."""
+    p = lam^2 * A q, where row i of A is (1, 2a, 2a^2, ...) from column i
+    on, a being omega's a."""
     lam = Q(lam)
     if lam == 0:
         raise ValueError("lambda must be nonzero")
-    b = Q(b)
+    a = Q(a)
     if beta.is_zero():
         return UniPoly.zero()
     m = beta.deg()
@@ -74,7 +75,7 @@ def eq1_alpha(lam, b, beta):
     for i in range(m + 1):
         total = q[i]
         for j in range(i + 1, m + 1):
-            total += 2 * b ** (j - i) * q[j]
+            total += 2 * a ** (j - i) * q[j]
         p[i] = lam * lam * total
     return UniPoly(p)
 

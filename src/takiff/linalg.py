@@ -12,10 +12,10 @@ returns the stored row's combination of the rows before it, which the
 closure keeps as each row's int provenance.  Rationals are cleared
 once, in ``nullspace``, which reads a kernel off one elimination;
 ``solve_unique`` (the omega alpha constraint) reads its solution off
-that kernel.  ``independent_mod_p`` is a one-sided
-certificate: it can prove rational vectors independent by eliminating
-their images in F_p, and when it cannot, the caller decides exactly.
-Its one reader is ``tensor.WhittakerWindow``.
+that kernel.  ``independent`` decides whether int vectors are
+independent by the same cross-multiplication on leading terms alone,
+stopping at the first dependent vector; its one reader is
+``tensor.WhittakerWindow``.
 
 No floats anywhere; there is no tolerance to tune.
 """
@@ -26,9 +26,6 @@ from math import gcd
 
 from .scalars import Q, ZERO
 from .sparse import clear_denominators, combine, lowest_terms
-
-#: Prime of the modular rank certificate (the Mersenne prime 2^61 - 1).
-RANK_PRIME = 2**61 - 1
 
 
 class Echelon:
@@ -180,44 +177,29 @@ def solve_unique(columns, rhs):
     return [-kernel[0].get(t, ZERO) for t in range(n)]
 
 
-def mod_p(c):
-    """Image of a rational in F_p, or None when p divides its denominator."""
-    p = RANK_PRIME
-    num, den = int(c.numerator), int(c.denominator)
-    if den == 1:
-        return num % p
-    if den % p == 0:
-        return None
-    return num * pow(den, -1, p) % p
+def independent(vectors):
+    """True exactly when the int vectors are linearly independent.
 
-
-def independent_mod_p(vectors):
-    """True when the vectors are independent over F_p, p = RANK_PRIME.
-
-    Each vector is a sparse dict int key -> nonzero residue mod p.
-    Stored rows keep their pivot at the smallest key of their support,
-    as in ``Echelon``, but only leading terms are eliminated: keys are
-    popped smallest-first from a heap until one is not a pivot, and
-    that key becomes the new row's pivot.  ``vectors`` may be a lazy
-    iterable; the sweep stops at the first vector that reduces to zero.
-
-    Used as a certificate over Q: if rational vectors with no
-    denominator divisible by p have independent images mod p, they are
-    independent over Q.  A rational relation sum x_i v_i = 0 with
-    x != 0 can be scaled so every x_i is p-integral and one is a unit;
-    reducing it mod p gives a nontrivial relation among the images.
-    The converse fails (an entry equal to p vanishes mod p), so False
-    proves nothing and the caller must decide exactly.
+    Each vector is a sparse dict key -> nonzero int, left unchanged;
+    ``vectors`` may be a lazy iterable, and the sweep stops at the first
+    vector that reduces to zero.  Stored rows are primitive and keep
+    their pivot at the smallest key of their support, as in ``Echelon``,
+    but only leading terms are eliminated: keys are popped smallest-first
+    from a heap until one is not a pivot, and that key becomes the new
+    row's pivot.  A hit is the same gcd-reduced cross-multiplication as
+    ``Echelon``'s, so the rows stay integral and the answer is exact
+    over Q: the stored rows have distinct leading keys, hence are
+    independent, and span the vectors swept so far.
     """
-    p = RANK_PRIME
-    rows = {}  # pivot key -> row with pivot entry 1
+    rows = {}  # pivot key -> primitive row
+    pop, push = heapq.heappop, heapq.heappush
     for vec in vectors:
         residual = dict(vec)
         heap = list(residual)
         heapq.heapify(heap)
         pivot = None
         while heap:
-            k = heapq.heappop(heap)
+            k = pop(heap)
             c = residual.get(k)
             if not c:
                 continue
@@ -225,17 +207,24 @@ def independent_mod_p(vectors):
             if row is None:
                 pivot = k
                 break
+            p = row[k]
+            g = gcd(c, p)
+            if g != p:
+                a = p // g
+                for k2 in residual:
+                    residual[k2] *= a
+            b = c // g
             for k2, v2 in row.items():
                 old = residual.get(k2, 0)
-                s = (old - c * v2) % p
+                s = old - b * v2
                 if s:
                     residual[k2] = s
                     if not old:
-                        heapq.heappush(heap, k2)
+                        push(heap, k2)
                 else:
                     del residual[k2]
         if pivot is None:
             return False
-        inv = pow(residual[pivot], -1, p)
-        rows[pivot] = {k: c * inv % p for k, c in residual.items()}
+        content = reduce(gcd, residual.values(), 0)
+        rows[pivot] = {k: c // content for k, c in residual.items()}
     return True

@@ -1,7 +1,7 @@
 """Tensor products V (x) L of a family module with a highest-weight module.
 
 Elements are finite sums p_w(h, hb) (x) w over the L-basis; generators
-act by the Leibniz rule.  On top of the action sit the five engines:
+act by the Leibniz rule.  On top of the action sit the six engines:
 
   vandermonde_reduce     pump with eb and fit the resulting polynomial
                          in the exponent to extract an h-free element
@@ -50,7 +50,7 @@ from .algebra import GENERATORS, UeaElement, annihilator_element, mono_letters
 # perfbench/selfcheck.py looks it up as takiff.tensor.family_act.
 from .families import FamilyParams, family_act, family_to_operator  # noqa: F401
 from .verma import HwModule, VermaElement
-from .linalg import RANK_PRIME, Echelon, independent_mod_p, mod_p, nullspace
+from .linalg import Echelon, independent, nullspace
 from .skew import SkewOperator
 from .report import Frozen, Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import (LinComb, accumulate, clear_denominators, combine,
@@ -723,14 +723,9 @@ class WhittakerWindow:
     satisfies the equations in the full module, and the kernel is
     complete for the window.
 
-    ``solve`` first tries a certificate: the columns are mapped to F_p
-    (p = ``RANK_PRIME``), and if p divides no denominator of the images
-    or of the eigenvalues and the columns have full rank mod p, the
-    rational kernel is zero (a nonzero kernel vector, scaled to be
-    p-integral with a unit entry, would survive mod p) and ``solve``
-    returns [].  Otherwise -- the kernel mod p is nonzero, or p divides
-    a denominator -- the exact ``Echelon`` solve on the cached images
-    decides, and every returned vector comes from it.
+    ``solve`` sweeps each grid point's int columns with ``independent``,
+    which decides exactly whether the kernel is zero, and reads the
+    kernel off ``nullspace`` only when it is not.
     """
 
     def __init__(self, mod, depth):
@@ -750,50 +745,27 @@ class WhittakerWindow:
             stacked = {e_row | k: n * (den // d0) for k, n in i0.items()}
             stacked.update((k, n * (den // d1)) for k, n in i1.items())
             self.columns.append((den, stacked))
-        # The certificate's columns: the images mod p on the same row
-        # keys, and each column's two diagonal row keys; None when p
-        # divides a denominator.
-        self._diag = [(e_row | b, b) for b in self.basis]
-        self._residues = []
-        for den, img in self.columns:
-            if den % RANK_PRIME == 0:
-                self._residues = None
-                break
-            inv = pow(den, -1, RANK_PRIME)
-            col = {k: n * inv % RANK_PRIME for k, n in img.items()}
-            self._residues.append({k: r for k, r in col.items() if r})
 
-    def certify_empty(self, mu1, mu2):
-        """True only when the columns have full rank mod p (see above)."""
-        m1, m2 = mod_p(Q(mu1)), mod_p(Q(mu2))
-        if self._residues is None or m1 is None or m2 is None:
-            return False
-
-        def shifted():
-            for col, (d1, d2) in zip(self._residues, self._diag):
-                out = dict(col)
-                for d, m in ((d1, m1), (d2, m2)):
-                    s = (out.get(d, 0) - m) % RANK_PRIME
-                    if s:
-                        out[d] = s
-                    else:
-                        out.pop(d, None)
-                yield out
-
-        return independent_mod_p(shifted())
-
-    def exact_solutions(self, mu1, mu2):
-        """Basis of the window kernel, by exact elimination."""
+    def _shifted(self, mu1, mu2):
+        """den_t * d times column t of [E - mu1 I ; Eb - mu2 I], as new
+        int vectors, d the lcm of the denominators of mu1 and mu2."""
         mu1, mu2 = Q(mu1), Q(mu2)
-        # den_t times the stacked column t of [E - mu1 I ; Eb - mu2 I]
+        d = lcm(mu1.denominator, mu2.denominator)
+        n1 = mu1.numerator * (d // mu1.denominator)
+        n2 = mu2.numerator * (d // mu2.denominator)
         e_row = self._e_row
-        columns = (accumulate(dict(img), ((e_row | key, -mu1 * den),
-                                          (key, -mu2 * den)))
-                   for (den, img), key in zip(self.columns, self.basis))
+        for (den, img), key in zip(self.columns, self.basis):
+            yield accumulate({k: n * d for k, n in img.items()},
+                             ((e_row | key, -n1 * den), (key, -n2 * den)))
+
+    def solve(self, mu1, mu2):
+        """All window vectors x with e.x = mu1 x and eb.x = mu2 x."""
+        if independent(self._shifted(mu1, mu2)):
+            return []
         dens = [den for den, _ in self.columns]
         unpack = self.mod.unpack
         out = []
-        for vec in nullspace(columns):
+        for vec in nullspace(self._shifted(mu1, mu2)):
             # back to the unscaled columns, with 1 at the top label again
             top = dens[max(vec)]
             out.append(TensorElement.from_flat(
@@ -801,17 +773,10 @@ class WhittakerWindow:
                  for t, c in vec.items()}))
         return out
 
-    def solve(self, mu1, mu2):
-        """All window vectors x with e.x = mu1 x and eb.x = mu2 x."""
-        if self.certify_empty(mu1, mu2):
-            return []
-        return self.exact_solutions(mu1, mu2)
-
 
 def whittaker_vector_search(mod, mu1, mu2, depth):
     """All x in the depth window with e.x = mu1 x and eb.x = mu2 x:
-    exact solutions of the full module, complete for the window, the
-    empty answer certified mod p or by the exact solve (see
+    exact solutions of the full module, complete for the window (see
     ``WhittakerWindow``)."""
     return WhittakerWindow(mod, depth).solve(mu1, mu2)
 
@@ -819,9 +784,8 @@ def whittaker_vector_search(mod, mu1, mu2, depth):
 def whittaker_report(mod, grid, depth):
     """Search over a grid of (mu1, mu2); PASS means no Whittaker vector.
 
-    One ``WhittakerWindow`` serves the whole grid.  A PASS rests on its
-    full-rank-mod-p certificate or on the exact solve; a FAIL lists the
-    exact solutions.
+    One ``WhittakerWindow`` serves the whole grid.  A PASS rests on the
+    exact independence of its columns; a FAIL lists the exact solutions.
     """
     label = mod.label()
     report = Report(

@@ -101,7 +101,8 @@ MUTANTS = (
            "out << KEY_BITS | KEY_FIELD - f", "out << KEY_BITS | f",
            ("tests/test_tensor.py::test_packed_keys_round_trip_in_the_pivot_order",)),
     Mutant("echelon-skips-the-residual-rescale", "linalg.py",
-           "residual[k2] *= a", "residual[k2] *= 1",
+           "residual[k2] *= a\n                mult *= a",
+           "residual[k2] *= 1\n                mult *= a",
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
     Mutant("echelon-stores-a-negative-pivot", "linalg.py",
            "if residual[pivot] < 0:", "if residual[pivot] > 0:",
@@ -140,16 +141,23 @@ MUTANTS = (
            "parts.append((n, sden, -low, heads, snums))",
            "parts.append((n, sden, low, heads, snums))",
            ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
-    # the Whittaker window's mod-p certificate
-    Mutant("independent-mod-p-accepts-a-dependent-vector", "linalg.py",
+    # the Whittaker window's int columns and the independence sweep
+    Mutant("independent-accepts-a-dependent-vector", "linalg.py",
            "if pivot is None:\n            return False",
            "if pivot is None:\n            return True",
-           ("tests/test_tensor.py::test_whittaker_certificate_agrees_with_the_exact_solve",
-            "tests/test_tensor.py::test_whittaker_certificate_declines_and_the_exact_path_decides")),
+           ("tests/test_tensor.py::test_whittaker_sweep_agrees_with_the_exact_kernel",
+            "tests/test_linalg.py::test_independent_is_every_echelon_insert_storing_a_row")),
+    Mutant("independent-skips-the-rescale", "linalg.py",
+           "residual[k2] *= a\n            b = c // g",
+           "residual[k2] *= 1\n            b = c // g",
+           ("tests/test_linalg.py::test_independent_is_every_echelon_insert_storing_a_row",)),
     Mutant("whittaker-diagonal-pair-swapped", "tensor.py",
-           "[(e_row | b, b) for b in self.basis]",
-           "[(b, e_row | b) for b in self.basis]",
-           ("tests/test_tensor.py::test_whittaker_certificate_agrees_with_the_exact_solve",)),
+           "((e_row | key, -n1 * den), (key, -n2 * den))",
+           "((key, -n1 * den), (e_row | key, -n2 * den))",
+           ("tests/test_tensor.py::test_whittaker_sweep_agrees_with_the_exact_kernel",)),
+    Mutant("whittaker-columns-drop-the-mu-den", "tensor.py",
+           "d = lcm(mu1.denominator, mu2.denominator)", "d = 1",
+           ("tests/test_tensor.py::test_whittaker_window_with_denominators_in_its_columns",)),
     # the exact singular scan behind its memo
     Mutant("singular-scan-drops-the-eb-block", "verma.py",
            'Q(n, den) for gen in ("e", "eb")', 'Q(n, den) for gen in ("e",)',

@@ -205,6 +205,18 @@ def test_sizes_at_their_minimum_still_run():
     assert rep.ok and len(rep.checks) == 2
 
 
+def test_a_repeated_grid_value_is_checked_once():
+    """mu1 = 0,0 and mu2 = 2,4/2 parse to the one point (0, 2): the grid
+    keeps the first occurrence of each value, so the report has one
+    record, not four with the same id."""
+    rep = run_suite(JobConfig(suite="whittaker", family="gamma", lam="2",
+                              eta="0", theta="1", depth=1, mu1="0,0",
+                              mu2="2,4/2"))
+    assert [c.id for c in rep.checks] == [
+        "whittaker[mu1=0,mu2=2]/gamma(lam=2,a=0,b=0) (x) L(eta=0,theta=1)"]
+    assert rep.config["grid"] == "(0,2)"
+
+
 DEPTH_BOUND = KEY_FIELD - 2  # window fields reach depth + 2 in one step
 
 

@@ -5,7 +5,8 @@ workload's catalogue, the sha256 of the report's canonical JSON and its
 ordered (check id, status) list.  This replays every job through the
 benchmark's own runner (perfbench/workloads.py, loaded read-only) and
 asserts both, so a change to any engine that alters a single byte of a
-report fails here, not only when the benchmark runs.
+report fails here, not only when the benchmark runs.  It also asserts
+that no report repeats a check id.
 """
 
 import importlib.util
@@ -37,4 +38,6 @@ def test_reports_match_the_recorded_digests(workload):
     for key, want in expected["jobs"].items():
         payload, checks = workloads.run_job(takiff, json.loads(key))
         assert [list(c) for c in checks] == want["checks"], key
+        ids = [check_id for check_id, _ in checks]
+        assert len(set(ids)) == len(ids), key
         assert workloads.digest(payload) == want["sha256"], key

@@ -1,14 +1,16 @@
 """The fraction-free eliminator, the kernel and unique-solve readings
 built on it, each against a small dense elimination written out here as
-the oracle, and the closed-form Vandermonde inverse."""
+the oracle, the leading-term independence sweep against the eliminator,
+and the closed-form Vandermonde inverse."""
 
+import copy
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from takiff import Q
-from takiff.linalg import Echelon, nullspace, solve_unique
+from takiff.linalg import Echelon, independent, nullspace, solve_unique
 from takiff.tensor import _vandermonde_inverse
 
 
@@ -133,6 +135,49 @@ def test_echelon_without_a_keyfn_pivots_in_natural_order(vectors, probe):
     assert plain.pivot_of == {k: n for n, k in enumerate(plain.pivots)}
     residual, combo = plain.reduce(dict(probe))
     assert shifted.reduce(moved(probe)) == (moved(residual), combo)
+
+
+P61 = 2**61 - 1
+# entries up to the Mersenne prime 2^61 - 1 in size, mixed with small
+# ones so that dependent lists are common
+wide_vectors = st.dictionaries(
+    st.sampled_from(KEYS),
+    st.one_of(st.integers(-3, 3), st.sampled_from([-P61, P61]),
+              st.integers(-P61, P61)).filter(bool),
+    max_size=4)
+
+
+@st.composite
+def wide_vector_lists(draw):
+    """Up to 8 wide vectors; half the time one of them is a combination
+    of the others divided by its content, so its leading entry need not
+    be a multiple of the pivot it meets."""
+    vectors = draw(st.lists(wide_vectors, max_size=7))
+    if vectors and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(vectors),
+                               max_size=len(vectors)))
+        dependent = combine(zip(coeffs, vectors))
+        if dependent:
+            g = gcd(*dependent.values())
+            vectors.insert(draw(st.integers(0, len(vectors))),
+                           {k: x // g for k, x in dependent.items()})
+    return vectors
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(wide_vector_lists())
+def test_independent_is_every_echelon_insert_storing_a_row(vectors):
+    """The leading-term sweep is True exactly when each vector, inserted
+    in turn, enlarges the full eliminator's span, and so exactly when the
+    vectors have full rank.  A lazy iterable gives the same answer, and
+    the vectors come back unchanged."""
+    before = copy.deepcopy(vectors)
+    span = Echelon()
+    want = all(span.insert(dict(vec))[0] is not None for vec in vectors)
+    assert want == (rank(vectors) == len(vectors))
+    assert independent(vectors) == want
+    assert independent(iter(vectors)) == want
+    assert vectors == before
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

@@ -1,4 +1,4 @@
-"""Tensor modules V (x) L: the Leibniz action and the five engines on top.
+"""Tensor modules V (x) L: the Leibniz action and the six engines on top.
 
 Every engine that claims membership in a submodule is replayed through
 the action itself, so these tests double as soundness proofs for the
@@ -27,8 +27,7 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
 from takiff import tensor
 from takiff.algebra import annihilator_element, mono_letters
 from takiff.families import family_act
-from takiff.linalg import (RANK_PRIME, Echelon, independent_mod_p, mod_p,
-                           nullspace, solve_unique)
+from takiff.linalg import independent, nullspace, solve_unique
 from takiff.sparse import combine
 from takiff.tensor import KEY_FIELD, RecoveredParams, WhittakerWindow
 
@@ -704,7 +703,29 @@ def test_whittaker_vectors_over_the_infinite_tower():
         assert mod.act("eb", x) == x.scale(lam)
 
 
-def test_whittaker_certificate_agrees_with_the_exact_solve():
+def count_kernels(monkeypatch):
+    """Record each kernel the Whittaker window reads off ``nullspace``."""
+    calls = []
+
+    def counting(columns):
+        kernel = nullspace(columns)
+        calls.append(len(kernel))
+        return kernel
+
+    monkeypatch.setattr(tensor, "nullspace", counting)
+    return calls
+
+
+def assert_whittaker(mod, mu1, mu2, sols):
+    for x in sols:
+        assert mod.act("e", x) == x.scale(Q(mu1))
+        assert mod.act("eb", x) == x.scale(Q(mu2))
+
+
+def test_whittaker_sweep_agrees_with_the_exact_kernel(monkeypatch):
+    """On each grid point the sweep is True exactly when the kernel of
+    the same int columns is zero, and ``solve`` reads that kernel only
+    when the sweep is False."""
     lam = Q(2)
     mods = [
         TensorModule(FamilyParams("gamma", lam),
@@ -721,62 +742,70 @@ def test_whittaker_certificate_agrees_with_the_exact_solve():
     # the +-1 grid, plus the point (0, lam) where the three gamma
     # modules carry Whittaker vectors: 1, 6 and 6 in the window
     grid = [(m1, m2) for m1 in (-1, 0, 1) for m2 in (-1, 0, 1)] + [(0, lam)]
+    calls = count_kernels(monkeypatch)
     found = 0
     for mod in mods:
         window = WhittakerWindow(mod, 2)
         for mu1, mu2 in grid:
-            exact = window.exact_solutions(mu1, mu2)
-            assert window.certify_empty(mu1, mu2) == (exact == []), \
+            empty = nullspace(window._shifted(mu1, mu2)) == []
+            assert independent(window._shifted(mu1, mu2)) == empty, \
                 (mod.label(), mu1, mu2)
-            assert window.solve(mu1, mu2) == exact
-            assert whittaker_vector_search(mod, mu1, mu2, 2) == exact
-            found += len(exact)
+            calls.clear()
+            sols = window.solve(mu1, mu2)
+            assert calls == ([] if empty else [len(sols)])
+            assert whittaker_vector_search(mod, mu1, mu2, 2) == sols
+            assert_whittaker(mod, mu1, mu2, sols)
+            found += len(sols)
     assert found == 1 + 6 + 6
 
 
-def test_whittaker_certificate_declines_and_the_exact_path_decides():
-    p = RANK_PRIME
-    # an entry equal to p: independent over Q, zero mod p
-    assert mod_p(Q(p)) == 0
-    assert not independent_mod_p([{0: 1}, {}])
-    assert Echelon().insert({0: p})[0] == 0
-    assert mod_p(Q(1, p)) is None and mod_p(Q(3, 2 * p + 2)) is not None
+def test_whittaker_sweep_decides_where_a_prime_would_not(monkeypatch):
+    """Points a rank certificate mod p = 2^61 - 1 could not decide:
+    mu2 = lam + p is the singular point (0, lam) mod p, and mu1 = 1/p or
+    a = 1/p has no image mod p.  The sweep works over Z, so it proves
+    each of these kernels zero and no kernel is read; (0, lam) itself
+    still FAILs with 1 (x) v."""
+    p = 2**61 - 1
+    # an entry equal to p: zero mod p, independent over Q
+    assert independent([{0: p}, {0: 1, 1: p}])
+    assert not independent([{0: p, 1: 1}, {0: 2 * p, 1: 2}])
 
+    calls = count_kernels(monkeypatch)
     lam = Q(2)
     mod = TensorModule(FamilyParams("gamma", lam),
                        build_hw_module(HighestWeight(Q(0), Q(0))))
     window = WhittakerWindow(mod, 2)
-    assert not window.certify_empty(0, lam)
-    # mu2 = lam + p reduces to the singular point (0, lam) mod p, and
-    # mu1 = 1/p has a denominator divisible by p: the certificate
-    # declines both, and the exact solve finds no solution
     for mu1, mu2 in ((0, lam + p), (Q(1, p), lam)):
-        assert not window.certify_empty(mu1, mu2)
-        assert window.exact_solutions(mu1, mu2) == []
+        assert window.solve(mu1, mu2) == []
         assert whittaker_vector_search(mod, mu1, mu2, 2) == []
+    theta = TensorModule(FamilyParams("theta", 2, Q(1, p), 1),
+                         build_hw_module(HighestWeight(Q(0), Q(1))))
+    theta_window = WhittakerWindow(theta, 2)
+    assert any(den % p == 0 for den, _ in theta_window.columns)
+    for mu2 in (-1, 0, 1):
+        assert theta_window.solve(0, mu2) == []
+    assert calls == []
+
     rep = whittaker_report(mod, [(0, lam + p), (0, lam)], 2)
     assert [c.status for c in rep.checks] == [PASS, FAIL]
-
-    # a = 1/p puts p into denominators of the images themselves
-    mod = TensorModule(FamilyParams("theta", 2, Q(1, p), 1),
-                       build_hw_module(HighestWeight(Q(0), Q(1))))
-    window = WhittakerWindow(mod, 2)
-    for mu2 in (-1, 0, 1):
-        assert not window.certify_empty(0, mu2)
-        assert window.exact_solutions(0, mu2) == []
+    assert calls == [1]
 
 
 def test_whittaker_window_with_denominators_in_its_columns():
-    """lam = 2/3 puts a denominator 3 into every eb column: the residues
-    divide by it and the exact kernel is normalized like the others."""
+    """lam = 2/3 puts a denominator 3 into every eb column, and mu1 = 1/2,
+    mu2 = -2/3 a factor d = 6 into every swept column: the columns stay
+    ints, and the kernel is normalized like the others."""
     lam = Q(2, 3)
     mod = TensorModule(FamilyParams("gamma", lam),
                        build_hw_module(HighestWeight(Q(0), Q(0))))
     window = WhittakerWindow(mod, 2)
     assert all(den % 3 == 0 for den, _ in window.columns)
     for mu1, mu2 in ((0, lam), (0, 1), (1, lam), (Q(1, 2), Q(-2, 3))):
-        exact = window.exact_solutions(mu1, mu2)
-        assert window.certify_empty(mu1, mu2) == (exact == []), (mu1, mu2)
+        columns = list(window._shifted(mu1, mu2))
+        assert all(type(n) is int for col in columns for n in col.values())
+        sols = window.solve(mu1, mu2)
+        assert independent(columns) == (sols == []), (mu1, mu2)
+        assert_whittaker(mod, mu1, mu2, sols)
     assert window.solve(0, lam) == [mod.one_v()]
 
 
@@ -788,11 +817,10 @@ def test_whittaker_kernel_over_columns_with_different_denominators():
     mod = over_verma(FamilyParams("gamma", lam), eta=Q(1, 2), theta=Q(1, 3))
     window = WhittakerWindow(mod, 2)
     assert {den for den, _ in window.columns} == {1, 2, 3, 6}
-    sols = window.exact_solutions(0, lam)
+    sols = window.solve(0, lam)
     assert len(sols) == 6
+    assert_whittaker(mod, 0, lam, sols)
     for x in sols:
-        assert mod.act("e", x).is_zero()
-        assert mod.act("eb", x) == x.scale(lam)
         top = mod.unpack(min(mod.flat(x)))
         assert x.flatten()[top] == 1
 
@@ -800,8 +828,9 @@ def test_whittaker_kernel_over_columns_with_different_denominators():
 def test_public_entries_never_consume_their_inputs():
     """``Echelon`` eliminates the vector it is handed in place, so every
     public entry must clear or copy its caller's data before handing it
-    over: all-int columns, a closure seed and a Whittaker window reused
-    over a grid all come back unchanged."""
+    over: all-int columns, a closure seed, a Whittaker window reused
+    over a grid and the columns ``independent`` sweeps all come back
+    unchanged."""
     columns = [{0: 2, 1: 4}, {0: 1, 2: 3}, {0: 3, 1: 4, 2: 3}, {1: 5}]
     rhs = {0: 1, 1: 2, 2: 3}
     before = copy.deepcopy((columns, rhs))
@@ -822,10 +851,14 @@ def test_public_entries_never_consume_their_inputs():
     window = WhittakerWindow(mod, 2)
     stacked = copy.deepcopy(window.columns)
     grid = [(0, lam), (1, 0), (0, lam), (1, lam)]
-    first = [window.exact_solutions(mu1, mu2) for mu1, mu2 in grid]
+    first = [window.solve(mu1, mu2) for mu1, mu2 in grid]
     assert window.columns == stacked
     assert first[0] == first[2] == [mod.one_v()]
-    assert [window.exact_solutions(mu1, mu2) for mu1, mu2 in grid] == first
+    assert [window.solve(mu1, mu2) for mu1, mu2 in grid] == first
+    columns = list(window._shifted(0, lam))
+    swept = copy.deepcopy(columns)
+    assert not independent(columns)
+    assert columns == swept
 
 
 def test_whittaker_grid_report_all_clear():
