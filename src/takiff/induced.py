@@ -13,8 +13,8 @@ check_phi runs on integers: both sides of every comparison are
 (den, ints) vectors on packed tensor keys -- TensorModule.image for the
 module action, PhiValues for phi, InducedAction for the induced action
 -- and equality is decided by cross-multiplication (``_same``).
-InducedAction keeps only the spec's letters; its straightened words
-come from gen_times_word, one parameter-free memo for the process.
+InducedAction keeps the spec's letters and a memo of their tails per
+instance; only its straightened words (gen_times_word) are process-wide.
 ind_act, phi_map, borel_act and borel_to_operator are the rational
 routes; the tests hold the integer path equal to them, and check_phi
 itself uses them only to render the witness of a failing element.
@@ -331,8 +331,10 @@ class InducedAction:
     straightened word.  The tail letters act through integer forms of
     the subalgebra operators: each letter is den * letter = sum of
     n * hb^j d^k, read off borel_to_operator once, in the constructor.
-    Only the letters belong to the instance: the straightened words come
-    from gen_times_word, one parameter-free memo for every hb^i and spec.
+    The letters and a memo of the tails eb^m2 e^p2 hb^i2 . hb^i, keyed
+    by (m2, p2, i2, i), belong to the instance; the straightened words
+    come from gen_times_word, one parameter-free memo for every hb^i and
+    spec.
     ind_act and borel_act stay the oracle the tests check it against.
     """
 
@@ -342,23 +344,29 @@ class InducedAction:
             den, ops = clear_denominators(borel_to_operator(gen, spec).terms)
             self._letters[gen] = (den, [(j, k, n) for (_, j, k, _), n
                                         in ops.items()])
+        self._tails = {}
 
     def image(self, gen, key):
         j, k, q, i = key
         wden, terms = gen_times_word(gen, j, k, q)
+        tails = self._tails
         den, parts = 1, []
         for (j2, k2, q2, i2, p2, m2), c in terms.items():
             if p2 and "e" not in self._letters:
                 raise ValueError(
                     f"{gen}.(f^{j} fb^{k} h^{q} (x) hb^{i}) leaves the "
                     f"restricted basis span (free e letter)")
-            g, d = {i: 1}, 1
-            for letter, times in (("eb", m2), ("e", p2), ("hb", i2)):
-                if times:
-                    ld, op = self._letters[letter]
-                    for _ in range(times):
-                        g = _apply_letter(op, g)
-                    d *= ld ** times
+            t = m2, p2, i2, i
+            if t not in tails:
+                g, d = {i: 1}, 1
+                for letter, times in (("eb", m2), ("e", p2), ("hb", i2)):
+                    if times:
+                        ld, op = self._letters[letter]
+                        for _ in range(times):
+                            g = _apply_letter(op, g)
+                        d *= ld ** times
+                tails[t] = g, d
+            g, d = tails[t]
             den = lcm(den, d)
             parts.append((c, d, j2, k2, q2, g))
         out = {}
@@ -395,6 +403,9 @@ class PhiValues:
 
     def of(self, key):
         cache = self._cache
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
         pending = []
         while key not in cache:
             j, k, q, i = key

@@ -67,13 +67,28 @@ def clear_denominators(vec):
 def combine(parts):
     """sum(c * ints / den) over (c, den, ints) triples, c an int or a
     rational and ints a dict of ints (zeros may stay), as (den, ints)
-    over one common denominator, without zeros."""
-    parts = [(int(c.numerator), int(c.denominator) * den, ints)
-             for c, den, ints in parts if c and ints]
-    den = reduce(lcm, (d for _, d, _ in parts), 1)
+    over one common denominator, without zeros.  An int c is used as it
+    is; a rational c folds its denominator into its part's den.  den is
+    the lcm of the nonzero parts' dens, and the merge keeps the key order
+    of ``accumulate``."""
+    scaled, den = [], 1
+    for c, d, ints in parts:
+        if c and ints:
+            n, d = (c, d) if type(c) is int else (
+                int(c.numerator), int(c.denominator) * d)
+            if den % d:
+                den = lcm(den, d)
+            scaled.append((n, d, ints))
     out = {}
-    for n, d, ints in parts:
-        accumulate(out, zip(ints, map((n * (den // d)).__mul__, ints.values())))
+    get = out.get
+    for n, d, ints in scaled:
+        f = n * (den // d)
+        for k, v in ints.items():
+            v = get(k, 0) + f * v
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
     return den, out
 
 

@@ -149,20 +149,23 @@ class TensorModule:
         is the returned int dict divided by den > 0, with no zero stored.
         A label adds its value times its family entry, keyed head + delta
         over the words' den, and times its Leibniz entry, keyed h2 - low
-        over that entry's den; den is the lcm of these, not always the
-        least.  One merge loop runs on ints.
+        over that entry's den; den is the lcm of wden and these (1 for the
+        zero vector), not always the least, each folded in only where it
+        does not divide den.  One merge loop runs on ints.
         """
         if gen not in self._family:
             self._family[gen] = (*clear_denominators(
                 family_to_operator(gen, self.params).terms), {})
         wden, _, family = self._family[gen]
         leibniz = self._leibniz[gen]
-        den, parts = 1, []
+        den = wden if ints else 1
+        parts = []
         for key, n in ints.items():
             low, head = LOW ^ (key & LOW), key | LOW
             deltas, fnums = family.get(low) or self._family_entry(gen, key, low)
             sden, heads, snums = leibniz.get(head) or self._leibniz_entry(gen, head)
-            den = lcm(den, wden, sden)
+            if den % sden:
+                den = lcm(den, sden)
             parts.append((n, wden, head, deltas, fnums))
             if heads:
                 parts.append((n, sden, -low, heads, snums))

@@ -42,19 +42,23 @@ class Mutant:
 MUTANTS = (
     # the integer merge in TensorModule.image
     Mutant("image-merge-keeps-a-cancelled-zero", "tensor.py",
-           "out.pop(k, None)", "out[k] = v",
+           "out.pop(k, None)\n        return den, out",
+           "out[k] = v\n        return den, out",
            ("tests/test_tensor.py::test_image_drops_a_key_whose_terms_cancel",)),
     Mutant("image-int-input-ignores-column-den", "tensor.py",
            "parts.append((n, wden, head, deltas, fnums))",
            "parts.append((n, 1, head, deltas, fnums))",
            ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
     Mutant("image-den-is-the-largest-not-the-lcm", "tensor.py",
-           "den = lcm(den, wden, sden)", "den = max(den, wden, sden)",
+           "den = lcm(den, sden)", "den = max(den, sden)",
            ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
     # the merge's den leaves out the words' den, which every label's
     # family part is scaled over
     Mutant("image-rational-family-den-drops-the-words-den", "tensor.py",
-           "den = lcm(den, wden, sden)", "den = lcm(den, sden)",
+           "den = wden if ints else 1", "den = 1",
+           ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
+    Mutant("image-den-fold-skips-a-leibniz-den", "tensor.py",
+           "if den % sden:", "if not den % sden:",
            ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
     # the rational edges: act, the closure seed's step, nullspace
     Mutant("act-drops-the-input-den", "tensor.py",
@@ -82,6 +86,10 @@ MUTANTS = (
     Mutant("word-memo-key-without-q", "algebra.py",
            "key = (gen, j, k, q)", "key = (gen, j, k)",
            ("tests/test_induced.py::test_shared_words_are_the_naive_rewrite",)),
+    # the per-instance tail memo inside InducedAction.image
+    Mutant("induced-tail-memo-drops-i", "induced.py",
+           "t = m2, p2, i2, i", "t = m2, p2, i2",
+           ("tests/test_induced.py::test_tail_memo_is_exact_in_any_order",)),
     # check_phi's comparisons
     Mutant("same-without-cross-multiplication", "induced.py",
            "all(d2 * n == d1 * b[k]", "all(n == b[k]",
@@ -94,7 +102,10 @@ MUTANTS = (
            "if den < 0:\n        g = -g", "if den < 0:\n        g = g",
            ("tests/test_sparse.py::test_lowest_terms_is_the_same_vector_in_lowest_terms",)),
     Mutant("combine-drops-the-part-den", "sparse.py",
-           "int(c.denominator) * den, ints)", "int(c.denominator), ints)",
+           "int(c.denominator) * d)", "int(c.denominator))",
+           ("tests/test_sparse.py::test_combine_sums_the_scaled_vectors",)),
+    Mutant("combine-int-path-drops-the-part-den", "sparse.py",
+           "(c, d) if type(c) is int", "(c, 1) if type(c) is int",
            ("tests/test_sparse.py::test_combine_sums_the_scaled_vectors",)),
     # packed keys, Echelon and the closure
     Mutant("pack-without-the-complement", "tensor.py",

@@ -1,5 +1,7 @@
 """Rank-one modules over the upper subalgebra and the triangular lift."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,6 +182,36 @@ def test_compiled_induced_action_matches_ind_act(family, lam, a, eta, keys):
                 ind_act(gen, spec, x)
 
 
+TAIL_SPECS = (BorelSpec("gamma", Q(-2, 3), eta=5),
+              BorelSpec("theta", 2, a=Q(1, 3), eta=-1),
+              BorelSpec("omega", Q(1, 2), a=3, eta=2))
+
+
+@pytest.mark.parametrize("spec", TAIL_SPECS, ids=lambda spec: spec.family)
+def test_tail_memo_is_exact_in_any_order(spec):
+    """One InducedAction images every window key under every generator
+    twice, in a shuffled order, so a tail is read back from the memo
+    for keys other than the one that built it; and a caller who edits a
+    returned dict changes nothing the memo gives out later."""
+    action = InducedAction(spec)
+    gens = [gen for gen in HOM_GENS if gen in spec.generators or gen != "e"]
+    jobs = [(gen, key) for gen in gens for key in ind_window_basis(2)]
+    want = {(gen, key): ind_act(gen, spec, IndElement.basis(*key))
+            for gen, key in jobs}
+    jobs *= 2
+    random.Random(24).shuffle(jobs)
+    for gen, key in jobs:
+        den, ints = action.image(gen, key)
+        assert IndElement({k: Q(n, den) for k, n in ints.items()}) == \
+            want[gen, key], (gen, key)
+    for gen, key in jobs[:30]:
+        den, ints = action.image(gen, key)
+        kept = dict(ints)
+        ints.clear()
+        ints[(9, 9, 9, 9)] = 1
+        assert action.image(gen, key) == (den, kept), (gen, key)
+
+
 def test_shared_words_are_the_naive_rewrite():
     """The memoised gen * f^j fb^k h^q against the raw-word rewrite,
     which shares no table with the straightening memos."""
@@ -254,6 +286,40 @@ def test_phi_replay_on_random_parameters(family, lam, a, b, eta, theta):
     inconclusive = [c for c in rep.checks if c.status == INCONCLUSIVE]
     assert all("free e letter" in c.witness for c in inconclusive)
     assert family != "gamma" or not inconclusive
+
+
+@pytest.mark.parametrize("depth", (1, 2))
+@pytest.mark.parametrize("family", ("gamma", "theta"))
+def test_check_phi_runs_every_replay_itself(monkeypatch, family, depth):
+    """No replay reuses an image that PhiValues computed: check_phi
+    makes one TensorModule.image call per balance step, one per phi
+    value it builds (every cached value but the seeded hb^i (x) v), and
+    one per homomorphism replay, by-construction replays included."""
+    calls, made = [], []
+    image = TensorModule.image
+
+    def counted(self, gen, ints):
+        calls.append(gen)
+        return image(self, gen, ints)
+
+    class Recorded(PhiValues):
+        def __init__(self, mod):
+            super().__init__(mod)
+            made.append(self)
+
+    monkeypatch.setattr(TensorModule, "image", counted)
+    monkeypatch.setattr(induced, "PhiValues", Recorded)
+    mod = tensor_module(family, Q(3, 2), 1, Q(-1, 2), Q(1, 3), 2)
+    rep = check_phi(mod, depth)
+    assert rep.ok, rep.render_text()
+    (phi,) = made
+    spec = borel_spec_for(mod)
+    basis = ind_window_basis(depth)
+    assert len(basis) <= 200  # so the replay sample is the whole window
+    balance = len(spec.generators) * (depth + 1)
+    built = sum(key[:3] != (0, 0, 0) for key in phi._cache)
+    replays = sum(gen != "e" or gen in spec.generators for gen in HOM_GENS)
+    assert len(calls) == balance + built + replays * len(basis)
 
 
 # -- FAIL witnesses, rendered through the rational routes --------------------

@@ -3,7 +3,7 @@ structure of all seven element types, the (den, ints) helpers, and the
 one term renderer, held equal to the per-type text methods it folded."""
 
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,14 +142,19 @@ def test_clear_denominators_agrees_with_the_rational_route(vec, extra):
 
 
 @PROPERTY_SETTINGS
-@given(parts=st.lists(st.tuples(rationals, st.integers(1, 6), int_vectors),
+@given(parts=st.lists(st.tuples(st.one_of(st.integers(-4, 4), rationals),
+                                st.integers(1, 6), int_vectors),
                       max_size=4))
 def test_combine_sums_the_scaled_vectors(parts):
+    """Int and Fraction coefficients mixed: an int takes the int path
+    with its part's den, a Fraction folds its denominator into it."""
     den, out = combine(parts)
     want = accumulate({}, ((k, c * Q(n, d)) for c, d, ints in parts
                            for k, n in ints.items()))
-    assert den > 0 and all(out.values())
     assert as_rationals(den, out) == want
+    assert den == reduce(lcm, (Q(c).denominator * d for c, d, ints in parts
+                               if c and ints), 1)
+    assert all(type(n) is int and n for n in out.values())
 
 
 # -- the term renderer -------------------------------------------------------
