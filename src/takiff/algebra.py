@@ -137,9 +137,6 @@ class UeaElement(LinComb):
             return UeaElement._raw(out)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power in the envelope")
@@ -194,15 +191,14 @@ def uea_normalize(word, coeff=1, strategy=None):
 
 
 @lru_cache(maxsize=None)
-def _left_mul_cache(g, j, k):
-    """gen * f^j fb^k as a UeaElement (hashable args for the cache)."""
+def gen_times_lowering(g, j, k):
+    """Normal form of  g * f^j fb^k  -- the straightening behind every
+    highest-weight module action -- as a UeaElement, memoized."""
     return UeaElement.gen(g) * UeaElement.monomial(1, j=j, k=k)
 
 
-def gen_times_lowering(g, j, k):
-    """Normal form of  g * f^j fb^k  -- the straightening behind every
-    highest-weight module action."""
-    return _left_mul_cache(g, j, k)
+# perfbench/run.py reads the memo's cache_info() under this name.
+_left_mul_cache = gen_times_lowering
 
 
 _WORDS = {}  # (gen, j, k, q) -> (den, {mono: int}), treat values as frozen

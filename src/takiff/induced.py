@@ -245,16 +245,6 @@ def ind_order_key(key):
     return (k, j, i, q)
 
 
-def tensor_order_key(flat_key):
-    """The matching order on tensor coordinates ((f, fb), h-exp, hb-exp).
-
-    Written so that the expected leading coordinate of phi on a basis
-    element carries the same order tuple as the element itself.
-    """
-    (fj, fk), hq, hbi = flat_key
-    return (fk, fj, hbi, hq)
-
-
 def ind_window_basis(depth):
     """All (j, k, q, i) with j + k <= depth and q, i <= depth, ordered."""
     out = [
@@ -462,7 +452,7 @@ def check_phi(mod, depth):
         else strictly lower in the order.
     (3) the window matrix of phi in the ordered bases is unitriangular,
         hence invertible with determinant 1 at every window size.  This
-        follows from (2) and is read off its walk: tensor_order_key is
+        follows from (2) and is read off its walk: TensorModule.order is
         injective and the leading coordinate carries the element's own
         order tuple, so once every other coordinate is strictly lower
         nothing sits on or above the diagonal except the unit lead.
@@ -485,7 +475,7 @@ def check_phi(mod, depth):
     phi = PhiValues(mod)
     induced = InducedAction(spec)
     top = mod.hw.highest_index
-    pack, unpack = mod.pack, mod.unpack
+    pack, order = mod.pack, mod.order
     from_ints = mod.from_ints  # witness text of a (den, ints) vector
 
     # (1a) the subalgebra acts on hb^i (x) v by the rank-one formulas
@@ -546,19 +536,18 @@ def check_phi(mod, depth):
         j, k, q, i = key
         den, flat = phi.of(key)
         nnz += len(flat)
-        lead = ((j, k), q, i)
-        c = flat.get(pack(lead), 0)
+        lead = pack(((j, k), q, i))
+        c = flat.get(lead, 0)
         if c != den:
             bad = (f"phi({IndElement.basis(*key).text()}) has coefficient "
                    f"{format_scalar(Q(c, den))} on its leading coordinate")
             break
-        t = ind_order_key(key)
-        if any(fk != lead and not tensor_order_key(fk) < t
-               for fk in map(unpack, flat)):
+        t = order(lead)  # the order tuple of key itself
+        if max(map(order, flat)) > t:
             # name the first such coordinate in the rational route's order
             x = IndElement.basis(*key)
             high = [fk for fk in phi_map(mod, x).flatten()
-                    if fk != lead and not tensor_order_key(fk) < t]
+                    if order(pack(fk)) > t]
             bad = f"phi({x.text()}) has the non-lower coordinate {high[0]}"
             break
     unit_id = f"phi-unitriangular/{label}"

@@ -73,18 +73,6 @@ class BiPoly(LinComb):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = BiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     # -- the three primitive moves --------------------------------------
 
     def shift_h(self, delta):

@@ -3,27 +3,18 @@
 Every quantity in this library is an exact rational number; floating
 point never appears.  The canonical representation (reduced fraction,
 positive denominator, 0 = 0/1) is exactly what ``fractions.Fraction``
-guarantees, so that is the contract.  When gmpy2 is installed its
-``mpq`` type is used instead -- same semantics, same string form,
-roughly an order of magnitude faster, which matters in the row
-reduction loops.
+guarantees, so that is the contract, and ``Q`` is that type.
 """
 
-try:  # pragma: no cover - exercised implicitly by every test
-    from gmpy2 import mpq as _Q
+import re
+from fractions import Fraction as Q
 
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _Q
-
-    BACKEND = "fractions"
-
-#: Rational constructor.  Accepts ints, strings like "3" or "-5/7",
-#: (num, den) pairs and existing rationals.
-Q = _Q
+#: The scalar type's name, recorded beside every benchmark run.
+BACKEND = "fractions"
 
 ZERO = Q(0)
-ONE = Q(1)
+
+_LITERAL = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
 
 
 class ScalarParseError(ValueError):
@@ -36,13 +27,12 @@ def parse_scalar(text):
     Whitespace around the literal (and around "/") is tolerated;
     anything else raises ScalarParseError.
     """
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ScalarParseError("empty scalar literal")
+    match = _LITERAL.fullmatch(text)
+    if match is None:
+        raise ScalarParseError(f"bad scalar literal {text!r}: not p or p/q")
+    num, den = match.groups()
     try:
-        return Q(s)
-    except ValueError as exc:
-        raise ScalarParseError(f"bad scalar literal {text!r}: {exc}") from None
+        return Q(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ScalarParseError(f"bad scalar literal {text!r}: zero denominator") from None
 

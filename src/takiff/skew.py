@@ -70,31 +70,7 @@ class SkewOperator(LinComb):
             raise ValueError("negative exponent on h, hb or db")
         return cls({(i, j, k, m): c}) if c != 0 else cls()
 
-    @classmethod
-    def mult(cls, p, sigma=0, dbar=0):
-        """Multiplication by BiPoly p, optionally followed on the right
-        by db^dbar * s^sigma.  (Left factors multiply, right factors act
-        first.)"""
-        return cls({(i, j, dbar, sigma): c for (i, j), c in p.terms.items()})
-
-    @classmethod
-    def dbar(cls):
-        return cls({(0, 0, 1, 0): Q(1)})
-
-    @classmethod
-    def sigma(cls, m=1):
-        return cls({(0, 0, 0, m): Q(1)})
-
     # -- products ------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, SkewOperator):
-            return self.compose(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # other is a scalar (SkewOperator * SkewOperator went to __mul__)
-        return self.scale(other)
 
     def compose(self, other):
         """self . other in normal form; other acts first."""
@@ -115,14 +91,6 @@ class SkewOperator(LinComb):
     @classmethod
     def _from_ints(cls, den, out):
         return cls._raw({w: Q(n, den) for w, n in out.items() if n})
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative operator power")
-        out = SkewOperator.identity()
-        for _ in range(n):
-            out = out.compose(self)
-        return out
 
     # -- action on polynomials -------------------------------------------
 

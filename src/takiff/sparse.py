@@ -59,8 +59,8 @@ def clear_denominators(vec):
     vector's length, and the interpreter keeps up to 2000 freed tuples
     of each short length, so the process would grow with every size seen.
     """
-    den = reduce(lcm, (int(c.denominator) for c in vec.values()), 1)
-    return den, {k: int(c.numerator) * (den // int(c.denominator))
+    den = reduce(lcm, (c.denominator for c in vec.values()), 1)
+    return den, {k: c.numerator * (den // c.denominator)
                  for k, c in vec.items() if c}
 
 
@@ -75,7 +75,7 @@ def combine(parts):
     for c, d, ints in parts:
         if c and ints:
             n, d = (c, d) if type(c) is int else (
-                int(c.numerator), int(c.denominator) * d)
+                c.numerator, c.denominator * d)
             if den % d:
                 den = lcm(den, d)
             scaled.append((n, d, ints))

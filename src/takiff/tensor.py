@@ -33,8 +33,8 @@ pump and the closure, Whittaker and phi engines are integer sparse
 combinations of the table entries on packed keys; ``image`` takes int
 vectors only, and rationals are cleared once where they enter.  Keys
 are unpacked only at the element and witness edge (``from_ints``,
-Whittaker solutions, the invariant-subspace witness) and for
-``tensor_order_key`` in the triangularity walk.
+Whittaker solutions, the invariant-subspace witness); the triangularity
+walk reads its order off the packed key (``order``).
 
 Everything is exact; "certified" means a genuine membership witness
 exists (and can be replayed), never "converged numerically".
@@ -126,6 +126,14 @@ class TensorModule:
         else:
             idx = m - (key >> 2 * b)
         return idx, m - (key >> b & m), m - (key & m)
+
+    def order(self, key):
+        """check_phi's order (fb, f, hb, h) of a packed Verma key ((f, fb),
+        h, hb), read by shift and mask, as one int that compares alike."""
+        m, b = KEY_FIELD, KEY_BITS
+        return ((m - (key >> 2 * b & m)) << 3 * b
+                | (m - (key >> 3 * b & m)) << 2 * b
+                | (m - (key & m)) << b | m - (key >> b & m))
 
     def flat(self, x):
         """An element as a flat vector {packed key: coefficient}."""
@@ -233,14 +241,6 @@ class TensorModule:
         return self.from_ints(*combine(parts))
 
     # -- windows ------------------------------------------------------------
-
-    def in_window(self, x, depth):
-        for idx, p in x.terms.items():
-            if self.hw.level(idx) > depth:
-                return False
-            if p.deg_h() > depth or p.deg_hb() > depth:
-                return False
-        return True
 
     def window_basis(self, depth):
         """The packed labels (idx, i, j) inside the depth window, the
@@ -485,11 +485,11 @@ def closure_search(mod, seed, depth):
     """
     if seed.is_zero():
         raise ValueError("seed must be nonzero")
-    if not mod.in_window(seed, depth):
-        raise ValueError(f"seed {seed.text()} lies outside the depth-{depth} window")
     start = 0
     for idx, p in seed.terms.items():
         start = max(start, mod.hw.level(idx), p.deg_h(), p.deg_hb())
+    if start > depth:
+        raise ValueError(f"seed {seed.text()} lies outside the depth-{depth} window")
     start = max(start, 2)
     rungs = [(s, min(2 * s, depth)) for s in range(start, depth, 2)]
     rungs.append((depth, depth))

@@ -82,7 +82,7 @@ def highest_weight_action(gen, i, j):
     top, terms = 0, {}
     for (jj, kk, qq, ii, pp, mm), c in gen_times_lowering(gen, i, j).terms.items():
         if not (pp or mm):
-            terms.setdefault((jj, kk), []).append((qq, ii, int(c.numerator)))
+            terms.setdefault((jj, kk), []).append((qq, ii, c.numerator))
             top = max(top, qq, ii)
     return top, terms
 
@@ -141,13 +141,13 @@ class HwModule:
     integers 0..theta, barred generators act by zero.
     """
 
-    def __init__(self, weight, kind, dimension=None, certificate=""):
+    def __init__(self, weight, kind, certificate=""):
         self.weight = weight
         self.kind = kind
-        self.dimension = dimension
+        self.dimension = None if kind == "verma" else int(weight.theta) + 1
         self.certificate = certificate
         if kind == "verma":  # theta's and eta's num and den, and their powers
-            self._bases = tuple(int(x) for c in (weight.theta, weight.eta)
+            self._bases = tuple(x for c in (weight.theta, weight.eta)
                                 for x in (c.numerator, c.denominator))
             self._powers = ([1], [1], [1], [1])
             return
@@ -170,20 +170,15 @@ class HwModule:
     def level(self, idx):
         return idx[0] + idx[1] if self.kind == "verma" else idx
 
-    def basis_at_level(self, level):
-        if self.kind == "verma":
-            return [(i, level - i) for i in range(level + 1)]
-        return [level] if 0 <= level <= self.theta_int() else []
-
     def deepest_level(self, cap):
         """The deepest level of the basis at or below cap >= 0."""
         return cap if self.kind == "verma" else min(cap, self.theta_int())
 
     def basis_through_level(self, depth):
-        out = []
-        for l in range(depth + 1):
-            out.extend(self.basis_at_level(l))
-        return out
+        """The basis vectors of level at most depth, shallowest first."""
+        if self.kind == "verma":
+            return [(i, l - i) for l in range(depth + 1) for i in range(l + 1)]
+        return list(range(self.deepest_level(depth) + 1))
 
     def theta_int(self):
         return int(self.weight.theta)
@@ -296,14 +291,13 @@ def build_hw_module(hw):
         )
     theta = hw.theta
     if theta.denominator == 1 and theta >= 0:
-        dim = int(theta) + 1
-        module = HwModule(hw, "findim", dimension=dim)
+        module = HwModule(hw, "findim")
         problem = _check_findim(module)
         if problem:
             raise ValueError(f"finite-dimensional check failed: {problem}")
         module.certificate = (
-            f"dimension {dim}; axioms and irreducibility verified on basis"
-        )
+            f"dimension {module.dimension}; axioms and irreducibility "
+            "verified on basis")
         return module
     raise ValueError(
         f"no implemented irreducible quotient for {hw.label()}: "

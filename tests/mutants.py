@@ -102,7 +102,7 @@ MUTANTS = (
            "if den < 0:\n        g = -g", "if den < 0:\n        g = g",
            ("tests/test_sparse.py::test_lowest_terms_is_the_same_vector_in_lowest_terms",)),
     Mutant("combine-drops-the-part-den", "sparse.py",
-           "int(c.denominator) * d)", "int(c.denominator))",
+           "c.denominator * d)", "c.denominator)",
            ("tests/test_sparse.py::test_combine_sums_the_scaled_vectors",)),
     Mutant("combine-int-path-drops-the-part-den", "sparse.py",
            "(c, d) if type(c) is int", "(c, 1) if type(c) is int",
@@ -186,9 +186,14 @@ MUTANTS = (
            ("tests/test_verma.py::test_findim_check_reads_the_weight_chain",)),
     # check_phi's triangularity walk
     Mutant("triangularity-accepts-a-higher-coordinate", "induced.py",
-           "not tensor_order_key(fk) < t\n               for fk in map(unpack, flat)",
-           "False\n               for fk in map(unpack, flat)",
+           "if max(map(order, flat)) > t:", "if False:",
            ("tests/test_induced.py::test_non_lower_coordinate_is_named_in_the_rational_order",)),
+    # the proof's order read off a packed key, with f and fb swapped
+    Mutant("packed-order-swaps-f-and-fb", "tensor.py",
+           "(m - (key >> 2 * b & m)) << 3 * b\n                | (m - (key >> 3 * b & m)) << 2 * b",
+           "(m - (key >> 3 * b & m)) << 3 * b\n                | (m - (key >> 2 * b & m)) << 2 * b",
+           ("tests/test_induced.py::test_packed_order_agrees_on_the_phi_coordinates",
+            "tests/test_induced.py::test_packed_order_agrees_on_random_verma_keys")),
     # the record classes' hand-written validation and freezing
     Mutant("check-record-accepts-any-status", "report.py",
            "if status not in _STATUSES:", "if False:",
@@ -221,6 +226,11 @@ MUTANTS = (
     Mutant("lincomb-hash-from-id", "sparse.py",
            "return hash(frozenset(self.terms.items()))", "return id(self)",
            ("tests/test_records.py::test_equal_parameter_packs_hash_equal",)),
+    # the scalar grammar read as a prefix: "1.5" would parse as 1
+    Mutant("scalar-grammar-reads-a-prefix", "scalars.py",
+           "_LITERAL.fullmatch(text)", "_LITERAL.match(text)",
+           ("tests/test_scalars.py::test_parse_scalar_takes_only_p_or_p_over_q",
+            "tests/test_cli.py::test_a_zero_denominator_in_a_suite_names_the_literal")),
 )
 
 

@@ -61,21 +61,35 @@ def test_a_zero_denominator_in_act_is_a_usage_error(flag):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("args", [
-    pytest.param(("verify", "irreducible", "--eta", "1/0"), id="verify-eta"),
-    pytest.param(("verify", "axioms", "--b", "1/0"), id="verify-b"),
-    pytest.param(("verify", "whittaker", "--mu2", "0,1/0"), id="verify-mu2"),
-    pytest.param(("singular", "--theta", "1/0"), id="singular-theta"),
+ZERO_DEN = "bad scalar literal '1/0': zero denominator"
+
+
+@pytest.mark.parametrize("args,witness", [
+    pytest.param(("verify", "irreducible", "--eta", "1/0"), ZERO_DEN,
+                 id="verify-eta"),
+    pytest.param(("verify", "axioms", "--b", "1/0"), ZERO_DEN, id="verify-b"),
+    pytest.param(("verify", "whittaker", "--mu2", "0,1/0"), ZERO_DEN,
+                 id="verify-mu2"),
+    pytest.param(("singular", "--theta", "1/0"), ZERO_DEN, id="singular-theta"),
+    # literals Fraction reads but the grammar p or p/q does not
+    pytest.param(("verify", "axioms", "--lambda", "1.5"),
+                 "bad scalar literal '1.5': not p or p/q", id="decimal-point"),
+    pytest.param(("verify", "axioms", "--lambda", "1e3"),
+                 "bad scalar literal '1e3': not p or p/q", id="exponent"),
+    pytest.param(("verify", "axioms", "--a", "1_000"),
+                 "bad scalar literal '1_000': not p or p/q", id="underscore"),
+    pytest.param(("singular", "--eta", ".5"),
+                 "bad scalar literal '.5': not p or p/q", id="leading-point"),
 ])
-def test_a_zero_denominator_in_a_suite_names_the_literal(args):
+def test_a_zero_denominator_in_a_suite_names_the_literal(args, witness):
     """A scalar flag goes through parse_scalar: the one ERROR record
-    names the literal, not the exception's Fraction(1, 0)."""
+    names the literal, not the exception's Fraction(1, 0), and a literal
+    outside the grammar [+-]digits[/digits] is one such record too."""
     proc = run_cli(*args)
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     assert [c["status"] for c in payload["checks"]] == [ERROR]
-    assert payload["checks"][0]["witness"] == (
-        "bad scalar literal '1/0': zero denominator")
+    assert payload["checks"][0]["witness"] == witness
     assert "Traceback" not in proc.stderr
 
 

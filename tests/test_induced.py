@@ -17,6 +17,7 @@ from takiff.algebra import gen_times_word
 from takiff.induced import InducedAction, PhiValues, borel_spec_for
 from takiff.sparse import (accumulate, clear_denominators, combine,
                            lowest_terms)
+from takiff.tensor import KEY_FIELD
 
 HOM_GENS = ("e", "f", "h", "eb", "fb", "hb")
 # rationals with denominators 1, 2 and 3
@@ -322,6 +323,57 @@ def test_check_phi_runs_every_replay_itself(monkeypatch, family, depth):
     assert len(calls) == balance + built + replays * len(basis)
 
 
+# -- the proof's order, read off packed keys ---------------------------------
+
+
+def proof_order(flat_key):
+    """The order of the triangularity proof on tensor coordinates
+    ((f, fb), h, hb): compare (fb, f, hb, h) lexicographically."""
+    (fj, fk), hq, hbi = flat_key
+    return (fk, fj, hbi, hq)
+
+
+def assert_packed_order_agrees(mod, keys):
+    """TensorModule.order on the packed keys sorts them as proof_order
+    does, and tells every two of them apart."""
+    keys = list(keys)
+    order = {k: mod.order(mod.pack(k)) for k in keys}
+    assert len(set(order.values())) == len(keys)
+    assert sorted(keys, key=order.get) == sorted(keys, key=proof_order)
+
+
+@pytest.mark.parametrize("family", ("gamma", "theta", "omega"))
+def test_packed_order_agrees_on_the_phi_coordinates(family):
+    """On every coordinate of the phi values at depths 1-3, and on each
+    value's lead against the rest of it."""
+    mod = tensor_module(family, Q(3, 2), 1, Q(-1, 2), Q(1, 3), 2)
+    phi = PhiValues(mod)
+    coords = set()
+    for depth in (1, 2, 3):
+        for j, k, q, i in ind_window_basis(depth):
+            flat = [mod.unpack(key) for key in phi.of((j, k, q, i))[1]]
+            lead = ((j, k), q, i)
+            assert proof_order(lead) == induced.ind_order_key((j, k, q, i))
+            assert_packed_order_agrees(mod, flat)
+            coords.update(flat)
+    assert_packed_order_agrees(mod, coords)
+
+
+VERMA_KEYS = st.tuples(
+    st.tuples(st.integers(0, KEY_FIELD), st.integers(0, KEY_FIELD)).filter(
+        lambda ab: sum(ab) <= KEY_FIELD),
+    st.integers(0, KEY_FIELD), st.integers(0, KEY_FIELD))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(keys=st.lists(st.one_of(VERMA_KEYS, st.tuples(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(0, 2), st.integers(0, 2))), min_size=2, max_size=8, unique=True))
+def test_packed_order_agrees_on_random_verma_keys(keys):
+    mod = tensor_module("gamma", 1, 0, 0, 1, 0)
+    assert_packed_order_agrees(mod, keys)
+
+
 # -- FAIL witnesses, rendered through the rational routes --------------------
 
 
@@ -362,7 +414,7 @@ def rational_witnesses(mod, depth):
         lead = ((j, k), q, i)
         c = flat.get(lead, Q(0))
         high = [fk for fk in flat if fk != lead and
-                not induced.tensor_order_key(fk) < induced.ind_order_key(key)]
+                not proof_order(fk) < induced.ind_order_key(key)]
         if c != 1:
             out["phi-triangular"] = (
                 FAIL, f"phi({x.text()}) has coefficient {format_scalar(c)} "

@@ -34,15 +34,6 @@ def test_bipoly_ring_laws():
         assert p * BiPoly.const(1) == p
 
 
-def test_bipoly_pow_matches_repeated_product():
-    rng = random.Random(7)
-    p = random_bipoly(rng, deg=2)
-    prod = BiPoly.const(1)
-    for n in range(5):
-        assert p ** n == prod
-        prod = prod * p
-
-
 def test_zero_coefficients_are_dropped():
     assert BiPoly.monomial(0, 1, 1).is_zero()
     assert BiPoly.monomial(0, 1, 1).terms == {}

@@ -414,7 +414,7 @@ def test_envelope_action_on_shared_suffixes_and_dying_words():
         for hw in ORACLE_FACTORS:
             mod = TensorModule(params, hw)
             x = (mod.pure(BiPoly.parse("3/2*h^2*hb - 1/3*hb^2 + h"))
-                 + mod.pure(BiPoly.parse("-2/5*h*hb"), idx=hw.basis_at_level(1)[0]))
+                 + mod.pure(BiPoly.parse("-2/5*h*hb"), idx=hw.basis_through_level(1)[1]))
             us = [eb_powers([Q(1, 3), Q(-2), Q(5, 7), Q(1), Q(-1, 4)], 2),
                   annihilator_element(params.family, 3, params.lam, params.a),
                   (UeaElement.gen("f") + UeaElement.gen("hb")) * eb_powers(
@@ -637,7 +637,9 @@ def test_seed_generation_is_reproducible_and_valid():
     assert len(seeds) == 12
     for s in seeds:
         assert not s.is_zero()
-        assert mod.in_window(s, 8)
+        for idx, p in s.terms.items():  # inside the depth-8 window
+            assert mod.hw.level(idx) <= 8
+            assert p.deg_h() <= 8 and p.deg_hb() <= 8
 
 
 def test_annihilator_kills_the_first_factor():

@@ -152,11 +152,10 @@ def test_nilpotence_matches_the_verma_walk():
         for theta in (-2, 0, 1, Q(1, 2), 3):
             hw = HighestWeight(Q(eta), Q(theta))
             m = build_verma_module(hw)
-            for level in range(5):
-                for idx in m.basis_at_level(level):
-                    for gen in ("e", "eb"):
-                        want = _walk_nilpotence(gen, hw, VermaElement.basis(*idx))
-                        assert m.nilpotence(gen, idx) == want, (hw, idx, gen)
+            for idx in m.basis_through_level(4):
+                for gen in ("e", "eb"):
+                    want = _walk_nilpotence(gen, hw, VermaElement.basis(*idx))
+                    assert m.nilpotence(gen, idx) == want, (hw, idx, gen)
 
 
 def test_nilpotence_on_the_finite_quotient():
@@ -192,13 +191,27 @@ def test_act_ints_on_the_finite_quotient():
 
 def test_findim_check_reads_the_weight_chain():
     for theta in range(6):
-        m = HwModule(HighestWeight(Q(0), Q(theta)), "findim", dimension=theta + 1)
+        m = HwModule(HighestWeight(Q(0), Q(theta)), "findim")
         assert _check_findim(m) is None
-    m = HwModule(HighestWeight(Q(0), Q(3)), "findim", dimension=4)
+    m = HwModule(HighestWeight(Q(0), Q(3)), "findim")
     m._ints["f", 1] = {}  # the int table act_ints and the engine read
     assert m.act_ints("f", 1) == (1, {})
     problem = _check_findim(m)
     assert problem == "f does not send basis 1 to a multiple of basis 2"
+
+
+def test_findim_dimension_is_read_off_the_weight():
+    """L(0, theta) has dimension theta + 1, and the constructor takes no
+    second value that could disagree with it: a dimension of 3 given
+    with theta = 3 once let _check_findim certify a 4-vector basis
+    without looking at basis 3."""
+    hw = HighestWeight(Q(0), Q(3))
+    with pytest.raises(TypeError):
+        HwModule(hw, "findim", dimension=3)
+    m = HwModule(hw, "findim")
+    assert m.dimension == 4 == len(m.basis_through_level(10))
+    m._ints["e", 3] = {}  # basis 3, the last one, breaks the weight chain
+    assert _check_findim(m) == "e does not send basis 3 to a multiple of basis 2"
 
 
 def test_level_scan_report():
