@@ -41,18 +41,21 @@ from .tensor import (
     recover_parameters,
     recover_report,
 )
-from .induced import (
-    BorelSpec,
-    borel_act,
-    borel_to_operator,
-    check_borel_axioms,
-    borel_reducibility_check,
-    IndElement,
-    ind_act,
-    ind_window_basis,
-    phi_map,
-    check_phi,
-    induced_reducibility_predicate,
-)
 from .report import Report, PASS, FAIL, ERROR, INCONCLUSIVE
 from .cli import JobConfig, run_suite, act_eval
+
+# takiff.induced is loaded on first use: only the induced suite reads
+# it, and a process without cached bytecode compiles every module it
+# imports.
+_INDUCED = frozenset((
+    "BorelSpec", "borel_act", "borel_to_operator", "check_borel_axioms",
+    "borel_reducibility_check", "IndElement", "ind_act", "ind_window_basis",
+    "phi_map", "check_phi", "induced_reducibility_predicate"))
+
+
+def __getattr__(name):
+    """The names of takiff.induced, resolved on first use (PEP 562)."""
+    if name in _INDUCED:
+        from . import induced
+        return getattr(induced, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,8 +26,6 @@ from .verma import HighestWeight, build_hw_module, check_singular_levels
 from .tensor import (KEY_FIELD, TensorModule, make_seeds,
                      certify_irreducible, check_invariant_subspace,
                      annihilator_check, whittaker_report, recover_report)
-from .induced import (borel_spec_for, check_borel_axioms,
-                      borel_reducibility_check, check_phi)
 from .report import Report, ERROR
 
 SUITES = ("axioms", "irreducible", "lemma51", "recover", "singular",
@@ -126,6 +124,10 @@ def _run_irreducible(config):
 
 
 def _run_induced(config):
+    # imported here, so that no other suite loads takiff.induced
+    from .induced import (borel_spec_for, check_borel_axioms,
+                          borel_reducibility_check, check_phi)
+
     mod = _module(config)
     spec = borel_spec_for(mod)
     report = check_borel_axioms(spec)

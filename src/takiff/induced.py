@@ -18,6 +18,8 @@ instance; only its straightened words (gen_times_word) are process-wide.
 ind_act, phi_map, borel_act and borel_to_operator are the rational
 routes; the tests hold the integer path equal to them, and check_phi
 itself uses them only to render the witness of a failing element.
+The route agreement of check_borel_axioms runs on the same int letters
+(borel_letter); SkewOperator.apply remains in lemma51 and the tests.
 """
 
 import random
@@ -29,7 +31,7 @@ from .skew import SkewOperator
 from .algebra import bracket, gen_times_word, UeaElement
 from .families import FamilyParams
 from .verma import verma_reducible_predicate
-from .report import Frozen, Report, PASS, FAIL, INCONCLUSIVE
+from .report import Frozen, Report, PASS, FAIL, ERROR, INCONCLUSIVE
 from .sparse import (LinComb, accumulate, clear_denominators, combine,
                      lowest_terms, powers_text)
 
@@ -124,6 +126,20 @@ def borel_to_operator(gen, spec):
             + SkewOperator.word(lam * a / 2))
 
 
+def borel_letter(gen, op):
+    """gen's operator op compiled to an int letter (den, [(j, k, n)]):
+    den * op = sum of n * hb^j d^k, read by _apply_letter.  A word with
+    an h or shift factor does not act on Q[hb]: ValueError names it."""
+    for word in op.terms:
+        if word[0] or word[3]:
+            raise ValueError(
+                f"{gen}: the word "
+                f"{SkewOperator._raw({word: op.terms[word]}).text()} has an "
+                f"h or shift factor, so it does not act on Q[hb]")
+    den, ops = clear_denominators(op.terms)
+    return den, [(j, k, n) for (_, j, k, _), n in ops.items()]
+
+
 def check_borel_axioms(spec):
     """Bracket identities of the subalgebra on Q[hb], operator-exact.
 
@@ -131,6 +147,9 @@ def check_borel_axioms(spec):
     compared with the operator of the bracket; both sides are normal
     forms, so agreement is an identity on all of Q[hb].  A closure
     check first confirms each bracket stays inside the generator span.
+    The route agreement compares borel_act on hb^0..hb^6 with the int
+    letters InducedAction acts by, by cross-multiplication; a word that
+    does not compile to a letter is a FAIL naming it.
     """
     report = Report(suite="borel-axioms", config=spec.config_dict())
     gens = spec.generators
@@ -151,11 +170,17 @@ def check_borel_axioms(spec):
                            residual and f"residual = {residual.text()}")
     for g in gens:
         check_id = f"borel-route-agreement[{g}]/{label}"
+        try:
+            den, letter = borel_letter(g, ops[g])
+        except ValueError as exc:
+            report.add(check_id, FAIL, str(exc))
+            continue
         mismatch = None
         for k in range(7):
-            direct = borel_act(g, spec, UniPoly.monomial(1, k)).to_bipoly()
-            via_op = ops[g].apply(BiPoly.monomial(1, 0, k))
-            if direct != via_op:
+            direct = borel_act(g, spec, UniPoly.monomial(1, k))
+            via_op = _apply_letter(letter, {k: 1})
+            if not _same(clear_denominators(direct.terms), (den, via_op)):
+                via_op = UniPoly._raw({e: Q(n, den) for e, n in via_op.items()})
                 mismatch = f"hb^{k}: {direct.text()} vs {via_op.text()}"
                 break
         report.verdict(check_id, mismatch, "polynomial route matches the "
@@ -320,7 +345,7 @@ class InducedAction:
     (den, {(j, k, q, i): int}) with den > 0, read off the same
     straightened word.  The tail letters act through integer forms of
     the subalgebra operators: each letter is den * letter = sum of
-    n * hb^j d^k, read off borel_to_operator once, in the constructor.
+    n * hb^j d^k, compiled by borel_letter once, in the constructor.
     The letters and a memo of the tails eb^m2 e^p2 hb^i2 . hb^i, keyed
     by (m2, p2, i2, i), belong to the instance; the straightened words
     come from gen_times_word, one parameter-free memo for every hb^i and
@@ -329,11 +354,8 @@ class InducedAction:
     """
 
     def __init__(self, spec):
-        self._letters = {}
-        for gen in spec.generators:
-            den, ops = clear_denominators(borel_to_operator(gen, spec).terms)
-            self._letters[gen] = (den, [(j, k, n) for (_, j, k, _), n
-                                        in ops.items()])
+        self._letters = {gen: borel_letter(gen, borel_to_operator(gen, spec))
+                         for gen in spec.generators}
         self._tails = {}
 
     def image(self, gen, key):
@@ -461,7 +483,8 @@ def check_phi(mod, depth):
     coefficient is 1 iff its numerator equals the denominator, and a
     matrix entry is nonzero iff its numerator is.  Rationals are formed
     only to render a failing witness, with phi_map naming a non-lower
-    coordinate in the rational route's order.
+    coordinate in the rational route's order.  An operator word that
+    borel_letter refuses ends the check in one ERROR record naming it.
     """
     if mod.hw.kind != "verma":
         raise ValueError("check_phi needs a Verma highest-weight factor")
@@ -472,8 +495,12 @@ def check_phi(mod, depth):
         config={"module": label, "depth": depth,
                 **{f"borel_{k}": v for k, v in spec.config_dict().items()}},
     )
+    try:
+        induced = InducedAction(spec)
+    except ValueError as exc:   # a word borel_letter refuses
+        report.add(f"phi-letters/{label}", ERROR, str(exc))
+        return report
     phi = PhiValues(mod)
-    induced = InducedAction(spec)
     top = mod.hw.highest_index
     pack, order = mod.pack, mod.order
     from_ints = mod.from_ints  # witness text of a (den, ints) vector

@@ -94,10 +94,18 @@ def combine(parts):
 
 def lowest_terms(den, ints):
     """The vector ints / den, den a nonzero int of either sign, as
-    (den, ints) with den > 0 and gcd 1 over den and every int."""
-    g = reduce(gcd, ints.values(), abs(den))
+    (den, ints) with den > 0 and gcd 1 over den and every int.  The gcd
+    fold stops at 1; a vector already so comes back as ints itself, since
+    every caller passes a dict it has just built and no one else holds."""
+    g = abs(den)
+    for n in ints.values():
+        if g == 1:
+            break
+        g = gcd(g, n)
     if den < 0:
         g = -g
+    if g == 1:
+        return den, ints
     return den // g, {k: n // g for k, n in ints.items()}
 
 

@@ -90,6 +90,22 @@ MUTANTS = (
     Mutant("induced-tail-memo-drops-i", "induced.py",
            "t = m2, p2, i2, i", "t = m2, p2, i2",
            ("tests/test_induced.py::test_tail_memo_is_exact_in_any_order",)),
+    # the int letters: the route agreement, the compile guard, the
+    # ERROR record check_phi writes for a refused word, and borel_act's c0
+    Mutant("route-agreement-drops-the-letter-den", "induced.py",
+           "(den, via_op))", "(1, via_op))",
+           ("tests/test_induced.py::test_rank_one_routes_agree_and_axioms_hold",)),
+    Mutant("letter-compile-admits-an-h-word", "induced.py",
+           "if word[0] or word[3]:", "if word[3]:",
+           ("tests/test_induced.py::test_corrupt_borel_operator_fails_the_route_agreement",)),
+    Mutant("borel-act-drops-the-constant-term", "induced.py",
+           "factor = UniPoly.var_hb() + UniPoly.const(spec.a)",
+           "factor = UniPoly.var_hb()",
+           ("tests/test_induced.py::test_rank_one_action_worked_examples",)),
+    Mutant("phi-letter-error-escapes-check-phi", "induced.py",
+           "    except ValueError as exc:   # a word borel_letter refuses",
+           "    except ZeroDivisionError as exc:",
+           ("tests/test_induced.py::test_a_word_outside_the_letters_is_one_error_record",)),
     # check_phi's comparisons
     Mutant("same-without-cross-multiplication", "induced.py",
            "all(d2 * n == d1 * b[k]", "all(n == b[k]",
@@ -100,6 +116,10 @@ MUTANTS = (
     # the (den, ints) helpers
     Mutant("lowest-terms-keeps-a-negative-den", "sparse.py",
            "if den < 0:\n        g = -g", "if den < 0:\n        g = g",
+           ("tests/test_sparse.py::test_lowest_terms_is_the_same_vector_in_lowest_terms",)),
+    Mutant("lowest-terms-early-exit-skips-the-sign", "sparse.py",
+           "if g == 1:\n        return den, ints",
+           "if abs(g) == 1:\n        return den, ints",
            ("tests/test_sparse.py::test_lowest_terms_is_the_same_vector_in_lowest_terms",)),
     Mutant("combine-drops-the-part-den", "sparse.py",
            "c.denominator * d)", "c.denominator)",
@@ -216,6 +236,10 @@ MUTANTS = (
     Mutant("cli-imports-argparse-at-load", "cli.py",
            "import json\nimport sys\n", "import argparse\nimport json\nimport sys\n",
            ("tests/test_imports.py::test_import_takiff_loads_no_heavy_module",)),
+    Mutant("cli-imports-induced-at-load", "cli.py",
+           "from .report import Report, ERROR\n",
+           "from .report import Report, ERROR\nfrom . import induced\n",
+           ("tests/test_imports.py::test_a_closure_run_loads_no_induced_module",)),
     Mutant("depth-bound-one-past-the-margin", "cli.py",
            "step = 2", "step = 1",
            ("tests/test_cli.py::test_a_depth_past_the_packing_bound_is_one_error_record",)),

@@ -75,3 +75,17 @@ def test_import_takiff_loads_no_heavy_module():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_a_closure_run_loads_no_induced_module():
+    """takiff.induced is loaded on first use: a closure run_suite leaves
+    it out of sys.modules, and the package still resolves its names."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import takiff; "
+            "takiff.run_suite(takiff.JobConfig('irreducible', depth=1, "
+            "seeds=1)); print('takiff.induced' in sys.modules); "
+            "from takiff import check_phi; "
+            "print(check_phi is sys.modules['takiff.induced'].check_phi)")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code,
+                           str(SRC.parent)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -5,16 +5,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, BorelSpec, FamilyParams,
-                    HighestWeight, IndElement, Q, SkewOperator, TensorElement,
-                    TensorModule, UniPoly, borel_act, borel_reducibility_check,
-                    borel_to_operator, build_hw_module, build_verma_module,
-                    check_borel_axioms, check_phi, format_scalar, ind_act,
-                    ind_window_basis, induced_reducibility_predicate, phi_map,
+from takiff import (ERROR, FAIL, INCONCLUSIVE, PASS, BiPoly, BorelSpec,
+                    FamilyParams, HighestWeight, IndElement, JobConfig, Q,
+                    SkewOperator, TensorElement, TensorModule, UniPoly,
+                    borel_act, borel_reducibility_check, borel_to_operator,
+                    build_hw_module, build_verma_module, check_borel_axioms,
+                    check_phi, format_scalar, ind_act, ind_window_basis,
+                    induced_reducibility_predicate, phi_map, run_suite,
                     verma_reducible_predicate)
 from takiff import GENERATORS, induced, uea_normalize
 from takiff.algebra import gen_times_word
-from takiff.induced import InducedAction, PhiValues, borel_spec_for
+from takiff.induced import (InducedAction, PhiValues, borel_letter,
+                            borel_spec_for)
 from takiff.sparse import (accumulate, clear_denominators, combine,
                            lowest_terms)
 from takiff.tensor import KEY_FIELD
@@ -155,6 +157,107 @@ def test_reducibility_predicate_combines_both_sources():
         FamilyParams("omega", 1, 0, beta="hb"), hw_irr)
     assert not induced_reducibility_predicate(
         FamilyParams("omega", 1, 2, beta="hb"), hw_irr)
+
+
+# -- the int letters of the route agreement ----------------------------------
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(family=st.sampled_from(("gamma", "theta", "omega")), lam=NONZERO,
+       a=RATIONALS, eta=RATIONALS)
+def test_borel_letters_are_the_operator_route(family, lam, a, eta):
+    """The compiled letter of every generator acts on hb^0..hb^8 as
+    SkewOperator.apply acts with borel_to_operator."""
+    spec = BorelSpec(family, lam, a=a, eta=eta)
+    for gen in spec.generators:
+        op = borel_to_operator(gen, spec)
+        den, letter = borel_letter(gen, op)
+        assert den > 0 and all(n for _, _, n in letter)
+        for k in range(9):
+            ints = induced._apply_letter(letter, {k: 1})
+            assert all(ints.values())
+            assert BiPoly({(0, e): Q(n, den) for e, n in ints.items()}) == \
+                op.apply(BiPoly.monomial(1, 0, k)), (gen, k)
+
+
+ROUTE_SPECS = (BorelSpec("gamma", 2, eta=1), BorelSpec("theta", 3, 2),
+               BorelSpec("omega", Q(1, 2), 3, eta=-1))
+
+
+def doubled_eb(gen, op):
+    return op.scale(2) if gen == "eb" else op
+
+
+def deep_word(gen, op):
+    return op if gen == "hb" else op + SkewOperator.word(Q(1, 3), j=1, k=3)
+
+
+def h_word(gen, op):
+    return op + SkewOperator.word(1, i=1) if gen == "hb" else op
+
+
+def shift_word(gen, op):
+    return op + SkewOperator.word(1, m=1) if gen == "eb" else op
+
+
+GAMMA, THETA, OMEGA = (spec.label() for spec in ROUTE_SPECS)
+NOT_ON_QHB = "has an h or shift factor, so it does not act on Q[hb]"
+
+# The value mismatches are the texts the rational route (borel_act
+# against SkewOperator.apply on BiPoly) prints for these corruptions.
+ROUTE_WITNESSES = {
+    doubled_eb: {
+        f"eb]/{GAMMA}": "hb^0: 2 vs 4",
+        f"eb]/{THETA}": "hb^0: -1/12*hb^2 + -1/6 vs -1/6*hb^2 + -1/3",
+        f"eb]/{OMEGA}": "hb^0: 1/4*hb + 3/4 vs 1/2*hb + 3/2",
+    },
+    deep_word: {
+        f"eb]/{GAMMA}": "hb^3: 2*hb^3 vs 2*hb^3 + 2*hb",
+        f"e]/{GAMMA}": "hb^3: -12*hb^2 vs -12*hb^2 + 2*hb",
+        f"eb]/{THETA}": "hb^3: -1/12*hb^5 + -1/6*hb^3 vs "
+                        "-1/12*hb^5 + -1/6*hb^3 + 2*hb",
+        f"eb]/{OMEGA}": "hb^3: 1/4*hb^4 + 3/4*hb^3 vs "
+                        "1/4*hb^4 + 3/4*hb^3 + 2*hb",
+    },
+    h_word: {f"hb]/{label}": f"hb: the word 1*h^1 {NOT_ON_QHB}"
+             for label in (GAMMA, THETA, OMEGA)},
+    shift_word: {f"eb]/{label}": f"eb: the word 1*s^1 {NOT_ON_QHB}"
+                 for label in (GAMMA, THETA, OMEGA)},
+}
+
+
+@pytest.mark.parametrize("corrupt", ROUTE_WITNESSES,
+                         ids=lambda corrupt: corrupt.__name__)
+def test_corrupt_borel_operator_fails_the_route_agreement(monkeypatch,
+                                                          corrupt):
+    """A value mismatch prints the first differing hb^k with both
+    routes' values; a word outside hb^j db^k is named, not read as its
+    hb part."""
+    route = induced.borel_to_operator
+    monkeypatch.setattr(induced, "borel_to_operator",
+                        lambda gen, spec: corrupt(gen, route(gen, spec)))
+    prefix = "borel-route-agreement["
+    got = {c.id[len(prefix):]: c.witness for spec in ROUTE_SPECS
+           for c in check_borel_axioms(spec).checks
+           if c.status == FAIL and c.id.startswith(prefix)}
+    assert got == ROUTE_WITNESSES[corrupt]
+
+
+def test_a_word_outside_the_letters_is_one_error_record(monkeypatch):
+    """check_phi compiles its letters through borel_letter too: the
+    induced suite keeps the Borel records, whose route agreement names
+    the word as a FAIL, and adds one ERROR record naming it for phi."""
+    route = induced.borel_to_operator
+    monkeypatch.setattr(induced, "borel_to_operator",
+                        lambda gen, spec: h_word(gen, route(gen, spec)))
+    report = run_suite(JobConfig(suite="induced", eta="1", depth=1))
+    assert report.suite == "induced"
+    assert any(c.id.startswith("borel-bracket") for c in report.checks)
+    witness = f"hb: the word 1*h^1 {NOT_ON_QHB}"
+    assert [(c.status, c.id.split("/")[0], c.witness)
+            for c in report.checks if c.status != PASS] == [
+        (FAIL, "borel-route-agreement[hb]", witness),
+        (ERROR, "phi-letters", witness)]
 
 
 # -- the integer induced picture against the rational routes -----------------
