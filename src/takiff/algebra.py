@@ -17,16 +17,17 @@ normal form
 by straightening: a generator is bubbled left through larger letters,
 each swap paying the bracket correction.  The straightening of
 (monomial, generator) pairs is memoized, which makes repeated module
-actions cheap, as are the words gen * f^j fb^k (h^q) they read.  The
-straightening memo holds ints: it is seeded with coefficient 1 and
-only adds and multiplies the integer structure constants, so a
-product's rationals come only from its factors' coefficients.
+actions cheap, as are the words gen * f^j fb^k h^q that the Verma and
+induced actions read (``gen_times_word``).  Both memos hold ints: they
+are seeded with coefficient 1 and only add and multiply the integer
+structure constants, so a product's rationals come only from its
+factors' coefficients.
 """
 
 from functools import lru_cache
 
 from .scalars import Q
-from .sparse import LinComb, accumulate, clear_denominators, powers_text
+from .sparse import LinComb, accumulate, powers_text
 
 GENERATORS = ("f", "fb", "h", "hb", "e", "eb")
 GEN_INDEX = {g: i for i, g in enumerate(GENERATORS)}
@@ -191,27 +192,18 @@ def uea_normalize(word, coeff=1, strategy=None):
 
 
 @lru_cache(maxsize=None)
-def gen_times_lowering(g, j, k):
-    """Normal form of  g * f^j fb^k  -- the straightening behind every
-    highest-weight module action -- as a UeaElement, memoized."""
-    return UeaElement.gen(g) * UeaElement.monomial(1, j=j, k=k)
+def gen_times_word(gen, j, k, q):
+    """gen * f^j fb^k h^q straightened, as {mono: int}, memoized: the
+    parameter-free word behind every Verma and induced action.  Callers
+    pass q explicitly and only read the dict."""
+    t = {IDENTITY_MONO: 1}
+    for letter in (gen, *mono_letters((j, k, q, 0, 0, 0))):
+        t = _dict_times_gen(t, letter)
+    return t
 
 
 # perfbench/run.py reads the memo's cache_info() under this name.
-_left_mul_cache = gen_times_lowering
-
-
-_WORDS = {}  # (gen, j, k, q) -> (den, {mono: int}), treat values as frozen
-
-
-def gen_times_word(gen, j, k, q):
-    """gen * f^j fb^k h^q straightened, as (den, {mono: int}): the
-    parameter-free word behind every induced action, memoized."""
-    key = (gen, j, k, q)
-    if key not in _WORDS:
-        _WORDS[key] = clear_denominators(
-            (UeaElement.gen(gen) * UeaElement.monomial(1, j=j, k=k, q=q)).terms)
-    return _WORDS[key]
+_left_mul_cache = gen_times_word
 
 
 def annihilator_element(family, r, lam, a=None):

@@ -180,13 +180,13 @@ def run_suite(config):
 def act_eval(params, expr, target):
     """Apply a '*'-separated generator word; leftmost letter acts last."""
     word = []
-    pos = 0
+    start = 0  # where the piece begins, just after its '*'
     for piece in expr.split("*"):
         name = piece.strip()
         if name not in GENERATORS:
-            at = expr.index(piece, pos)
+            at = start + (piece.index(name) if name else 0)
             raise PolyParseError(f"parse error at symbol {name!r}", at)
-        pos = expr.index(piece, pos) + len(piece)
+        start += len(piece) + 1
         word.append(name)
     out = target
     for gen in reversed(word):

@@ -14,7 +14,8 @@ check_phi runs on integers: both sides of every comparison are
 module action, PhiValues for phi, InducedAction for the induced action
 -- and equality is decided by cross-multiplication (``_same``).
 InducedAction keeps the spec's letters and a memo of their tails per
-instance; only its straightened words (gen_times_word) are process-wide.
+instance; only its straightened int words (gen_times_word, shared with
+the Verma action) are process-wide.
 ind_act, phi_map, borel_act and borel_to_operator are the rational
 routes; the tests hold the integer path equal to them, and check_phi
 itself uses them only to render the witness of a failing element.
@@ -348,8 +349,8 @@ class InducedAction:
     n * hb^j d^k, compiled by borel_letter once, in the constructor.
     The letters and a memo of the tails eb^m2 e^p2 hb^i2 . hb^i, keyed
     by (m2, p2, i2, i), belong to the instance; the straightened words
-    come from gen_times_word, one parameter-free memo for every hb^i and
-    spec.
+    come from gen_times_word, the one parameter-free memo of int words
+    that every hb^i, spec and Verma module shares.
     ind_act and borel_act stay the oracle the tests check it against.
     """
 
@@ -360,7 +361,7 @@ class InducedAction:
 
     def image(self, gen, key):
         j, k, q, i = key
-        wden, terms = gen_times_word(gen, j, k, q)
+        terms = gen_times_word(gen, j, k, q)
         tails = self._tails
         den, parts = 1, []
         for (j2, k2, q2, i2, p2, m2), c in terms.items():
@@ -385,7 +386,7 @@ class InducedAction:
         for c, d, j2, k2, q2, g in parts:
             f = c * (den // d)
             accumulate(out, (((j2, k2, q2, n), f * v) for n, v in g.items()))
-        return lowest_terms(den * wden, out)
+        return lowest_terms(den, out)
 
 
 def _apply_letter(op, g):

@@ -19,9 +19,10 @@ The action is compiled.  In the Leibniz rule x.(h^i hb^j (x) w) =
 alone and the second on (x, w) alone, so each TensorModule instance
 keeps two integer tables, filled lazily: per generator the words of
 family_to_operator over one denominator, with the image of each
-h^i hb^j merged from the parameter-free word shapes of one process-wide
-memo (``word_shape``), and per (generator, w) hw.act_ints.  The tables
-belong to the instance; family_act and hw.act_basis stay the oracle.
+h^i hb^j built from the words on hb^j and then one factor (h - 2m) per
+power of h (``_family_entry``), and per (generator, w) hw.act_ints.
+The tables belong to the instance; family_act and hw.act_basis stay
+the oracle.
 
 Labels are packed ints (``TensorModule.pack``): the fields (level, a, b,
 i, j) of a Verma label idx = (a, b), or (idx, i, j) for L(0, theta),
@@ -41,7 +42,7 @@ exists (and can be replayed), never "converged numerically".
 """
 
 import heapq
-from math import comb, gcd, lcm, perm
+from math import lcm, perm
 
 from .scalars import Q, format_scalar
 from .poly import BiPoly, UniPoly
@@ -198,17 +199,39 @@ class TensorModule:
         return lowest_terms(den * d, out)
 
     def _family_entry(self, gen, key, low):
+        """gen's family part on h^i hb^j (x) idx, low = i << KEY_BITS | j,
+        as (deltas to the label's head, ints) over the words' den:
+        h^i' hb^j' (x) idx packs to head - (i' << KEY_BITS) - j'.
+
+        The words n h^wi hb^wj db^k s^m make F(0, j), the sum of
+        n perm(j, k) h^wi hb^(wj+j-k).  Every word of one generator
+        carries the same shift s^m, and s^m h = (h - 2m) s^m, so
+        F(i, j) = (h - 2m) F(i - 1, j): the entry is walked up from the
+        nearest one below it in the table, each step stored, in a loop
+        rather than recursion."""
         _, words, family = self._family[gen]
-        idx, i, j = self.unpack(key)
-        out = {}
-        for (wi, wj, k, m), n in words.items():
-            shape = word_shape(wi, wj, k, m, i, j)
-            if shape is None:
-                raise ValueError(f"{gen} takes the flat key {(idx, i, j)} "
-                                 f"past the field limit {KEY_FIELD}")
-            accumulate(out, zip(shape[0], map(n.__mul__, shape[1])))
-        entry = family[low] = (list(out), list(out.values()))
-        return entry
+        i, j = low >> KEY_BITS, low & KEY_FIELD
+        if any((wi + i > KEY_FIELD or wj + j - k > KEY_FIELD) and perm(j, k)
+               for wi, wj, k, _ in words):
+            raise ValueError(f"{gen} takes the flat key {self.unpack(key)} "
+                             f"past the field limit {KEY_FIELD}")
+        step = 1 << KEY_BITS
+        base = low
+        while base >= step and base not in family:
+            base -= step
+        if base not in family:
+            out = accumulate({}, ((-(wi << KEY_BITS) - wj - j + k, n * perm(j, k))
+                                  for (wi, wj, k, _), n in words.items()))
+            family[base] = (list(out), list(out.values()))
+        deltas, nums = family[base]
+        two_m = 2 * next(iter(words), (0, 0, 0, 0))[3]
+        while base < low:
+            base += step
+            out = dict(zip([d - step for d in deltas], nums))  # h F
+            if two_m:
+                accumulate(out, zip(deltas, [-two_m * c for c in nums]))
+            deltas, nums = family[base] = (list(out), list(out.values()))
+        return deltas, nums
 
     def _leibniz_entry(self, gen, head):
         idx = self.unpack(head)[0]
@@ -249,26 +272,6 @@ class TensorModule:
                        for idx in self.hw.basis_through_level(depth)
                        for i in range(depth + 1) for j in range(depth + 1)),
                       reverse=True)
-
-
-_SHAPES = {}  # (wi, wj, k, m, i, j) -> (deltas, ints) or None, treat as frozen
-
-
-def word_shape(wi, wj, k, m, i, j):
-    """What the word h^wi hb^wj db^k s^m makes of h^i hb^j, memoized:
-    perm(j, k) * sum_t comb(i, t) (-2m)^(i-t) h^(wi+t) hb^(wj+j-k).  As
-    h^i' hb^j' (x) idx packs to head - (i' << KEY_BITS) - j', it is kept
-    as (deltas to head, ints), or None when a term passes KEY_FIELD."""
-    key = (wi, wj, k, m, i, j)
-    if key not in _SHAPES:
-        n, hb = perm(j, k), wj + j - k
-        if n and (wi + i > KEY_FIELD or hb > KEY_FIELD):
-            _SHAPES[key] = None
-        else:
-            ts = (range(i + 1) if m else (i,)) if n else ()
-            _SHAPES[key] = ([-((wi + t) << KEY_BITS) - hb for t in ts],
-                            [n * comb(i, t) * (-2 * m) ** (i - t) for t in ts])
-    return _SHAPES[key]
 
 
 class TensorElement(LinComb):
@@ -465,8 +468,8 @@ def closure_search(mod, seed, depth):
     and L-level at most depth) are expanded further; their images are
     kept whole, never truncated, so membership in the span always means
     membership in the submodule.  Returns (found, span, steps): found
-    is True once 1 (x) v enters the span, at which point the search
-    stops.  steps[r] = (parent, gen, scale, combo, content), all ints
+    is True once 1 (x) v enters the span, that is once its key, the
+    largest, becomes a pivot, and the search stops there.  steps[r] = (parent, gen, scale, combo, content), all ints
     but gen, records how row r arose: scale * gen . rows[parent] ==
     content * rows[r] + sum(combo[i] * rows[i]), each i < r, and for the
     seed's step (parent = gen = None, combo empty) scale * seed ==
@@ -513,13 +516,18 @@ def _closure_window(mod, seed, lvl_cap, deg_cap):
     # out-of-window parts of images that each stick out.
     #
     # Rows stay int vectors: the image of a stored row is a positive
-    # multiple of gen . row, which spans the same line, and the target
-    # residual only has to reach zero.
+    # multiple of gen . row, which spans the same line.
+    #
+    # 1 (x) v packs to the largest key.  The pivots of an echelon basis
+    # are the minimal keys of its span's vectors, and a row whose pivot
+    # is the largest key is that unit vector, so the span holds 1 (x) v
+    # exactly when its key is a pivot: the row just inserted is the only
+    # one that can make it one.
     field, bits = KEY_FIELD, KEY_BITS
     level_shift = mod.key_bits - 3 * bits  # the level field of a label's head
     span = Echelon()
     steps = []
-    target_res = {mod.pack((mod.hw.highest_index, 0, 0)): 1}
+    target = mod.pack((mod.hw.highest_index, 0, 0))
 
     def window_score(row):
         # None outside the window, else max over L-labels of level +
@@ -546,25 +554,15 @@ def _closure_window(mod, seed, lvl_cap, deg_cap):
 
     def push(vec, parent, gen, scale):
         # vec is scale * gen . rows[parent] (the seed: scale * seed).
-        # Returns True once the target is in the span.  The target
-        # residual stays reduced against every stored row, so only the
-        # newly inserted row can shrink it further: one subtraction
-        # replaces a full sweep.
-        nonlocal counter, target_res
+        # Returns True once the target is in the span.
+        nonlocal counter
         ridx, combo, mult, content = span.insert(vec)
         if ridx is None:
             return False
         steps.append((parent, gen, scale * mult, combo, content))
+        if span.pivots[ridx] == target:
+            return True
         row = span.rows[ridx]
-        pk = span.pivots[ridx]
-        c = target_res.get(pk)
-        if c:
-            g = gcd(c, row[pk])
-            a, b = row[pk] // g, c // g
-            target_res = accumulate({k: a * v for k, v in target_res.items()},
-                                    ((k2, -b * v2) for k2, v2 in row.items()))
-            if not target_res:
-                return True
         score = window_score(row)
         if score is not None:
             heapq.heappush(heap, (score, counter, ridx))

@@ -6,10 +6,10 @@ Generator actions are not hand-coded: the envelope product
 gen * f^i fb^j is straightened to PBW normal form and then evaluated
 by sending e, eb to zero and h, hb to theta, eta on the right.  That
 makes the straightening tables the single source of truth for module
-arithmetic.  That action holds no parameter, so one memo per process
-keeps it on ints (``highest_weight_action``); ``HwModule.act_ints``
-evaluates it with the module's powers of theta and eta, and
-``verma_act_basis`` stays the rational route.
+arithmetic.  The straightened words hold no parameter and only ints,
+so they come from the process-wide word memo (``gen_times_word``);
+``HwModule.act_ints`` evaluates them with the module's powers of
+theta and eta, and ``verma_act_basis`` stays the rational route.
 
 When eta = 0 and theta is a nonnegative integer, the irreducible
 quotient collapses to the classical (theta+1)-dimensional sl2 module
@@ -28,7 +28,7 @@ since those Verma modules are irreducible (Wilson, J. Algebra 336).
 from functools import lru_cache
 
 from .scalars import Q, format_scalar
-from .algebra import GENERATORS, bracket, gen_times_lowering
+from .algebra import GENERATORS, bracket, gen_times_word
 from .linalg import nullspace
 from .sparse import LinComb, accumulate, lowest_terms, powers_text
 from .report import Frozen, Report, PASS, FAIL
@@ -66,25 +66,8 @@ def verma_act_basis(gen, hw, i, j):
     # e, eb annihilate the highest weight vector
     return accumulate({}, (((jj, kk), c * hw.theta**qq * hw.eta**ii)
                            for (jj, kk, qq, ii, pp, mm), c
-                           in gen_times_lowering(gen, i, j).terms.items()
+                           in gen_times_word(gen, i, j, 0).items()
                            if not (pp or mm)))
-
-
-@lru_cache(maxsize=None)
-def highest_weight_action(gen, i, j):
-    """gen . f^i fb^j v with theta and eta left as letters, memoized: the
-    terms of gen * f^i fb^j free of e and eb, per target f^i' fb^j' v as
-    triples (q, m, c) for c * theta^q * eta^m, and top, the largest q or
-    m.  Its one reader is ``HwModule.act_ints``, which evaluates it on a
-    weight and only reads it.  Each c is an int, read as its numerator:
-    straightening only adds and multiplies the integer structure
-    constants of the brackets."""
-    top, terms = 0, {}
-    for (jj, kk, qq, ii, pp, mm), c in gen_times_lowering(gen, i, j).terms.items():
-        if not (pp or mm):
-            terms.setdefault((jj, kk), []).append((qq, ii, c.numerator))
-            top = max(top, qq, ii)
-    return top, terms
 
 
 def verma_act(gen, hw, x):
@@ -191,12 +174,18 @@ class HwModule:
 
     def act_ints(self, gen, idx):
         """gen . (basis vector) as (den, {index: int}) in lowest terms, a
-        dict callers only read: on a Verma module ``highest_weight_action``
-        over the den (theta's den * eta's den)^top, the powers grown as
-        needed; on L(0, theta) its one int table of closed forms, den 1."""
+        dict callers only read.  On a Verma module: the terms of the
+        straightened gen * f^i fb^j free of e and eb (which kill v), as
+        c * theta^q * eta^m per target, over the den (theta's den * eta's
+        den)^top, top the largest q or m, the powers grown as needed.  On
+        L(0, theta): its one int table of closed forms, den 1."""
         if self.kind != "verma":
             return 1, self._ints[gen, idx]
-        top, terms = highest_weight_action(gen, *idx)
+        top, terms = 0, {}
+        for (jj, kk, q, m, p, mb), c in gen_times_word(gen, *idx, 0).items():
+            if not (p or mb):
+                terms.setdefault((jj, kk), []).append((q, m, c))
+                top = max(top, q, m)
         powers = self._powers
         while len(powers[0]) <= top:
             for table, base in zip(powers, self._bases):

@@ -82,9 +82,9 @@ MUTANTS = (
     Mutant("lagrange-denominator-sign-flipped", "tensor.py",
            "den *= mr - ms", "den *= ms - mr",
            ("tests/test_linalg.py::test_vandermonde_inverse_inverts",)),
-    # the process-wide word memo behind InducedAction
-    Mutant("word-memo-key-without-q", "algebra.py",
-           "key = (gen, j, k, q)", "key = (gen, j, k)",
+    # the process-wide word memo behind the Verma and induced actions
+    Mutant("word-fold-drops-q", "algebra.py",
+           "mono_letters((j, k, q, 0, 0, 0))", "mono_letters((j, k, 0, 0, 0, 0))",
            ("tests/test_induced.py::test_shared_words_are_the_naive_rewrite",)),
     # the per-instance tail memo inside InducedAction.image
     Mutant("induced-tail-memo-drops-i", "induced.py",
@@ -138,10 +138,12 @@ MUTANTS = (
     Mutant("echelon-stores-a-negative-pivot", "linalg.py",
            "if residual[pivot] < 0:", "if residual[pivot] > 0:",
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
-    Mutant("closure-target-adds-the-row", "tensor.py",
-           "((k2, -b * v2) for k2, v2 in row.items())",
-           "((k2, b * v2) for k2, v2 in row.items())",
-           ("tests/test_tensor.py::test_certification_examples",)),
+    # the closure's found test, read off the pivot of the row just stored
+    Mutant("closure-found-compares-the-seed-pivot", "tensor.py",
+           "if span.pivots[ridx] == target:",
+           "if span.pivots[ridx] == span.pivots[0]:",
+           ("tests/test_tensor.py::test_closure_finds_the_target_when_its_key_becomes_a_pivot",
+            "tests/test_tensor.py::test_degenerate_point_is_never_certified")),
     Mutant("echelon-pivots-on-the-largest-key", "linalg.py",
            "pivot = min(residual)", "pivot = max(residual)",
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
@@ -193,14 +195,22 @@ MUTANTS = (
     Mutant("singular-scan-drops-the-eb-block", "verma.py",
            'Q(n, den) for gen in ("e", "eb")', 'Q(n, den) for gen in ("e",)',
            ("tests/test_verma.py::test_interleaved_scans_match_the_reference_kernel",)),
-    # the int reader of the shared highest-weight action, the word-shape
-    # memo behind the family entries, and the finite quotient's check
+    # the int reader of the shared word memo, the family entries built
+    # from the words and walked up in h, and the finite quotient's check
     Mutant("verma-power-table-reads-theta-to-q-plus-1", "verma.py",
            "c * tn[q] * td[top - q]", "c * tn[q + 1] * td[top - q]",
            ("tests/test_verma.py::test_act_ints_is_the_rational_action_cleared",)),
-    Mutant("shape-memo-key-without-the-db-exponent", "tensor.py",
-           "key = (wi, wj, k, m, i, j)", "key = (wi, wj, m, i, j)",
-           ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
+    Mutant("act-ints-keeps-an-e-word", "verma.py",
+           "            if not (p or mb):", "            if not mb:",
+           ("tests/test_verma.py::test_act_ints_is_the_rational_action_cleared",)),
+    Mutant("family-entry-at-i0-drops-perm", "tensor.py",
+           "- wj - j + k, n * perm(j, k))", "- wj - j + k, n)",
+           ("tests/test_tensor.py::test_family_entries_walk_up_one_shift_and_match_family_act",
+            "tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle")),
+    Mutant("family-entry-walks-up-by-h-plus-2m", "tensor.py",
+           "[-two_m * c for c in nums]", "[two_m * c for c in nums]",
+           ("tests/test_tensor.py::test_family_entries_walk_up_one_shift_and_match_family_act",
+            "tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle")),
     Mutant("findim-check-drops-the-bracket-side", "verma.py",
            "for z, cz in bracket_xy:", "for z, cz in ():",
            ("tests/test_verma.py::test_findim_check_reads_the_weight_chain",)),

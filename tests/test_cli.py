@@ -180,6 +180,26 @@ def test_act_eval_applies_words_in_order():
         act_eval(params, "e*q", BiPoly.const(1))
 
 
+@pytest.mark.parametrize("expr, symbol, position", [
+    ("e*q", "q", 2),
+    ("e * q", "q", 4),
+    ("e**f", "", 2),
+    ("*f", "", 0),
+    ("f* ", "", 2),
+    ("  q*e", "q", 2),
+    ("e*f*  hq ", "hq", 6),
+])
+def test_act_eval_reports_the_column_of_the_stripped_symbol(expr, symbol,
+                                                             position):
+    """The column of a bad symbol is where its stripped text starts; an
+    empty piece is reported just after its '*'."""
+    with pytest.raises(PolyParseError) as info:
+        act_eval(FamilyParams("gamma", 1), expr, BiPoly.const(1))
+    assert info.value.position == position
+    assert str(info.value) == (f"parse error at symbol {symbol!r} "
+                               f"(at position {position})")
+
+
 @pytest.mark.parametrize("fields, message", [
     pytest.param({"suite": "whittaker", "depth": -1},
                  "depth must be >= 0, got -1", id="whittaker-depth"),

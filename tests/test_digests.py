@@ -6,16 +6,21 @@ ordered (check id, status) list.  This replays every job through the
 benchmark's own runner (perfbench/workloads.py, loaded read-only) and
 asserts both, so a change to any engine that alters a single byte of a
 report fails here, not only when the benchmark runs.  It also asserts
-that no report repeats a check id.
+that no report repeats a check id.  A second test replays each
+workload's seed-1 job list in one shuffled order with the process-wide
+memos emptied before each job: a report must not depend on what ran
+before it in the same process.
 """
 
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 import takiff
+from takiff import algebra, verma
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,3 +46,25 @@ def test_reports_match_the_recorded_digests(workload):
         ids = [check_id for check_id, _ in checks]
         assert len(set(ids)) == len(ids), key
         assert workloads.digest(payload) == want["sha256"], key
+
+
+def test_reports_do_not_depend_on_the_memos_history():
+    """History independence: every job of each workload's seed-1 job
+    list but its anchor (which has no recorded digest), all shuffled
+    together with a fixed seed and each run with the three process-wide
+    memos (the straightening table, the word memo and the singular-vector
+    scan) emptied first, gives its recorded digest."""
+    workloads = load_workloads()
+    jobs = []
+    for workload in ("closure", "induced", "suites", "whittaker"):
+        expected = json.loads(
+            (PERFBENCH / "expected" / f"{workload}.json").read_text())["jobs"]
+        jobs += [(job, expected[workloads.job_key(job)])
+                 for job in workloads.job_list(workload, 1)[1:]]
+    random.Random(5).shuffle(jobs)
+    for job, want in jobs:
+        algebra._STRAIGHTEN.clear()
+        algebra.gen_times_word.cache_clear()
+        verma.singular_vectors.cache_clear()
+        payload, _ = workloads.run_job(takiff, job)
+        assert workloads.digest(payload) == want["sha256"], job

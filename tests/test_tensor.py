@@ -16,6 +16,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import takiff
 from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
                     HighestWeight, Q, TensorElement, TensorModule, UeaElement,
                     UniPoly, annihilator_check, bracket, build_hw_module,
@@ -26,10 +27,12 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
                     whittaker_vector_search)
 from takiff import tensor
 from takiff.algebra import annihilator_element, mono_letters
-from takiff.families import family_act
+from takiff.families import family_act, family_to_operator
 from takiff.linalg import independent, nullspace, solve_unique
 from takiff.sparse import combine
 from takiff.tensor import KEY_FIELD, RecoveredParams, WhittakerWindow
+
+from test_digests import load_workloads
 
 GENS = ("e", "f", "h", "eb", "fb", "hb")
 
@@ -84,6 +87,30 @@ def test_compiled_action_matches_the_leibniz_oracle(params, hw, data):
                            max_size=3))})
     for gen in GENS:
         assert mod.act(gen, x) == leibniz(mod, gen, x), (gen, x.text())
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS + [
+    FamilyParams("omega", -1, 0, beta="hb")], ids=lambda p: f"{p.family}-a={p.a}")
+def test_family_entries_walk_up_one_shift_and_match_family_act(params):
+    """Every generator's family_to_operator words carry one shift s^m,
+    the premise of F(i, j) = (h - 2m) F(i - 1, j).  Over L(0, 0), where
+    every generator acts by zero, a label's image is its family entry
+    alone: it equals family_act on h^i hb^j through h-degree 12, with
+    the table filled upwards, downwards and in a shuffled order."""
+    one = build_hw_module(HighestWeight(Q(0), Q(0)))
+    labels = [(0, i, j) for i in range(13) for j in range(4)]
+    orders = [labels, labels[::-1],
+              random.Random(12).sample(labels, len(labels))]
+    for gen in GENS:
+        assert len({m for *_, m in family_to_operator(gen, params).terms}) == 1
+        want = {key: TensorElement({0: family_act(
+            gen, params, BiPoly.monomial(1, key[1], key[2]))})
+            for key in labels}
+        for order in orders:
+            mod = TensorModule(params, one)
+            for key in order:
+                got = mod.from_ints(*mod.image(gen, {mod.pack(key): 1}))
+                assert got == want[key], (gen, key)
 
 
 @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda p: p.family)
@@ -517,6 +544,33 @@ def test_closure_steps_replay_through_the_leibniz_oracle(params, hw):
     if found:
         residual, _ = span.reduce({mod.pack((hw.highest_index, 0, 0)): 1})
         assert not residual
+
+
+def test_closure_finds_the_target_when_its_key_becomes_a_pivot(monkeypatch):
+    """Over every closure search of the seed-1 closure job list, found
+    holds exactly when Echelon.reduce leaves no residual of 1 (x) v; on
+    a hit the row pivoted on its key is that unit vector."""
+    searches = []
+    search = tensor.closure_search
+
+    def recorded(mod, seed, depth):
+        out = search(mod, seed, depth)
+        searches.append((mod, out))
+        return out
+
+    monkeypatch.setattr(tensor, "closure_search", recorded)
+    workloads = load_workloads()
+    for job in workloads.job_list("closure", 1):
+        workloads.run_job(takiff, job)
+    hits = 0
+    for mod, (found, span, _) in searches:
+        target = mod.pack((mod.hw.highest_index, 0, 0))
+        residual, _ = span.reduce({target: 1})
+        assert found == (not residual), mod.label()
+        if found:
+            hits += 1
+            assert span.rows[span.pivot_of[target]] == {target: 1}
+    assert 0 < hits < len(searches)
 
 
 def test_closure_span_comes_back_on_labels_in_pivot_order():

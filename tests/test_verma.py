@@ -10,7 +10,7 @@ from takiff import (HighestWeight, Q, VermaElement, build_hw_module,
                     build_verma_module, check_singular_levels,
                     singular_vectors, verma_reducible_predicate)
 from takiff import verma
-from takiff.algebra import GENERATORS, gen_times_lowering
+from takiff.algebra import GENERATORS, UeaElement, gen_times_word
 from takiff.linalg import nullspace
 from takiff.sparse import clear_denominators
 from takiff.verma import HwModule, _check_findim, verma_act, verma_act_basis
@@ -275,12 +275,18 @@ def test_singular_vectors_match_a_dense_reference_kernel(eta, theta, level):
 
 
 def test_the_scanned_straightening_coefficients_are_integers():
-    """highest_weight_action reads each coefficient off its numerator."""
+    """act_ints reads the word memo's ints as they are: the rational
+    product gen * f^i fb^j has integer coefficients, and they are the
+    memo's."""
     for level in range(1, 8):
         for i in range(level + 1):
             for gen in GENERATORS:
-                terms = gen_times_lowering(gen, i, level - i).terms
+                terms = (UeaElement.gen(gen)
+                         * UeaElement.monomial(1, j=i, k=level - i)).terms
                 assert all(c.denominator == 1 for c in terms.values())
+                ints = gen_times_word(gen, i, level - i, 0)
+                assert all(type(c) is int for c in ints.values())
+                assert ints == terms
 
 
 def count_exact_kernels(monkeypatch):
