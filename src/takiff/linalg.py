@@ -7,10 +7,14 @@ fraction-free: every stored row is a primitive integer vector whose
 pivot is the minimum of its support in the labels' natural order (the
 packed int keys of the tensor engines).  Elimination is gcd-reduced
 cross-multiplication on ints alone, in the style of Bareiss (Math.
-Comp. 22, 1968), in place on the int vector it is handed; ``insert``
-returns the stored row's combination of the rows before it, which the
-closure keeps as each row's int provenance.  Rationals are cleared
-once, in ``nullspace``, which reads a kernel off one elimination;
+Comp. 22, 1968), in place on the int vector it is handed.  Keys that
+are the pivot of a one-key row, a unit row, are stripped before the heap
+sweep at multiplier 1, the singleton step of structured Gaussian
+elimination (LaMacchia and Odlyzko, CRYPTO '90, LNCS 537); most closure
+rows are unit rows.  ``insert`` returns the stored row's combination of
+the rows before it, with no zero coefficient, which the closure keeps as
+each row's int provenance.  Rationals are cleared once, in
+``nullspace``, which reads a kernel off one elimination;
 ``solve_unique`` (the omega alpha constraint) reads its solution off
 that kernel.  ``independent`` decides whether int vectors are
 independent by the same cross-multiplication on leading terms alone,
@@ -36,38 +40,53 @@ class Echelon:
     a primitive integer vector: its entries are ints with gcd 1, its
     pivot, ``pivots[i]`` for ``rows[i]`` (``pivot_of`` inverts it), is
     the smallest label of its support, and the pivot entry is
-    positive.  Rows, once stored, are never modified.  Input vectors
-    are dicts of nonzero ints, and the eliminator owns them: ``insert``
-    and ``reduce`` reduce their argument in place, so a caller that
-    still needs its vector passes a copy.
+    positive.  A one-key row is therefore the unit vector of its pivot;
+    ``unit_of`` maps the pivot of each one-key row to its index, and
+    elimination strips those keys first.  Rows, once stored, are never
+    modified.  Input vectors are dicts of nonzero ints, and the
+    eliminator owns them: ``insert`` and ``reduce`` reduce their argument
+    in place, so a caller that still needs its vector passes a copy.
     """
 
     def __init__(self):
         self.rows = []
         self.pivots = []    # row index -> basis label
         self.pivot_of = {}  # basis label -> row index
+        self.unit_of = {}   # pivot of each one-key row -> row index
 
     def __len__(self):
         return len(self.rows)
 
     def _eliminate(self, vec):
         """(residual, mult, combo), all ints, with mult > 0 and
-        mult * vec == residual + sum(combo[i] * rows[i]); residual is vec.
+        mult * vec == residual + sum(combo[i] * rows[i]); residual is vec,
+        and combo holds no zero coefficient.
 
-        Pivot hits are consumed smallest-first through a heap; since a
-        stored row's support never goes below its own pivot, each
-        subtraction only introduces keys above the one just cleared,
-        and the sweep terminates.  A hit on key k with residual entry c
-        and row pivot p scales the residual by p/g and subtracts c/g
-        times the row, g = gcd(c, p): cross-multiplication reduced by
-        the gcd, so no rational is ever formed.
+        Unit rows go first: a key of vec that is the pivot of a one-key
+        row is popped into combo at multiplier 1.  That is exact, since a
+        primitive one-key row with a positive pivot is the unit vector,
+        so the step takes the entry as it is and touches no other key.
+        The remaining pivot hits are consumed smallest-first through a
+        heap; since a stored row's support never goes below its own
+        pivot, each subtraction only introduces keys above the one just
+        cleared, and the sweep terminates.  A hit on key k with residual
+        entry c and row pivot p scales the residual and combo by p/g and
+        subtracts c/g times the row, g = gcd(c, p): cross-multiplication
+        reduced by the gcd, so no rational is ever formed.  A row may
+        bring a stripped unit key back; its second hit adds to the
+        coefficient taken first, and a sum that cancels is dropped.
         """
         mult, residual = 1, vec
-        steps = []  # (row index, coefficient, mult when it was taken)
-        pivot_of = self.pivot_of
+        pivot_of, unit_of = self.pivot_of, self.unit_of
         rows = self.rows
         pop, push = heapq.heappop, heapq.heappush
-        heap = [k for k in residual if k in pivot_of]
+        combo, heap = {}, []
+        for k in [k for k in residual if k in pivot_of]:
+            ri = unit_of.get(k)
+            if ri is None:
+                heap.append(k)
+            else:
+                combo[ri] = residual.pop(k)
         heapq.heapify(heap)
         while heap:
             k = pop(heap)
@@ -82,9 +101,15 @@ class Echelon:
                 a = p // g
                 for k2 in residual:
                     residual[k2] *= a
+                for i in combo:
+                    combo[i] *= a
                 mult *= a
             b = c // g
-            steps.append((ri, b, mult))
+            s = combo.get(ri, 0) + b  # a stripped unit key met again
+            if s:
+                combo[ri] = s
+            else:
+                del combo[ri]
             for k2, v2 in row.items():
                 old = residual.get(k2, 0)
                 s = old - b * v2
@@ -94,18 +119,14 @@ class Echelon:
                         push(heap, k2)
                 else:
                     del residual[k2]
-        # a coefficient taken at multiplier m was scaled by mult / m since
-        combo = {}
-        for ri, b, m in steps:
-            combo[ri] = combo.get(ri, 0) + b * (mult // m)
         return residual, mult, combo
 
     def reduce(self, vec):
         """Fully reduce an int vector against the span; vec is consumed.
 
         Returns (residual, combo) as rationals: residual is what
-        remains, and combo maps row indices to the coefficients that
-        were subtracted, so vec = residual + sum(combo[i] * rows[i]).
+        remains, and combo maps row indices to the nonzero coefficients
+        that were subtracted, so vec = residual + sum(combo[i] * rows[i]).
         """
         residual, mult, combo = self._eliminate(vec)
         return ({k: Q(c, mult) for k, c in residual.items()},
@@ -116,8 +137,9 @@ class Echelon:
 
         Returns (row_index, combo, mult, content), all ints, with
         mult > 0 and mult * vec == content * rows[row_index] +
-        sum(combo[i] * rows[i]).  row_index is None (and content 0)
-        when vec was already in the span.
+        sum(combo[i] * rows[i]), and no zero in combo.  row_index is None
+        (and content 0) when vec was already in the span.  A stored row
+        with one key joins ``unit_of``.
         """
         residual, mult, combo = self._eliminate(vec)
         if not residual:
@@ -130,6 +152,8 @@ class Echelon:
         self.rows.append({k: c // content for k, c in residual.items()})
         self.pivots.append(pivot)
         self.pivot_of[pivot] = idx
+        if len(residual) == 1:
+            self.unit_of[pivot] = idx
         return idx, combo, mult, content
 
 

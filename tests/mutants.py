@@ -132,8 +132,22 @@ MUTANTS = (
            "out << KEY_BITS | KEY_FIELD - f", "out << KEY_BITS | f",
            ("tests/test_tensor.py::test_packed_keys_round_trip_in_the_pivot_order",)),
     Mutant("echelon-skips-the-residual-rescale", "linalg.py",
-           "residual[k2] *= a\n                mult *= a",
-           "residual[k2] *= 1\n                mult *= a",
+           "residual[k2] *= a\n                for i in combo:",
+           "residual[k2] *= 1\n                for i in combo:",
+           ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
+    Mutant("combo-skips-the-rescale", "linalg.py",
+           "combo[i] *= a", "combo[i] *= 1",
+           ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
+    # unit rows: stripped at multiplier 1 before the heap sweep
+    Mutant("unit-map-admits-a-two-key-row", "linalg.py",
+           "if len(residual) == 1:", "if len(residual) <= 2:",
+           ("tests/test_linalg.py::test_insert_matches_the_reference_heap_sweep",)),
+    Mutant("combo-keeps-a-cancelled-zero", "linalg.py",
+           "else:\n                del combo[ri]",
+           "else:\n                combo[ri] = s",
+           ("tests/test_linalg.py::test_a_unit_key_brought_back_and_cancelled_leaves_no_zero",)),
+    Mutant("unit-strip-flips-the-sign", "linalg.py",
+           "combo[ri] = residual.pop(k)", "combo[ri] = -residual.pop(k)",
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
     Mutant("echelon-stores-a-negative-pivot", "linalg.py",
            "if residual[pivot] < 0:", "if residual[pivot] > 0:",

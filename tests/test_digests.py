@@ -6,10 +6,11 @@ ordered (check id, status) list.  This replays every job through the
 benchmark's own runner (perfbench/workloads.py, loaded read-only) and
 asserts both, so a change to any engine that alters a single byte of a
 report fails here, not only when the benchmark runs.  It also asserts
-that no report repeats a check id.  A second test replays each
-workload's seed-1 job list in one shuffled order with the process-wide
-memos emptied before each job: a report must not depend on what ran
-before it in the same process.
+that no report repeats a check id.  The other tests replay each
+workload's seed-1 job list in one shuffled order three ways: with the
+process-wide memos emptied before each job, kept warm across jobs, and
+with the singular-vector memo overfull: a report must not depend on
+what ran before it in the same process.
 """
 
 import importlib.util
@@ -48,13 +49,10 @@ def test_reports_match_the_recorded_digests(workload):
         assert workloads.digest(payload) == want["sha256"], key
 
 
-def test_reports_do_not_depend_on_the_memos_history():
-    """History independence: every job of each workload's seed-1 job
-    list but its anchor (which has no recorded digest), all shuffled
-    together with a fixed seed and each run with the three process-wide
-    memos (the straightening table, the word memo and the singular-vector
-    scan) emptied first, gives its recorded digest."""
-    workloads = load_workloads()
+def shuffled_seed_1_jobs(workloads):
+    """Every job of each workload's seed-1 job list but its anchor (which
+    has no recorded digest), with its expectation, all shuffled together
+    with a fixed seed."""
     jobs = []
     for workload in ("closure", "induced", "suites", "whittaker"):
         expected = json.loads(
@@ -62,9 +60,40 @@ def test_reports_do_not_depend_on_the_memos_history():
         jobs += [(job, expected[workloads.job_key(job)])
                  for job in workloads.job_list(workload, 1)[1:]]
     random.Random(5).shuffle(jobs)
-    for job, want in jobs:
-        algebra._STRAIGHTEN.clear()
-        algebra.gen_times_word.cache_clear()
-        verma.singular_vectors.cache_clear()
+    return jobs
+
+
+def clear_memos():
+    algebra._STRAIGHTEN.clear()
+    algebra.gen_times_word.cache_clear()
+    verma.singular_vectors.cache_clear()
+
+
+def test_reports_do_not_depend_on_the_memos_history():
+    """History independence: the shuffled seed-1 jobs, each run with the
+    three process-wide memos (the straightening table, the word memo and
+    the singular-vector scan) emptied first, give their recorded digests."""
+    workloads = load_workloads()
+    for job, want in shuffled_seed_1_jobs(workloads):
+        clear_memos()
+        payload, _ = workloads.run_job(takiff, job)
+        assert workloads.digest(payload) == want["sha256"], job
+
+
+@pytest.mark.parametrize("history", ["warm", "overfull"])
+def test_reports_do_not_depend_on_warm_or_overfull_memos(history):
+    """The same shuffled jobs with the memos emptied once and then kept
+    warm across all of them; "overfull" first pre-fills singular_vectors
+    past its 256 keys with level-1 scans of weights no job uses, so the
+    run evicts as it goes."""
+    workloads = load_workloads()
+    clear_memos()
+    if history == "overfull":
+        for n in range(300):
+            verma.singular_vectors(takiff.HighestWeight(takiff.Q(1000 + n),
+                                                        takiff.Q(0)), 1)
+        info = verma.singular_vectors.cache_info()
+        assert info.currsize == info.maxsize == 256
+    for job, want in shuffled_seed_1_jobs(workloads):
         payload, _ = workloads.run_job(takiff, job)
         assert workloads.digest(payload) == want["sha256"], job

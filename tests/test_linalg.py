@@ -1,17 +1,23 @@
 """The fraction-free eliminator, the kernel and unique-solve readings
 built on it, each against a small dense elimination written out here as
-the oracle, the leading-term independence sweep against the eliminator,
-and the closed-form Vandermonde inverse."""
+the oracle, the eliminator's unit rows against a plain heap sweep, the
+leading-term independence sweep against the eliminator, and the
+closed-form Vandermonde inverse."""
 
 import copy
+import heapq
+from functools import reduce
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from takiff import Q
+import takiff
+from takiff import Q, linalg, tensor
 from takiff.linalg import Echelon, independent, nullspace, solve_unique
 from takiff.tensor import _vandermonde_inverse
+
+from test_digests import load_workloads
 
 
 def reference_rank(rows):
@@ -99,7 +105,7 @@ def test_echelon_is_fraction_free_and_exact(vectors, probe):
         # the span grows exactly when the rank does
         assert (ridx is None) == (rank(seen) == before)
         assert all(type(x) is int for x in (mult, content, *combo.values()))
-        assert mult > 0
+        assert mult > 0 and all(combo.values())
         stored = [] if ridx is None else [(content, span.rows[ridx])]
         assert combine([(mult, vec)]) == combine(
             stored + [(c, span.rows[i]) for i, c in combo.items()])
@@ -112,6 +118,7 @@ def test_echelon_is_fraction_free_and_exact(vectors, probe):
         assert span.pivots[idx] == pivot
     assert span.pivot_of == {k: n for n, k in enumerate(span.pivots)}
     residual, combo = span.reduce(dict(probe))
+    assert all(combo.values())
     assert combine([(1, probe)]) == combine(
         [(1, residual)] + [(c, span.rows[i]) for i, c in combo.items()])
     assert not set(residual) & set(span.pivot_of)
@@ -162,6 +169,132 @@ def wide_vector_lists(draw):
             vectors.insert(draw(st.integers(0, len(vectors))),
                            {k: x // g for k, x in dependent.items()})
     return vectors
+
+
+class ReferenceEchelon:
+    """Echelon's insert without unit rows: every pivot hit goes through
+    the heap, each hit appends (row, coefficient, mult when taken) to a
+    steps list, and a post-pass scales each coefficient by the mult
+    gathered after it.  Independent of ``Echelon`` on purpose."""
+
+    def __init__(self):
+        self.rows, self.pivots, self.pivot_of = [], [], {}
+
+    def insert(self, vec):
+        mult, residual, steps = 1, dict(vec), []
+        heap = [k for k in residual if k in self.pivot_of]
+        heapq.heapify(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            c = residual.get(k)
+            if not c:
+                continue
+            ri = self.pivot_of[k]
+            row = self.rows[ri]
+            g = gcd(c, row[k])
+            if g != row[k]:
+                a = row[k] // g
+                residual = {k2: v * a for k2, v in residual.items()}
+                mult *= a
+            b = c // g
+            steps.append((ri, b, mult))
+            for k2, v2 in row.items():
+                old = residual.get(k2, 0)
+                residual[k2] = old - b * v2
+                if not residual[k2]:
+                    del residual[k2]
+                elif not old and k2 in self.pivot_of:
+                    heapq.heappush(heap, k2)
+        combo = {}
+        for ri, b, m in steps:
+            combo[ri] = combo.get(ri, 0) + b * (mult // m)
+        if not residual:
+            return None, combo, mult, 0
+        pivot = min(residual)
+        content = reduce(gcd, residual.values(), 0)
+        if residual[pivot] < 0:
+            content = -content
+        self.rows.append({k: c // content for k, c in residual.items()})
+        self.pivots.append(pivot)
+        self.pivot_of[pivot] = len(self.rows) - 1
+        return len(self.rows) - 1, combo, mult, content
+
+
+def assert_unit_rows(span):
+    """unit_of maps the pivot of exactly the one-key rows to their index,
+    and each such row is the unit vector."""
+    units = {p: i for i, (p, row) in enumerate(zip(span.pivots, span.rows))
+             if len(row) == 1}
+    assert span.unit_of == units
+    assert all(span.rows[i] == {p: 1} for p, i in units.items())
+
+
+class CheckedEchelon(Echelon):
+    """An Echelon that inserts every vector into a ReferenceEchelon too
+    and asserts the same (row, combo, mult, content), the same stored
+    row and exact unit rows after each insert."""
+
+    def __init__(self):
+        super().__init__()
+        self.reference = ReferenceEchelon()
+
+    def insert(self, vec):
+        want = self.reference.insert(vec)
+        got = super().insert(vec)
+        assert got == want
+        assert self.rows == self.reference.rows
+        assert_unit_rows(self)
+        return got
+
+
+def insert_all(vectors):
+    span = CheckedEchelon()
+    for vec in vectors:
+        span.insert(dict(vec))
+    return span
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.lists(int_vectors, max_size=10))
+def test_insert_matches_the_reference_heap_sweep(vectors):
+    """Stripping unit keys first and keeping one combination dict gives
+    the plain heap sweep's insert exactly, with no zero coefficient."""
+    insert_all(vectors)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(wide_vector_lists())
+def test_insert_matches_the_reference_heap_sweep_on_wide_entries(vectors):
+    insert_all(vectors)
+
+
+def test_a_unit_key_brought_back_and_cancelled_leaves_no_zero():
+    """Row 0 = {0: 1, 1: 1}, row 1 = {1: 1} is a unit row.  Inserting
+    row 0 again strips key 1 into combo[1] = 1; clearing key 0 with row 0
+    brings key 1 back as -1, and its second hit cancels combo[1], which
+    is dropped rather than kept as a zero."""
+    span = insert_all([{0: 1, 1: 1}, {1: 1}])
+    assert span.unit_of == {1: 1}
+    assert span.insert({0: 1, 1: 1}) == (None, {0: 1}, 1, 0)
+    assert span.reduce({0: 2, 1: 2, 2: 5}) == ({2: Q(5)}, {0: Q(2)})
+
+
+def test_every_closure_echelon_matches_the_reference(monkeypatch):
+    """Every Echelon built while the seed-1 closure job list runs (the
+    closure spans and the kernels behind nullspace) inserts exactly as
+    the reference heap sweep does, and stores unit rows, many of them."""
+    spans = []
+
+    def checked():
+        spans.append(CheckedEchelon())
+        return spans[-1]
+
+    monkeypatch.setattr(tensor, "Echelon", checked)
+    monkeypatch.setattr(linalg, "Echelon", checked)
+    workloads = load_workloads()
+    for job in workloads.job_list("closure", 1):
+        workloads.run_job(takiff, job)
+    assert spans and sum(len(span.unit_of) for span in spans) > 1000
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -586,6 +586,25 @@ def test_closure_span_comes_back_on_labels_in_pivot_order():
         assert mod.pack(mod.unpack(pivot)) == pivot
 
 
+def test_a_depth_6_closure_miss_keeps_its_trajectory():
+    """The miss of ``verify irreducible --family omega --lambda 2 --a 0
+    --eta 1 --theta 0 --seeds 2 --depth 6``, past the catalogues' depth 5:
+    both closures sweep the whole window to their recorded dimensions,
+    and hb*Q[h,hb] (x) L is closed under every generator."""
+    report = takiff.run_suite(takiff.JobConfig(
+        suite="irreducible", family="omega", lam="2", a="0", eta="1",
+        theta="0", seeds=2, depth=6))
+    module = "omega(lam=2,a=0,beta=0) (x) Lbar(eta=1,theta=0)"
+    reached = "; 1 (x) v not reached at this depth"
+    assert [(c.id, c.status, c.witness) for c in report.checks] == [
+        (f"reach[seed-0]/{module}", INCONCLUSIVE,
+         "closure dimension 2120, seed h (x) v" + reached),
+        (f"reach[seed-1]/{module}", INCONCLUSIVE,
+         "closure dimension 1596, seed hb^2 (x) v" + reached),
+    ] + [(f"hb-subspace[{gen}]/{module}", PASS, "closed through depth 6")
+         for gen in ("e", "f", "h", "eb", "fb", "hb")]
+
+
 def test_certification_examples():
     mod = over_verma(FamilyParams("gamma", 1), eta=1, theta=1)
     seeds = [mod.pure("h"), mod.pure("hb^2"),
