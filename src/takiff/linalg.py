@@ -16,10 +16,9 @@ the rows before it, with no zero coefficient, which the closure keeps as
 each row's int provenance.  Rationals are cleared once, in
 ``nullspace``, which reads a kernel off one elimination;
 ``solve_unique`` (the omega alpha constraint) reads its solution off
-that kernel.  ``independent`` decides whether int vectors are
-independent by the same cross-multiplication on leading terms alone,
-stopping at the first dependent vector; its one reader is
-``tensor.WhittakerWindow``.
+that kernel.  There is no second eliminator: the Whittaker window
+decides most grid points by its columns' leading keys alone and hands
+the rest to ``nullspace``.
 
 No floats anywhere; there is no tolerance to tune.
 """
@@ -200,55 +199,3 @@ def solve_unique(columns, rhs):
         return None
     return [-kernel[0].get(t, ZERO) for t in range(n)]
 
-
-def independent(vectors):
-    """True exactly when the int vectors are linearly independent.
-
-    Each vector is a sparse dict key -> nonzero int, left unchanged;
-    ``vectors`` may be a lazy iterable, and the sweep stops at the first
-    vector that reduces to zero.  Stored rows are primitive and keep
-    their pivot at the smallest key of their support, as in ``Echelon``,
-    but only leading terms are eliminated: keys are popped smallest-first
-    from a heap until one is not a pivot, and that key becomes the new
-    row's pivot.  A hit is the same gcd-reduced cross-multiplication as
-    ``Echelon``'s, so the rows stay integral and the answer is exact
-    over Q: the stored rows have distinct leading keys, hence are
-    independent, and span the vectors swept so far.
-    """
-    rows = {}  # pivot key -> primitive row
-    pop, push = heapq.heappop, heapq.heappush
-    for vec in vectors:
-        residual = dict(vec)
-        heap = list(residual)
-        heapq.heapify(heap)
-        pivot = None
-        while heap:
-            k = pop(heap)
-            c = residual.get(k)
-            if not c:
-                continue
-            row = rows.get(k)
-            if row is None:
-                pivot = k
-                break
-            p = row[k]
-            g = gcd(c, p)
-            if g != p:
-                a = p // g
-                for k2 in residual:
-                    residual[k2] *= a
-            b = c // g
-            for k2, v2 in row.items():
-                old = residual.get(k2, 0)
-                s = old - b * v2
-                if s:
-                    residual[k2] = s
-                    if not old:
-                        push(heap, k2)
-                else:
-                    del residual[k2]
-        if pivot is None:
-            return False
-        content = reduce(gcd, residual.values(), 0)
-        rows[pivot] = {k: c // content for k, c in residual.items()}
-    return True

@@ -63,10 +63,10 @@ class CheckRecord:
 
 
 class Report:
-    def __init__(self, suite, config=None, checks=None):
+    def __init__(self, suite, config=None):
         self.suite = suite
         self.config = {} if config is None else config
-        self.checks = [] if checks is None else checks
+        self.checks = []
 
     def add(self, check_id, status, witness=""):
         self.checks.append(CheckRecord(check_id, status, witness))

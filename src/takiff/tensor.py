@@ -51,7 +51,7 @@ from .algebra import GENERATORS, UeaElement, annihilator_element, mono_letters
 # perfbench/selfcheck.py looks it up as takiff.tensor.family_act.
 from .families import FamilyParams, family_act, family_to_operator  # noqa: F401
 from .verma import HwModule, VermaElement
-from .linalg import Echelon, independent, nullspace
+from .linalg import Echelon, nullspace
 from .skew import SkewOperator
 from .report import Frozen, Report, PASS, FAIL, INCONCLUSIVE
 from .sparse import (LinComb, accumulate, clear_denominators, combine,
@@ -724,9 +724,14 @@ class WhittakerWindow:
     satisfies the equations in the full module, and the kernel is
     complete for the window.
 
-    ``solve`` sweeps each grid point's int columns with ``independent``,
-    which decides exactly whether the kernel is zero, and reads the
-    kernel off ``nullspace`` only when it is not.
+    ``solve`` decides most grid points by the leading keys of their int
+    columns.  When every column is nonzero and their smallest keys are
+    pairwise distinct, the kernel is zero: in a vanishing combination,
+    the column with the smallest lead is the only one with an entry at
+    that key, so its coefficient is 0, and so on up the leads.  The
+    leads are then a triangular minor, a certificate a reader can check
+    by eye.  A zero column, or two columns with one lead, proves
+    nothing, and ``nullspace`` decides the point exactly.
     """
 
     def __init__(self, mod, depth):
@@ -761,12 +766,13 @@ class WhittakerWindow:
 
     def solve(self, mu1, mu2):
         """All window vectors x with e.x = mu1 x and eb.x = mu2 x."""
-        if independent(self._shifted(mu1, mu2)):
+        columns = list(self._shifted(mu1, mu2))
+        if len({min(col) for col in columns if col}) == len(columns):
             return []
         dens = [den for den, _ in self.columns]
         unpack = self.mod.unpack
         out = []
-        for vec in nullspace(self._shifted(mu1, mu2)):
+        for vec in nullspace(columns):
             # back to the unscaled columns, with 1 at the top label again
             top = dens[max(vec)]
             out.append(TensorElement.from_flat(
@@ -786,7 +792,9 @@ def whittaker_report(mod, grid, depth):
     """Search over a grid of (mu1, mu2); PASS means no Whittaker vector.
 
     One ``WhittakerWindow`` serves the whole grid.  A PASS rests on the
-    exact independence of its columns; a FAIL lists the exact solutions.
+    columns' pairwise distinct leading keys, or, where they collide or a
+    column is zero, on an empty kernel from ``nullspace``; a FAIL lists
+    the exact solutions.
     """
     label = mod.label()
     report = Report(

@@ -188,16 +188,21 @@ MUTANTS = (
            "parts.append((n, sden, -low, heads, snums))",
            "parts.append((n, sden, low, heads, snums))",
            ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
-    # the Whittaker window's int columns and the independence sweep
-    Mutant("independent-accepts-a-dependent-vector", "linalg.py",
-           "if pivot is None:\n            return False",
-           "if pivot is None:\n            return True",
+    # the Whittaker window's int columns and its leading-key test
+    Mutant("whittaker-leads-are-the-largest-keys", "tensor.py",
+           "{min(col) for col in columns if col}",
+           "{max(col) for col in columns if col}",
            ("tests/test_tensor.py::test_whittaker_sweep_agrees_with_the_exact_kernel",
-            "tests/test_linalg.py::test_independent_is_every_echelon_insert_storing_a_row")),
-    Mutant("independent-skips-the-rescale", "linalg.py",
-           "residual[k2] *= a\n            b = c // g",
-           "residual[k2] *= 1\n            b = c // g",
-           ("tests/test_linalg.py::test_independent_is_every_echelon_insert_storing_a_row",)),
+            "tests/test_tensor.py::test_whittaker_sweep_decides_where_a_prime_would_not")),
+    Mutant("whittaker-leads-count-a-zero-column", "tensor.py",
+           "{min(col) for col in columns if col}",
+           "{min(col, default=None) for col in columns}",
+           ("tests/test_tensor.py::test_whittaker_sweep_agrees_with_the_exact_kernel",)),
+    Mutant("whittaker-always-reads-the-kernel", "tensor.py",
+           "if len({min(col) for col in columns if col}) == len(columns):",
+           "if False:",
+           ("tests/test_tensor.py::test_whittaker_sweep_agrees_with_the_exact_kernel",
+            "tests/test_tensor.py::test_whittaker_sweep_decides_where_a_prime_would_not")),
     Mutant("whittaker-diagonal-pair-swapped", "tensor.py",
            "((e_row | key, -n1 * den), (key, -n2 * den))",
            "((key, -n1 * den), (e_row | key, -n2 * den))",

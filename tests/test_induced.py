@@ -64,6 +64,40 @@ def test_rank_one_reducibility_split():
         assert any("proper-submodule" in i for i in ids)
 
 
+def test_rank_one_reducibility_names_each_failure(monkeypatch):
+    """Under an action where e kills everything, hb carries an extra
+    identity term and eb an extra constant, each of the three checks
+    FAILs with the value that broke it."""
+    real = borel_act
+
+    def corrupt(gen, spec, g):
+        if gen == "e":
+            return UniPoly.zero()
+        if gen == "hb":
+            return real(gen, spec, g) + g
+        if gen == "eb" and spec.family != "gamma":
+            return real(gen, spec, g) + UniPoly.const(1)
+        return real(gen, spec, g)
+
+    monkeypatch.setattr(induced, "borel_act", corrupt)
+    rep = borel_reducibility_check(BorelSpec("gamma", 2, eta=1), 2)
+    gamma = "borel-gamma(lam=2,eta=1)"
+    assert [(c.id, c.status, c.witness) for c in rep.checks] == [
+        (f"borel-reaches-unit[k=1]/{gamma}", FAIL, "e^1.hb^1 = 0"),
+        (f"borel-reaches-unit[k=2]/{gamma}", FAIL, "e^2.hb^2 = 0"),
+        (f"borel-generates-from-unit/{gamma}", FAIL,
+         "(hb - eta)^1.1 = hb + 1"),
+    ]
+    rep = borel_reducibility_check(BorelSpec("theta", 1, 2), 2)
+    assert [(c.id, c.status, c.witness) for c in rep.checks[:2]] == [
+        ("borel-ideal-invariant[eb]/borel-theta(lam=1,a=2,eta=0)", FAIL,
+         "eb.hb^1 = -1/4*hb^3 + -1/2*hb + 1 has a constant term"),
+        ("borel-ideal-invariant[hb]/borel-theta(lam=1,a=2,eta=0)", PASS,
+         "hb.(hb g) stays divisible by hb through degree 3"),
+    ]
+    assert not rep.ok
+
+
 def test_borel_spec_validation():
     with pytest.raises(ValueError):
         BorelSpec("gamma", 0)

@@ -1,10 +1,8 @@
 """The fraction-free eliminator, the kernel and unique-solve readings
 built on it, each against a small dense elimination written out here as
-the oracle, the eliminator's unit rows against a plain heap sweep, the
-leading-term independence sweep against the eliminator, and the
+the oracle, the eliminator's unit rows against a plain heap sweep, and the
 closed-form Vandermonde inverse."""
 
-import copy
 import heapq
 from functools import reduce
 from math import gcd
@@ -14,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import takiff
 from takiff import Q, linalg, tensor
-from takiff.linalg import Echelon, independent, nullspace, solve_unique
+from takiff.linalg import Echelon, nullspace, solve_unique
 from takiff.tensor import _vandermonde_inverse
 
 from test_digests import load_workloads
@@ -295,22 +293,6 @@ def test_every_closure_echelon_matches_the_reference(monkeypatch):
     for job in workloads.job_list("closure", 1):
         workloads.run_job(takiff, job)
     assert spans and sum(len(span.unit_of) for span in spans) > 1000
-
-
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(wide_vector_lists())
-def test_independent_is_every_echelon_insert_storing_a_row(vectors):
-    """The leading-term sweep is True exactly when each vector, inserted
-    in turn, enlarges the full eliminator's span, and so exactly when the
-    vectors have full rank.  A lazy iterable gives the same answer, and
-    the vectors come back unchanged."""
-    before = copy.deepcopy(vectors)
-    span = Echelon()
-    want = all(span.insert(dict(vec))[0] is not None for vec in vectors)
-    assert want == (rank(vectors) == len(vectors))
-    assert independent(vectors) == want
-    assert independent(iter(vectors)) == want
-    assert vectors == before
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

@@ -28,7 +28,7 @@ from takiff import (FAIL, INCONCLUSIVE, PASS, BiPoly, FamilyParams,
 from takiff import tensor
 from takiff.algebra import annihilator_element, mono_letters
 from takiff.families import family_act, family_to_operator
-from takiff.linalg import independent, nullspace, solve_unique
+from takiff.linalg import nullspace, solve_unique
 from takiff.sparse import combine
 from takiff.tensor import KEY_FIELD, RecoveredParams, WhittakerWindow
 
@@ -619,6 +619,19 @@ def test_certification_examples():
     assert rep2.ok and all(c.status == PASS for c in rep2.checks)
 
 
+def test_a_seed_on_the_target_is_found_at_its_first_insert():
+    """A seed that is a multiple of 1 (x) v is its own first row, with
+    its den 2 as the scale and its numerator 3 as the content."""
+    mod = over_verma(FamilyParams("gamma", 2, 1, -1), eta=1, theta=3)
+    seed = mod.one_v().scale(Q(3, 2))
+    found, span, steps = closure_search(mod, seed, 2)
+    assert found and len(span) == 1
+    assert steps == [(None, None, 2, {}, 3)]
+    rep = certify_irreducible(mod, [seed], 2)
+    assert [(c.status, c.witness) for c in rep.checks] == [
+        (PASS, "closure dimension 1, seed 3/2 (x) v")]
+
+
 def test_degenerate_point_is_never_certified():
     mod = over_verma(FamilyParams("omega", 1, 0, beta=UniPoly.zero()),
                      eta=1, theta=1)
@@ -797,10 +810,17 @@ def assert_whittaker(mod, mu1, mu2, sols):
         assert mod.act("eb", x) == x.scale(Q(mu2))
 
 
+def distinct_leads(columns):
+    """True when every column is nonzero and their smallest keys are
+    pairwise distinct: the test ``WhittakerWindow.solve`` reads."""
+    leads = [min(col) for col in columns if col]
+    return len(leads) == len(set(leads)) == len(columns)
+
+
 def test_whittaker_sweep_agrees_with_the_exact_kernel(monkeypatch):
-    """On each grid point the sweep is True exactly when the kernel of
-    the same int columns is zero, and ``solve`` reads that kernel only
-    when the sweep is False."""
+    """On each grid point distinct leading keys imply a zero kernel of
+    the same int columns, and ``solve`` reads that kernel exactly when
+    the kernel is not zero: here no point's leads collide."""
     lam = Q(2)
     mods = [
         TensorModule(FamilyParams("gamma", lam),
@@ -823,7 +843,7 @@ def test_whittaker_sweep_agrees_with_the_exact_kernel(monkeypatch):
         window = WhittakerWindow(mod, 2)
         for mu1, mu2 in grid:
             empty = nullspace(window._shifted(mu1, mu2)) == []
-            assert independent(window._shifted(mu1, mu2)) == empty, \
+            assert distinct_leads(list(window._shifted(mu1, mu2))) == empty, \
                 (mod.label(), mu1, mu2)
             calls.clear()
             sols = window.solve(mu1, mu2)
@@ -834,16 +854,30 @@ def test_whittaker_sweep_agrees_with_the_exact_kernel(monkeypatch):
     assert found == 1 + 6 + 6
 
 
+def test_whittaker_leads_that_collide_fall_back_to_the_kernel(monkeypatch):
+    """gamma lam = 1 over the Verma module eta = 1, theta = -1 at depth 2
+    and (1, 1): two columns share a leading key, yet the columns are
+    independent.  ``solve`` reads one kernel, which is empty."""
+    mod = over_verma(FamilyParams("gamma", 1), eta=1, theta=-1)
+    window = WhittakerWindow(mod, 2)
+    columns = list(window._shifted(1, 1))
+    assert all(columns) and not distinct_leads(columns)
+    assert nullspace(columns) == []
+    calls = count_kernels(monkeypatch)
+    assert window.solve(1, 1) == []
+    assert calls == [0]
+
+
 def test_whittaker_sweep_decides_where_a_prime_would_not(monkeypatch):
     """Points a rank certificate mod p = 2^61 - 1 could not decide:
     mu2 = lam + p is the singular point (0, lam) mod p, and mu1 = 1/p or
-    a = 1/p has no image mod p.  The sweep works over Z, so it proves
-    each of these kernels zero and no kernel is read; (0, lam) itself
-    still FAILs with 1 (x) v."""
+    a = 1/p has no image mod p.  The leads and the kernel work over Z, so
+    each of these points is proved independent by its leads and no kernel
+    is read; (0, lam) itself still FAILs with 1 (x) v."""
     p = 2**61 - 1
     # an entry equal to p: zero mod p, independent over Q
-    assert independent([{0: p}, {0: 1, 1: p}])
-    assert not independent([{0: p, 1: 1}, {0: 2 * p, 1: 2}])
+    assert nullspace([{0: p}, {0: 1, 1: p}]) == []
+    assert len(nullspace([{0: p, 1: 1}, {0: 2 * p, 1: 2}])) == 1
 
     calls = count_kernels(monkeypatch)
     lam = Q(2)
@@ -858,6 +892,7 @@ def test_whittaker_sweep_decides_where_a_prime_would_not(monkeypatch):
     theta_window = WhittakerWindow(theta, 2)
     assert any(den % p == 0 for den, _ in theta_window.columns)
     for mu2 in (-1, 0, 1):
+        assert distinct_leads(list(theta_window._shifted(0, mu2)))
         assert theta_window.solve(0, mu2) == []
     assert calls == []
 
@@ -879,7 +914,8 @@ def test_whittaker_window_with_denominators_in_its_columns():
         columns = list(window._shifted(mu1, mu2))
         assert all(type(n) is int for col in columns for n in col.values())
         sols = window.solve(mu1, mu2)
-        assert independent(columns) == (sols == []), (mu1, mu2)
+        assert (nullspace(columns) == []) == (sols == []), (mu1, mu2)
+        assert distinct_leads(columns) == (sols == []), (mu1, mu2)
         assert_whittaker(mod, mu1, mu2, sols)
     assert window.solve(0, lam) == [mod.one_v()]
 
@@ -904,7 +940,7 @@ def test_public_entries_never_consume_their_inputs():
     """``Echelon`` eliminates the vector it is handed in place, so every
     public entry must clear or copy its caller's data before handing it
     over: all-int columns, a closure seed, a Whittaker window reused
-    over a grid and the columns ``independent`` sweeps all come back
+    over a grid and the shifted columns of one grid point all come back
     unchanged."""
     columns = [{0: 2, 1: 4}, {0: 1, 2: 3}, {0: 3, 1: 4, 2: 3}, {1: 5}]
     rhs = {0: 1, 1: 2, 2: 3}
@@ -932,7 +968,7 @@ def test_public_entries_never_consume_their_inputs():
     assert [window.solve(mu1, mu2) for mu1, mu2 in grid] == first
     columns = list(window._shifted(0, lam))
     swept = copy.deepcopy(columns)
-    assert not independent(columns)
+    assert len(nullspace(columns)) == 1
     assert columns == swept
 
 

@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from takiff import (HighestWeight, Q, VermaElement, build_hw_module,
-                    build_verma_module, check_singular_levels,
-                    singular_vectors, verma_reducible_predicate)
+from takiff import (ERROR, HighestWeight, JobConfig, Q, VermaElement,
+                    build_hw_module, build_verma_module,
+                    check_singular_levels, run_suite, singular_vectors,
+                    verma_reducible_predicate)
 from takiff import verma
 from takiff.algebra import GENERATORS, UeaElement, gen_times_word
 from takiff.linalg import nullspace
@@ -198,6 +199,38 @@ def test_findim_check_reads_the_weight_chain():
     assert m.act_ints("f", 1) == (1, {})
     problem = _check_findim(m)
     assert problem == "f does not send basis 1 to a multiple of basis 2"
+
+
+def test_findim_check_names_a_failing_bracket():
+    """An hb that fixes basis 1 of L(0, 2) keeps the weight chain but
+    breaks [f, hb] = 0 on basis 0, the first pair and basis checked."""
+    m = HwModule(HighestWeight(Q(0), Q(2)), "findim")
+    m._ints["hb", 1] = {1: 1}
+    assert _check_findim(m) == "bracket [f,hb] fails on basis 0"
+
+
+def test_a_failed_findim_check_is_a_value_error_and_one_error_record(
+        monkeypatch):
+    """``build_hw_module`` refuses a finite module whose check fails, and
+    ``run_suite`` turns the refusal into one ERROR record."""
+
+    class Corrupt(HwModule):
+        def __init__(self, weight, kind, certificate=""):
+            super().__init__(weight, kind, certificate)
+            if kind == "findim":
+                self._ints["hb", 1] = {1: 1}
+
+    monkeypatch.setattr(verma, "HwModule", Corrupt)
+    problem = ("finite-dimensional check failed: "
+               "bracket [f,hb] fails on basis 0")
+    with pytest.raises(ValueError) as exc:
+        build_hw_module(HighestWeight(Q(0), Q(2)))
+    assert str(exc.value) == problem
+    rep = run_suite(JobConfig(suite="recover", family="gamma", lam="2",
+                              eta="0", theta="2"))
+    assert rep.config == {"argv_error": problem}
+    assert [(c.id, c.status, c.witness) for c in rep.checks] == [
+        ("recover/setup", ERROR, problem)]
 
 
 def test_findim_dimension_is_read_off_the_weight():
