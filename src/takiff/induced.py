@@ -197,7 +197,9 @@ def borel_reducibility_check(spec, depth):
     hb^k to a nonzero constant; together with (hb - eta)-shifts from 1
     this generates every polynomial of degree <= depth.  theta/omega:
     every generator multiplies by a polynomial, so hb*Q[hb] is a
-    proper nonzero invariant subspace.
+    proper nonzero invariant subspace.  That record is PASS only when
+    every invariance check passed, and otherwise FAIL naming the failed
+    ones.
     """
     report = Report(suite="borel-reducibility",
                     config={**spec.config_dict(), "depth": depth})
@@ -223,19 +225,23 @@ def borel_reducibility_check(spec, depth):
                        not ok and f"(hb - eta)^{i}.1 = {g.text()}",
                        f"(hb - eta)^i.1 = hb^i for i <= {depth}")
         return report
+    failed = []
     for gen in spec.generators:
-        check_id = f"borel-ideal-invariant[{gen}]/{label}"
+        name = f"borel-ideal-invariant[{gen}]"
         bad = None
         for i in range(depth + 1):
             img = borel_act(gen, spec, UniPoly.monomial(1, i + 1))
             if img.coefficient(0) != 0:
                 bad = f"{gen}.hb^{i + 1} = {img.text()} has a constant term"
+                failed.append(name)
                 break
-        report.verdict(check_id, bad, f"{gen}.(hb g) stays divisible by hb "
-                                      f"through degree {depth + 1}")
-    report.add(f"borel-proper-submodule/{label}", PASS,
-               "hb*Q[hb] is invariant, nonzero (contains hb) and proper "
-               "(misses 1): the module is reducible")
+        report.verdict(f"{name}/{label}", bad,
+                       f"{gen}.(hb g) stays divisible by hb through degree "
+                       f"{depth + 1}")
+    report.verdict(f"borel-proper-submodule/{label}",
+                   failed and "rests on the failed " + ", ".join(failed),
+                   "hb*Q[hb] is invariant, nonzero (contains hb) and proper "
+                   "(misses 1): the module is reducible")
     return report
 
 

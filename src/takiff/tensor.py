@@ -7,8 +7,8 @@ act by the Leibniz rule.  On top of the action sit the six engines:
                          in the exponent to extract an h-free element
                          of the generated submodule (gamma only)
   certify_irreducible    sound span-closure reachability of 1 (x) v
-  check_invariant_subspace   hb*Q[h,hb] (x) L is closed (omega, a=0), read
-                         off the integer action columns
+  check_invariant_subspace   hb*Q[h,hb] (x) L is closed (omega, a=0),
+                         decided per window monomial off the family table
   annihilator_check      the binomial operators w^(r): kill V, probe L
   whittaker_vector_search    exact eigenvector solve on a finite window
   recover_parameters     read the construction parameters back off
@@ -162,10 +162,7 @@ class TensorModule:
         zero vector), not always the least, each folded in only where it
         does not divide den.  One merge loop runs on ints.
         """
-        if gen not in self._family:
-            self._family[gen] = (*clear_denominators(
-                family_to_operator(gen, self.params).terms), {})
-        wden, _, family = self._family[gen]
+        wden, _, family = self._family.get(gen) or self._words(gen)
         leibniz = self._leibniz[gen]
         den = wden if ints else 1
         parts = []
@@ -197,6 +194,21 @@ class TensorModule:
         {key: 1}) it is the column of one packed label."""
         d, out = self.image(gen, ints)
         return lowest_terms(den * d, out)
+
+    def family_entry(self, gen, key):
+        """gen's family part on the packed label key, the first term of
+        the Leibniz rule, as (deltas, ints) over the words' den (see
+        ``_family_entry``); it reads only the key's (i, j) fields."""
+        _, _, family = self._family.get(gen) or self._words(gen)
+        low = LOW ^ (key & LOW)
+        return family.get(low) or self._family_entry(gen, key, low)
+
+    def _words(self, gen):
+        """gen's family table, built on first use: (words' den, words,
+        {low: (deltas, ints)})."""
+        entry = self._family[gen] = (*clear_denominators(
+            family_to_operator(gen, self.params).terms), {})
+        return entry
 
     def _family_entry(self, gen, key, low):
         """gen's family part on h^i hb^j (x) idx, low = i << KEY_BITS | j,
@@ -524,9 +536,9 @@ def _closure_window(mod, seed, lvl_cap, deg_cap):
     # exactly when its key is a pivot: the row just inserted is the only
     # one that can make it one.
     field, bits = KEY_FIELD, KEY_BITS
-    level_shift = mod.key_bits - 3 * bits  # the level field of a label's head
+    level_shift = mod.key_bits - bits  # a key's level, its top field
     span = Echelon()
-    steps = []
+    insert, rows, pivots = span.insert, span.rows, span.pivots
     target = mod.pack((mod.hw.highest_index, 0, 0))
 
     def window_score(row):
@@ -538,7 +550,7 @@ def _closure_window(mod, seed, lvl_cap, deg_cap):
             i, j = field - (k >> bits & field), field - (k & field)
             if i > deg_cap or j > deg_cap:
                 return None
-            head = k >> 2 * bits
+            head = k | LOW
             di, dj = degs.get(head, (0, 0))
             degs[head] = (max(di, i), max(dj, j))
         score = 0
@@ -549,38 +561,43 @@ def _closure_window(mod, seed, lvl_cap, deg_cap):
             score = max(score, lvl + di + dj)
         return score
 
-    counter = 0
-    heap = []
-
-    def push(vec, parent, gen, scale):
-        # vec is scale * gen . rows[parent] (the seed: scale * seed).
-        # Returns True once the target is in the span.
-        nonlocal counter
-        ridx, combo, mult, content = span.insert(vec)
-        if ridx is None:
-            return False
-        steps.append((parent, gen, scale * mult, combo, content))
-        if span.pivots[ridx] == target:
-            return True
-        row = span.rows[ridx]
-        score = window_score(row)
-        if score is not None:
-            heapq.heappush(heap, (score, counter, ridx))
-            counter += 1
-        return False
-
+    # steps[r] for row r; the empty span stores the seed as row 0.  The
+    # heap holds (score, row index) of the rows still to expand; row
+    # indices grow in insertion order, so they break ties first in first.
     den, ints = clear_denominators(mod.flat(seed))
-    if push(ints, None, None, den):
+    content = insert(ints)[3]
+    steps = [(None, None, den, {}, content)]
+    if pivots[0] == target:
         return True, span, steps
-
+    score = window_score(rows[0])
+    heap = [] if score is None else [(score, 0)]
+    image, heappop, heappush = mod.image, heapq.heappop, heapq.heappush
     gens = ("eb", "e", "hb", "h", "fb", "f")
     while heap:
-        _, _, ridx = heapq.heappop(heap)
-        row = span.rows[ridx]
+        ridx = heappop(heap)[1]
+        row = rows[ridx]
         for gen in gens:
-            den, img = mod.image(gen, row)
-            if img and push(img, ridx, gen, den):
+            # img is den * gen . row: the step's scale is den * mult
+            den, img = image(gen, row)
+            if not img:
+                continue
+            new, combo, mult, content = insert(img)
+            if new is None:
+                continue
+            steps.append((ridx, gen, den * mult, combo, content))
+            if pivots[new] == target:
                 return True, span, steps
+            stored = rows[new]
+            if len(stored) == 1:  # a unit row, most rows: score its key
+                (k,) = stored
+                i, j = field - (k >> bits & field), field - (k & field)
+                lvl = field - (k >> level_shift)
+                if i <= deg_cap and j <= deg_cap and lvl <= lvl_cap:
+                    heappush(heap, (lvl + i + j, new))
+            else:
+                score = window_score(stored)
+                if score is not None:
+                    heappush(heap, (score, new))
     return False, span, steps
 
 
@@ -604,13 +621,21 @@ def certify_irreducible(mod, seeds, depth):
 
 
 def check_invariant_subspace(mod, depth):
-    """Exact closure of hb*Q[h,hb] (x) L under all six generators (omega, a=0).
+    """Exact closure of hb*Q[h,hb] (x) L under all six generators (omega, a=0),
+    decided once per window monomial h^i hb^(j+1), i, j < depth.
 
-    A label's ``image``, read off the tables, is exact, so
-    h^i hb^(j+1) (x) idx leaves hb*Q[h,hb] exactly when it has a key of
-    hb-exponent 0, a packed key whose low field holds KEY_FIELD.  Only a
-    failing label is rendered, through ``act``, to name the first
-    non-divisible polynomial as the witness.
+    By the Leibniz rule x.(p (x) w) = (x.p) (x) w + p (x) x.w.  For
+    p = h^i hb^(j+1) the second term keeps the factor hb^(j+1), so it
+    never leaves hb*Q[h,hb] (x) L, and its keys carry hb-exponent j+1,
+    so it cannot cancel a key of the first term with hb-exponent 0.  The
+    first term does not depend on w.  So a generator takes some label
+    p (x) w out of the subspace exactly when its family part on p, read
+    off the family table (``TensorModule.family_entry``), has a key of
+    hb-exponent 0, and then it does so for every w: each generator costs
+    at most depth^2 table reads, whatever L is.  The witness is the first
+    failing monomial on the top label, the first failing label in the
+    order (label, i, j); it alone is rendered, through ``act``, to name
+    the first non-divisible polynomial.
     """
     if mod.params.family != "omega" or mod.params.a != 0:
         raise ValueError("invariant-subspace check applies to omega with a = 0")
@@ -619,22 +644,29 @@ def check_invariant_subspace(mod, depth):
         suite="invariant-subspace",
         config={"module": label, "depth": depth},
     )
-    labels = [mod.pack((idx, i, j + 1)) for idx in mod.hw.basis_through_level(depth)
-              for i in range(depth) for j in range(depth)]
     for gen in ("e", "f", "h", "eb", "fb", "hb"):
-        check_id = f"hb-subspace[{gen}]/{label}"
-        bad = next((key for key in labels
-                    if any(k & KEY_FIELD == KEY_FIELD
-                           for k in mod.image(gen, {key: 1})[1])), None)
-        if bad is None:
-            report.add(check_id, PASS, f"closed through depth {depth}")
-            continue
-        idx, i, j = mod.unpack(bad)
-        img = mod.act(gen, TensorElement({idx: BiPoly.monomial(1, i, j)}))
-        q = next(q for q in img.terms.values() if not q.divisible_by_hb())
-        report.add(check_id, FAIL, f"image of h^{i} hb^{j} (x) basis{idx} "
-                                   f"leaves hb*Q[h,hb]: {q.text()}")
+        report.verdict(f"hb-subspace[{gen}]/{label}",
+                       hb_subspace_exit(mod, gen, depth),
+                       f"closed through depth {depth}")
     return report
+
+
+def hb_subspace_exit(mod, gen, depth):
+    """None when gen keeps every window label h^i hb^(j+1) (x) idx,
+    i, j < depth, inside hb*Q[h,hb] (x) L; otherwise the witness text of
+    the first one it takes out, on the top label (see
+    ``check_invariant_subspace``).  Any family and any a."""
+    top = mod.hw.highest_index
+    for i in range(depth):
+        for j in range(1, depth + 1):
+            deltas, _ = mod.family_entry(gen, mod.pack((top, i, j)))
+            # h^i' hb^j' (x) idx is keyed head - (i' << KEY_BITS) - j'
+            if any(not -d & KEY_FIELD for d in deltas):
+                img = mod.act(gen, TensorElement({top: BiPoly.monomial(1, i, j)}))
+                q = next(q for q in img.terms.values() if not q.divisible_by_hb())
+                return (f"image of h^{i} hb^{j} (x) basis{top} "
+                        f"leaves hb*Q[h,hb]: {q.text()}")
+    return None
 
 
 # -- binomial annihilators -------------------------------------------------

@@ -65,18 +65,20 @@ MUTANTS = (
            "self.image_reduced(gen, den, ints)", "self.image_reduced(gen, 1, ints)",
            ("tests/test_tensor.py::test_image_of_int_and_rational_inputs_agree",)),
     Mutant("closure-seed-tag-ignores-the-seed-den", "tensor.py",
-           "push(ints, None, None, den)", "push(ints, None, None, 1)",
+           "steps = [(None, None, den, {}, content)]",
+           "steps = [(None, None, 1, {}, content)]",
            ("tests/test_tensor.py::test_closure_steps_replay_through_the_leibniz_oracle",)),
     Mutant("tagged-echelon-drops-the-column-den", "linalg.py",
            "mult *= cden", "mult *= 1",
            ("tests/test_linalg.py::test_nullspace_folds_each_column_den",)),
     # the closure's int provenance: each stored row's step
     Mutant("closure-step-drops-the-image-den", "tensor.py",
-           "push(img, ridx, gen, den)", "push(img, ridx, gen, 1)",
+           "steps.append((ridx, gen, den * mult, combo, content))",
+           "steps.append((ridx, gen, mult, combo, content))",
            ("tests/test_tensor.py::test_closure_steps_replay_through_the_leibniz_oracle",)),
     Mutant("closure-step-stores-an-empty-combo", "tensor.py",
-           "steps.append((parent, gen, scale * mult, combo, content))",
-           "steps.append((parent, gen, scale * mult, {}, content))",
+           "steps.append((ridx, gen, den * mult, combo, content))",
+           "steps.append((ridx, gen, den * mult, {}, content))",
            ("tests/test_tensor.py::test_closure_steps_replay_through_the_leibniz_oracle",)),
     # the eb pump's closed-form Vandermonde inverse
     Mutant("lagrange-denominator-sign-flipped", "tensor.py",
@@ -86,6 +88,20 @@ MUTANTS = (
     Mutant("word-fold-drops-q", "algebra.py",
            "mono_letters((j, k, q, 0, 0, 0))", "mono_letters((j, k, 0, 0, 0, 0))",
            ("tests/test_induced.py::test_shared_words_are_the_naive_rewrite",)),
+    # the straightening memo: a reader that edits a memo value in place
+    # (the sum would alias the memo's own dict for a one-term unit
+    # product, and the bracket terms are then added into it), and a
+    # memo keyed without its generator
+    Mutant("straighten-edits-a-memo-value-in-place", "algebra.py",
+           "result = _dict_times_gen(_mono_times_gen(rest, g), y)",
+           "result = (_mono_times_gen(next(iter(inner)), y)\n"
+           "                  if len(inner := _mono_times_gen(rest, g)) == 1\n"
+           "                  and 1 in inner.values()\n"
+           "                  else _dict_times_gen(inner, y))",
+           ("tests/test_digests.py::test_reports_do_not_depend_on_the_memos_history",)),
+    Mutant("straighten-memo-keyed-without-the-generator", "algebra.py",
+           "key = (mono, g)", "key = mono",
+           ("tests/test_digests.py::test_reports_do_not_depend_on_the_memos_history",)),
     # the per-instance tail memo inside InducedAction.image
     Mutant("induced-tail-memo-drops-i", "induced.py",
            "t = m2, p2, i2, i", "t = m2, p2, i2",
@@ -106,6 +122,11 @@ MUTANTS = (
            "    except ValueError as exc:   # a word borel_letter refuses",
            "    except ZeroDivisionError as exc:",
            ("tests/test_induced.py::test_a_word_outside_the_letters_is_one_error_record",)),
+    # the Borel proper-submodule record rests on the invariance checks
+    Mutant("proper-submodule-pass-is-unconditional", "induced.py",
+           'failed and "rests on the failed " + ", ".join(failed),',
+           "None,",
+           ("tests/test_induced.py::test_rank_one_reducibility_names_each_failure",)),
     # check_phi's comparisons
     Mutant("same-without-cross-multiplication", "induced.py",
            "all(d2 * n == d1 * b[k]", "all(n == b[k]",
@@ -154,10 +175,14 @@ MUTANTS = (
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
     # the closure's found test, read off the pivot of the row just stored
     Mutant("closure-found-compares-the-seed-pivot", "tensor.py",
-           "if span.pivots[ridx] == target:",
-           "if span.pivots[ridx] == span.pivots[0]:",
+           "if pivots[new] == target:",
+           "if pivots[new] == pivots[0]:",
            ("tests/test_tensor.py::test_closure_finds_the_target_when_its_key_becomes_a_pivot",
             "tests/test_tensor.py::test_degenerate_point_is_never_certified")),
+    # a residual of content 1 is stored as passed, any other divided
+    Mutant("insert-stores-a-residual-of-content-above-1", "linalg.py",
+           "if content != 1:", "if content == -1:",
+           ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
     Mutant("echelon-pivots-on-the-largest-key", "linalg.py",
            "pivot = min(residual)", "pivot = max(residual)",
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
@@ -181,13 +206,26 @@ MUTANTS = (
            "[self.pack((idx2, 0, 0)) for idx2 in snums]", "[]",
            ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
     Mutant("family-entry-keyed-by-head", "tensor.py",
-           "family.get(low) or self._family_entry(gen, key, low)",
-           "family.get(head) or self._family_entry(gen, key, head)",
+           "fnums = family.get(low) or self._family_entry(gen, key, low)",
+           "fnums = family.get(head) or self._family_entry(gen, key, head)",
            ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
     Mutant("leibniz-key-adds-low", "tensor.py",
            "parts.append((n, sden, -low, heads, snums))",
            "parts.append((n, sden, low, heads, snums))",
            ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
+    # the closure's expansion loop scores a unit row by its one key
+    Mutant("closure-unit-score-ignores-the-level-cap", "tensor.py",
+           "if i <= deg_cap and j <= deg_cap and lvl <= lvl_cap:",
+           "if i <= deg_cap and j <= deg_cap:",
+           ("tests/test_tensor.py::test_closure_expands_only_rows_inside_the_window",)),
+    # the invariant-subspace check, once per window monomial h^i hb^(j+1)
+    Mutant("invariance-check-reads-hb-to-the-j", "tensor.py",
+           "for j in range(1, depth + 1):", "for j in range(depth):",
+           ("tests/test_tensor.py::test_invariant_subspace_agrees_with_the_per_label_scan",)),
+    Mutant("invariance-check-covers-i-0-only", "tensor.py",
+           "    for i in range(depth):\n        for j in range(1, depth + 1):",
+           "    for i in range(1):\n        for j in range(1, depth + 1):",
+           ("tests/test_tensor.py::test_invariant_subspace_names_the_first_label_that_leaves_it",)),
     # the Whittaker window's int columns and its leading-key test
     Mutant("whittaker-leads-are-the-largest-keys", "tensor.py",
            "{min(col) for col in columns if col}",

@@ -67,7 +67,8 @@ def test_rank_one_reducibility_split():
 def test_rank_one_reducibility_names_each_failure(monkeypatch):
     """Under an action where e kills everything, hb carries an extra
     identity term and eb an extra constant, each of the three checks
-    FAILs with the value that broke it."""
+    FAILs with the value that broke it.  On theta the proper-submodule
+    record rests on the eb check, so it FAILs too and names it."""
     real = borel_act
 
     def corrupt(gen, spec, g):
@@ -89,11 +90,13 @@ def test_rank_one_reducibility_names_each_failure(monkeypatch):
          "(hb - eta)^1.1 = hb + 1"),
     ]
     rep = borel_reducibility_check(BorelSpec("theta", 1, 2), 2)
-    assert [(c.id, c.status, c.witness) for c in rep.checks[:2]] == [
+    assert [(c.id, c.status, c.witness) for c in rep.checks] == [
         ("borel-ideal-invariant[eb]/borel-theta(lam=1,a=2,eta=0)", FAIL,
          "eb.hb^1 = -1/4*hb^3 + -1/2*hb + 1 has a constant term"),
         ("borel-ideal-invariant[hb]/borel-theta(lam=1,a=2,eta=0)", PASS,
          "hb.(hb g) stays divisible by hb through degree 3"),
+        ("borel-proper-submodule/borel-theta(lam=1,a=2,eta=0)", FAIL,
+         "rests on the failed borel-ideal-invariant[eb]"),
     ]
     assert not rep.ok
 

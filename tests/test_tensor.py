@@ -29,7 +29,6 @@ from takiff import tensor
 from takiff.algebra import annihilator_element, mono_letters
 from takiff.families import family_act, family_to_operator
 from takiff.linalg import nullspace, solve_unique
-from takiff.sparse import combine
 from takiff.tensor import KEY_FIELD, RecoveredParams, WhittakerWindow
 
 from test_digests import load_workloads
@@ -649,29 +648,101 @@ def test_degenerate_point_is_never_certified():
         check_invariant_subspace(over_verma(FamilyParams("gamma", 1)), 3)
 
 
-def test_invariant_subspace_names_the_first_label_that_leaves_it(monkeypatch):
+def test_invariant_subspace_names_the_first_label_that_leaves_it():
+    """fb's family part on h^1 hb^2 is corrupted in the family table, to
+    add h: then fb, and fb alone, takes h^1 hb^2 (x) w out of
+    hb*Q[h,hb] (x) L for every w.  The check reads the table once per
+    monomial and names the monomial on the top label, rendered through
+    ``act``, which reads the same table."""
     mod = over_verma(FamilyParams("omega", 1, 0, beta=UniPoly.zero()),
                      eta=1, theta=1)
-    image = mod.image
-    bad = {mod.pack(key) for key in (((1, 0), 1, 2), ((1, 1), 0, 1))}
-
-    def corrupted(gen, flat):
-        # two labels leave the subspace, ((1, 0), 1, 2) first: fb adds
-        # h (x) idx to each, and so to every image and ``act``
-        parts = [(1, *image(gen, flat))]
-        if gen == "fb":
-            parts += [(c, 1, {mod.pack((mod.unpack(key)[0], 1, 0)): 1})
-                      for key, c in flat.items() if key in bad]
-        return combine(parts)
-
-    monkeypatch.setattr(mod, "image", corrupted)
+    key = mod.pack(((0, 0), 1, 2))
+    deltas, nums = mod.family_entry("fb", key)
+    wden, _, table = mod._family["fb"]
+    table[tensor.LOW ^ (key & tensor.LOW)] = (
+        deltas + [-(1 << tensor.KEY_BITS)], nums + [wden])
     rep = check_invariant_subspace(mod, 3)
     assert [c.status for c in rep.checks] == [PASS, PASS, PASS, PASS, FAIL, PASS]
-    img = mod.act("fb", TensorElement({(1, 0): BiPoly.monomial(1, 1, 2)}))
+    img = mod.act("fb", TensorElement({(0, 0): BiPoly.monomial(1, 1, 2)}))
     q = next(q for q in img.terms.values() if not q.divisible_by_hb())
     assert q.coefficient(1, 0) == 1
-    assert rep.checks[4].witness == (f"image of h^1 hb^2 (x) basis(1, 0) "
-                                     f"leaves hb*Q[h,hb]: {q.text()}")
+    assert rep.checks[4].witness == ("image of h^1 hb^2 (x) basis(0, 0) "
+                                     "leaves hb*Q[h,hb]: -1/2*h*hb^3 + h + -hb^3")
+
+
+def per_label_exit(mod, gen, depth):
+    """The invariant-subspace check as a scan of every window label's
+    image: the witness of the first label h^i hb^(j+1) (x) idx, i, j <
+    depth, in the order (idx, i, j), whose image has a key of
+    hb-exponent 0, or None."""
+    for idx in mod.hw.basis_through_level(depth):
+        for i in range(depth):
+            for j in range(1, depth + 1):
+                _, img = mod.image(gen, {mod.pack((idx, i, j)): 1})
+                if any(k & KEY_FIELD == KEY_FIELD for k in img):
+                    x = mod.act(gen, TensorElement({idx: BiPoly.monomial(1, i, j)}))
+                    q = next(q for q in x.terms.values()
+                             if not q.divisible_by_hb())
+                    return (f"image of h^{i} hb^{j} (x) basis{idx} "
+                            f"leaves hb*Q[h,hb]: {q.text()}")
+    return None
+
+
+INVARIANT_FACTORS = ([build_hw_module(HighestWeight(Q(0), Q(t))) for t in range(4)]
+                     + [build_verma_module(HighestWeight(Q(1), Q(0))),
+                        build_verma_module(HighestWeight(Q(2), Q(1)))])
+
+
+@pytest.mark.parametrize("hw", INVARIANT_FACTORS, ids=lambda hw: hw.label())
+@pytest.mark.parametrize("params", [
+    FamilyParams("omega", 2, 0, beta=UniPoly.zero()),
+    FamilyParams("omega", Q(1, 2), 0, beta="hb^2 + 1"),
+    FamilyParams("omega", -1, 0, beta="2 + hb"),
+    FamilyParams("omega", 1, 3, beta="2*hb^2 - 1"),
+    FamilyParams("omega", 2, Q(1, 3), beta="hb + 1"),
+], ids=lambda p: p.label())
+def test_invariant_subspace_agrees_with_the_per_label_scan(params, hw):
+    """Generator by generator, at depths 1 to 4, the check's witness (or
+    None) is the per-label scan's.  With a = 0 every generator keeps the
+    subspace.  With a != 0 e and f take h^0 hb^1 out of it, a FAIL with
+    no corruption, and the witnesses agree there too."""
+    mod = TensorModule(params, hw)
+    for depth in range(1, 5):
+        exits = {gen: tensor.hb_subspace_exit(mod, gen, depth) for gen in GENS}
+        assert exits == {gen: per_label_exit(mod, gen, depth) for gen in GENS}
+        failed = [gen for gen in GENS if exits[gen]]
+        assert failed == ([] if params.a == 0 else ["e", "f"])
+        assert all(exits[gen].startswith("image of h^0 hb^1 (x) ")
+                   for gen in failed)
+    if params.a == 0:
+        assert check_invariant_subspace(mod, 4).ok
+
+
+@pytest.mark.parametrize("depth", [3, 6])
+def test_invariant_subspace_reads_do_not_grow_with_the_factor(monkeypatch, depth):
+    """The check reads the family table once per generator and window
+    monomial: 6 * depth^2 reads over L(0, 0) and over Lbar(1, 0) alike,
+    and no ``image`` call when every generator passes."""
+    params = FamilyParams("omega", 2, 0, beta="hb")
+    counts = []
+    for hw in (build_hw_module(HighestWeight(Q(0), Q(0))),
+               build_verma_module(HighestWeight(Q(1), Q(0)))):
+        mod = TensorModule(params, hw)
+        reads = Counter()
+        entry = mod.family_entry
+
+        def counted(gen, key):
+            reads[gen] += 1
+            return entry(gen, key)
+
+        def no_image(gen, ints):
+            raise AssertionError("a passing check reads no image")
+
+        monkeypatch.setattr(mod, "family_entry", counted)
+        monkeypatch.setattr(mod, "image", no_image)
+        assert check_invariant_subspace(mod, depth).ok
+        counts.append(reads)
+    assert counts[0] == counts[1] == {gen: depth * depth for gen in GENS}
 
 
 @pytest.mark.parametrize("eta, theta, depth, windows", [
@@ -704,6 +775,28 @@ def test_closure_runs_each_distinct_window_once(monkeypatch, eta, theta,
     direct, oracle, _ = window(mod, seed, depth, depth)
     assert (found, span.rows, span.pivots) == (direct, oracle.rows,
                                                oracle.pivots)
+
+
+@pytest.mark.parametrize("lvl_cap, deg_cap", [(1, 3), (2, 3)])
+def test_closure_expands_only_rows_inside_the_window(lvl_cap, deg_cap):
+    """Every row the window expands, the parent of a later step, has all
+    its keys inside the caps: level at most lvl_cap, h- and hb-degree at
+    most deg_cap.  Most stored rows are unit rows, scored by their one
+    key; images of expanded rows do stick out, one level past the cap.
+    The factor L(0, 3) is finite, so a window that ignored its level cap
+    would still end."""
+    mod = TensorModule(FamilyParams("omega", 1, 0, beta=UniPoly.zero()),
+                       build_hw_module(HighestWeight(Q(0), Q(3))))
+    found, span, steps = tensor._closure_window(mod, mod.pure("h"),
+                                                lvl_cap, deg_cap)
+    assert not found
+    parents = {step[0] for step in steps[1:]}
+    assert any(len(span.rows[p]) == 1 for p in parents)
+    for p in parents:
+        for key in span.rows[p]:
+            idx, i, j = mod.unpack(key)
+            assert mod.hw.level(idx) <= lvl_cap and max(i, j) <= deg_cap, p
+    assert max(mod.hw.level(mod.unpack(k)[0]) for k in span.pivots) > lvl_cap
 
 
 def test_closure_rejects_bad_seeds():
