@@ -197,9 +197,8 @@ def borel_reducibility_check(spec, depth):
     hb^k to a nonzero constant; together with (hb - eta)-shifts from 1
     this generates every polynomial of degree <= depth.  theta/omega:
     every generator multiplies by a polynomial, so hb*Q[hb] is a
-    proper nonzero invariant subspace.  That record is PASS only when
-    every invariance check passed, and otherwise FAIL naming the failed
-    ones.
+    proper nonzero invariant subspace, PASS only when every invariance
+    check passed.
     """
     report = Report(suite="borel-reducibility",
                     config={**spec.config_dict(), "depth": depth})
@@ -225,19 +224,17 @@ def borel_reducibility_check(spec, depth):
                        not ok and f"(hb - eta)^{i}.1 = {g.text()}",
                        f"(hb - eta)^i.1 = hb^i for i <= {depth}")
         return report
-    failed = []
     for gen in spec.generators:
-        name = f"borel-ideal-invariant[{gen}]"
+        check_id = f"borel-ideal-invariant[{gen}]/{label}"
         bad = None
         for i in range(depth + 1):
             img = borel_act(gen, spec, UniPoly.monomial(1, i + 1))
             if img.coefficient(0) != 0:
                 bad = f"{gen}.hb^{i + 1} = {img.text()} has a constant term"
-                failed.append(name)
                 break
-        report.verdict(f"{name}/{label}", bad,
-                       f"{gen}.(hb g) stays divisible by hb through degree "
-                       f"{depth + 1}")
+        report.verdict(check_id, bad, f"{gen}.(hb g) stays divisible by hb "
+                                      f"through degree {depth + 1}")
+    failed = [c.id for c in report.checks if c.status == FAIL]
     report.verdict(f"borel-proper-submodule/{label}",
                    failed and "rests on the failed " + ", ".join(failed),
                    "hb*Q[hb] is invariant, nonzero (contains hb) and proper "

@@ -43,9 +43,8 @@ class Echelon:
     elimination strips those keys first.  Rows, once stored, are never
     modified.  Input vectors are dicts of nonzero ints, and the
     eliminator owns them: ``insert`` and ``reduce`` reduce their argument
-    in place, and a residual that is already primitive with a positive
-    pivot is stored as passed, the very dict, so a caller that still
-    needs its vector passes a copy.
+    in place, and store a primitive residual as the very dict passed, so
+    a caller that still needs its vector passes a copy.
     """
 
     def __init__(self):
@@ -138,19 +137,14 @@ class Echelon:
         Returns (row_index, combo, mult, content), all ints, with
         mult > 0 and mult * vec == content * rows[row_index] +
         sum(combo[i] * rows[i]), and no zero in combo.  row_index is None
-        (and content 0) when vec was already in the span.  The content
-        gcd fold stops at 1, and a residual of content 1 is stored as it
-        is, without a copy.  A stored row with one key joins ``unit_of``.
+        (and content 0) when vec was already in the span.  A residual of
+        content 1 is stored as it is.  A one-key row joins ``unit_of``.
         """
         residual, mult, combo = self._eliminate(vec)
         if not residual:
             return None, combo, mult, 0
         pivot = min(residual)
-        content = 0
-        for c in residual.values():
-            content = gcd(content, c)
-            if content == 1:
-                break
+        content = gcd(*residual.values())
         if residual[pivot] < 0:
             content = -content
         if content != 1:

@@ -167,6 +167,7 @@ class TensorModule:
         den = wden if ints else 1
         parts = []
         for key, n in ints.items():
+            # family_entry's lookup, inlined: a call per key slows image
             low, head = LOW ^ (key & LOW), key | LOW
             deltas, fnums = family.get(low) or self._family_entry(gen, key, low)
             sden, heads, snums = leibniz.get(head) or self._leibniz_entry(gen, head)
@@ -196,16 +197,14 @@ class TensorModule:
         return lowest_terms(den * d, out)
 
     def family_entry(self, gen, key):
-        """gen's family part on the packed label key, the first term of
-        the Leibniz rule, as (deltas, ints) over the words' den (see
-        ``_family_entry``); it reads only the key's (i, j) fields."""
+        """gen's family part on the label key, as (deltas, ints) over the
+        words' den (see ``_family_entry``): the first Leibniz term."""
         _, _, family = self._family.get(gen) or self._words(gen)
         low = LOW ^ (key & LOW)
         return family.get(low) or self._family_entry(gen, key, low)
 
     def _words(self, gen):
-        """gen's family table, built on first use: (words' den, words,
-        {low: (deltas, ints)})."""
+        """gen's family table, built on first use."""
         entry = self._family[gen] = (*clear_denominators(
             family_to_operator(gen, self.params).terms), {})
         return entry
@@ -536,7 +535,7 @@ def _closure_window(mod, seed, lvl_cap, deg_cap):
     # exactly when its key is a pivot: the row just inserted is the only
     # one that can make it one.
     field, bits = KEY_FIELD, KEY_BITS
-    level_shift = mod.key_bits - bits  # a key's level, its top field
+    level_shift = mod.key_bits - 3 * bits  # the level field of a label's head
     span = Echelon()
     insert, rows, pivots = span.insert, span.rows, span.pivots
     target = mod.pack((mod.hw.highest_index, 0, 0))
@@ -550,7 +549,7 @@ def _closure_window(mod, seed, lvl_cap, deg_cap):
             i, j = field - (k >> bits & field), field - (k & field)
             if i > deg_cap or j > deg_cap:
                 return None
-            head = k | LOW
+            head = k >> 2 * bits
             di, dj = degs.get(head, (0, 0))
             degs[head] = (max(di, i), max(dj, j))
         score = 0
@@ -561,9 +560,8 @@ def _closure_window(mod, seed, lvl_cap, deg_cap):
             score = max(score, lvl + di + dj)
         return score
 
-    # steps[r] for row r; the empty span stores the seed as row 0.  The
-    # heap holds (score, row index) of the rows still to expand; row
-    # indices grow in insertion order, so they break ties first in first.
+    # steps[r] for row r, the seed's row 0.  The heap holds (score, row
+    # index) of rows to expand; indices grow, so ties pop first in first.
     den, ints = clear_denominators(mod.flat(seed))
     content = insert(ints)[3]
     steps = [(None, None, den, {}, content)]
@@ -587,17 +585,9 @@ def _closure_window(mod, seed, lvl_cap, deg_cap):
             steps.append((ridx, gen, den * mult, combo, content))
             if pivots[new] == target:
                 return True, span, steps
-            stored = rows[new]
-            if len(stored) == 1:  # a unit row, most rows: score its key
-                (k,) = stored
-                i, j = field - (k >> bits & field), field - (k & field)
-                lvl = field - (k >> level_shift)
-                if i <= deg_cap and j <= deg_cap and lvl <= lvl_cap:
-                    heappush(heap, (lvl + i + j, new))
-            else:
-                score = window_score(stored)
-                if score is not None:
-                    heappush(heap, (score, new))
+            score = window_score(rows[new])
+            if score is not None:
+                heappush(heap, (score, new))
     return False, span, steps
 
 
@@ -621,21 +611,18 @@ def certify_irreducible(mod, seeds, depth):
 
 
 def check_invariant_subspace(mod, depth):
-    """Exact closure of hb*Q[h,hb] (x) L under all six generators (omega, a=0),
-    decided once per window monomial h^i hb^(j+1), i, j < depth.
+    """Exact closure of hb*Q[h,hb] (x) L under all six generators (omega, a=0).
 
-    By the Leibniz rule x.(p (x) w) = (x.p) (x) w + p (x) x.w.  For
-    p = h^i hb^(j+1) the second term keeps the factor hb^(j+1), so it
-    never leaves hb*Q[h,hb] (x) L, and its keys carry hb-exponent j+1,
-    so it cannot cancel a key of the first term with hb-exponent 0.  The
-    first term does not depend on w.  So a generator takes some label
-    p (x) w out of the subspace exactly when its family part on p, read
-    off the family table (``TensorModule.family_entry``), has a key of
-    hb-exponent 0, and then it does so for every w: each generator costs
-    at most depth^2 table reads, whatever L is.  The witness is the first
-    failing monomial on the top label, the first failing label in the
-    order (label, i, j); it alone is rendered, through ``act``, to name
-    the first non-divisible polynomial.
+    By the Leibniz rule x.(p (x) w) = (x.p) (x) w + p (x) x.w.  For a
+    window monomial p = h^i hb^(j+1), i, j < depth, the second term keeps
+    the factor hb^(j+1), so none of its keys has hb-exponent 0 and none
+    cancels such a key of the first term, which does not depend on w.
+    So x takes some p (x) w out of the subspace exactly when its family
+    part on p (``TensorModule.family_entry``) has a key of hb-exponent 0,
+    and each generator costs at most depth^2 table reads, whatever L is.
+    The first failing p (x) v, v the top label, the first failing label
+    in the order (label, i, j), is rendered through ``act`` to name a
+    non-divisible polynomial.
     """
     if mod.params.family != "omega" or mod.params.a != 0:
         raise ValueError("invariant-subspace check applies to omega with a = 0")
@@ -652,10 +639,8 @@ def check_invariant_subspace(mod, depth):
 
 
 def hb_subspace_exit(mod, gen, depth):
-    """None when gen keeps every window label h^i hb^(j+1) (x) idx,
-    i, j < depth, inside hb*Q[h,hb] (x) L; otherwise the witness text of
-    the first one it takes out, on the top label (see
-    ``check_invariant_subspace``).  Any family and any a."""
+    """check_invariant_subspace's FAIL witness for gen, or None; any
+    family and any a."""
     top = mod.hw.highest_index
     for i in range(depth):
         for j in range(1, depth + 1):
@@ -881,15 +866,11 @@ def recover_parameters(mod):
     eta = vpart("hb").coefficient(0, 0)
     theta = vpart("h").coefficient(0, 0)
     fam = mod.params.family
-    if fam == "gamma":
-        lam = vpart("eb").coefficient(0, 0)
-        a = -4 * lam * vpart("fb").coefficient(0, 0)
-        b = -2 * lam * vpart("f").coefficient(0, 0)
-        return RecoveredParams(fam, lam, a, b, None, eta, theta)
-    if fam == "theta":
-        lam = vpart("fb").coefficient(0, 0)
-        a = -4 * lam * vpart("eb").coefficient(0, 0)
-        b = -2 * lam * vpart("e").coefficient(0, 0)
+    if fam in ("gamma", "theta"):  # theta: gamma's letters, e and f swapped
+        x, y, z = ("eb", "fb", "f") if fam == "gamma" else ("fb", "eb", "e")
+        lam = vpart(x).coefficient(0, 0)
+        a = -4 * lam * vpart(y).coefficient(0, 0)
+        b = -2 * lam * vpart(z).coefficient(0, 0)
         return RecoveredParams(fam, lam, a, b, None, eta, theta)
     if fam == "omega":
         ebp = vpart("eb")

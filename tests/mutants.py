@@ -213,11 +213,6 @@ MUTANTS = (
            "parts.append((n, sden, -low, heads, snums))",
            "parts.append((n, sden, low, heads, snums))",
            ("tests/test_tensor.py::test_compiled_action_matches_the_leibniz_oracle",)),
-    # the closure's expansion loop scores a unit row by its one key
-    Mutant("closure-unit-score-ignores-the-level-cap", "tensor.py",
-           "if i <= deg_cap and j <= deg_cap and lvl <= lvl_cap:",
-           "if i <= deg_cap and j <= deg_cap:",
-           ("tests/test_tensor.py::test_closure_expands_only_rows_inside_the_window",)),
     # the invariant-subspace check, once per window monomial h^i hb^(j+1)
     Mutant("invariance-check-reads-hb-to-the-j", "tensor.py",
            "for j in range(1, depth + 1):", "for j in range(depth):",

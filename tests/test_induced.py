@@ -96,7 +96,8 @@ def test_rank_one_reducibility_names_each_failure(monkeypatch):
         ("borel-ideal-invariant[hb]/borel-theta(lam=1,a=2,eta=0)", PASS,
          "hb.(hb g) stays divisible by hb through degree 3"),
         ("borel-proper-submodule/borel-theta(lam=1,a=2,eta=0)", FAIL,
-         "rests on the failed borel-ideal-invariant[eb]"),
+         "rests on the failed borel-ideal-invariant[eb]/"
+         "borel-theta(lam=1,a=2,eta=0)"),
     ]
     assert not rep.ok
 
