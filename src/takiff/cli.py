@@ -9,8 +9,13 @@ no check FAILed or ERRORed, 2 for usage errors.
 
 A size flag outside its range (``_SIZES``) is one ERROR record before
 any work.  JobConfig is a plain class whose FIELDS are the flags a
-suite reads, and ``argparse`` is imported only by ``build_parser``, so
-a library ``import takiff`` pays for neither dataclasses nor argparse.
+suite reads, and it holds the one copy of each default: an untyped
+flag stays out of the namespace (SUPPRESS), so ``singular`` and
+``induced verify`` run as ``verify singular`` and ``verify induced``.
+A negative fraction or list is typed as ``--lambda=-1/2``, else
+argparse reads it as an option.  ``argparse`` is imported only by
+``build_parser``, so a library ``import takiff`` pays for neither
+dataclasses nor argparse.
 """
 
 import json
@@ -209,34 +214,32 @@ def _emit(report, out_path, started):
 
 
 def _add_family_flags(parser):
-    parser.add_argument("--family", choices=("gamma", "theta", "omega"),
-                        default="gamma")
-    parser.add_argument("--lambda", dest="lam", default="1",
+    parser.add_argument("--family", choices=("gamma", "theta", "omega"))
+    parser.add_argument("--lambda", dest="lam",
                         metavar="Q", help="nonzero scalar lambda")
-    parser.add_argument("--a", default="0", metavar="Q")
-    parser.add_argument("--b", default="0", metavar="Q",
-                        help="gamma/theta scalar b")
-    parser.add_argument("--beta", default="0", metavar="POLY",
+    parser.add_argument("--a", metavar="Q")
+    parser.add_argument("--b", metavar="Q", help="gamma/theta scalar b")
+    parser.add_argument("--beta", metavar="POLY",
                         help="omega polynomial beta(hb)")
 
 
 def _add_suite_flags(parser):
     _add_family_flags(parser)
-    parser.add_argument("--eta", default="0", metavar="Q")
-    parser.add_argument("--theta", default="0", metavar="Q")
-    parser.add_argument("--depth", type=int, default=6)
-    parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--rng", type=int, default=42)
-    parser.add_argument("--mu1", default="-1,0,1", metavar="LIST",
+    parser.add_argument("--eta", metavar="Q")
+    parser.add_argument("--theta", metavar="Q")
+    parser.add_argument("--depth", type=int)
+    parser.add_argument("--seeds", type=int)
+    parser.add_argument("--rng", type=int)
+    parser.add_argument("--mu1", metavar="LIST",
                         help="comma-separated mu1 grid values")
-    parser.add_argument("--mu2", default="-1,0,1", metavar="LIST",
+    parser.add_argument("--mu2", metavar="LIST",
                         help="comma-separated mu2 grid values")
-    parser.add_argument("--g", default="h", metavar="POLY",
+    parser.add_argument("--g", metavar="POLY",
                         help="polynomial probe for the annihilator suite")
-    parser.add_argument("--r", type=int, default=2,
+    parser.add_argument("--r", type=int,
                         help="binomial order for the annihilator suite")
-    parser.add_argument("--max-level", dest="max_level", type=int, default=6)
-    parser.add_argument("--out", default=None, help="report file path")
+    parser.add_argument("--max-level", dest="max_level", type=int)
+    parser.add_argument("--out", help="report file path")
 
 
 def build_parser():
@@ -247,60 +250,54 @@ def build_parser():
         description="exact verification suites for the polynomial modules",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    untyped = argparse.SUPPRESS
 
-    pv = sub.add_parser("verify", help="run a verification suite")
+    pv = sub.add_parser("verify", help="run a verification suite",
+                        argument_default=untyped)
     pv.add_argument("suite", choices=SUITES)
     _add_suite_flags(pv)
 
-    pa = sub.add_parser("act", help="apply a generator word to a polynomial")
+    pa = sub.add_parser("act", help="apply a generator word to a polynomial",
+                        argument_default=untyped)
     _add_family_flags(pa)
     pa.add_argument("--expr", required=True,
                     help="word in e,f,h,eb,fb,hb joined by '*'")
     pa.add_argument("--target", default="1", metavar="POLY")
 
     ps = sub.add_parser("singular",
-                        help="scan a Verma module for singular vectors")
-    ps.add_argument("--eta", default="0", metavar="Q")
-    ps.add_argument("--theta", default="0", metavar="Q")
-    ps.add_argument("--max-level", dest="max_level", type=int, default=6)
-    ps.add_argument("--out", default=None)
+                        help="scan a Verma module for singular vectors",
+                        argument_default=untyped)
+    ps.add_argument("--eta", metavar="Q")
+    ps.add_argument("--theta", metavar="Q")
+    ps.add_argument("--max-level", dest="max_level", type=int)
+    ps.add_argument("--out")
 
     pi = sub.add_parser("induced", help="induced-realization checks")
     pisub = pi.add_subparsers(dest="action", required=True)
-    piv = pisub.add_parser("verify")
-    _add_suite_flags(piv)
+    _add_suite_flags(pisub.add_parser("verify", argument_default=untyped))
 
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
     started = time.time()
+    command = flags.pop("command")
+    flags.pop("action", None)
 
-    if args.command == "act":
+    if command == "act":
+        expr, target = flags.pop("expr"), flags.pop("target")
         try:
-            result = act_eval(_params(args), args.expr,
-                              BiPoly.parse(args.target))
+            result = act_eval(_params(JobConfig("act", **flags)), expr,
+                              BiPoly.parse(target))
         except (ValueError, PolyParseError, ZeroDivisionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(result.text())
         return 0
 
-    if args.command == "singular":
-        config = JobConfig(suite="singular", eta=args.eta, theta=args.theta,
-                           max_level=args.max_level, out=args.out)
-    elif args.command == "induced":
-        config = JobConfig(suite="induced", **_suite_kwargs(args))
-    else:
-        config = JobConfig(suite=args.suite, **_suite_kwargs(args))
+    config = JobConfig(flags.pop("suite", command), **flags)
     return _emit(run_suite(config), config.out, started)
-
-
-def _suite_kwargs(args):
-    """Every JobConfig field but the suite, read off the parsed flags."""
-    return {name: getattr(args, name) for name in JobConfig.FIELDS
-            if name != "suite"}
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ The route agreement of check_borel_axioms runs on the same int letters
 """
 
 import random
-from math import lcm, perm
+from math import perm
 
 from .scalars import Q, format_scalar
 from .poly import UniPoly, BiPoly
@@ -366,7 +366,7 @@ class InducedAction:
         j, k, q, i = key
         terms = gen_times_word(gen, j, k, q)
         tails = self._tails
-        den, parts = 1, []
+        parts = []
         for (j2, k2, q2, i2, p2, m2), c in terms.items():
             if p2 and "e" not in self._letters:
                 raise ValueError(
@@ -383,13 +383,8 @@ class InducedAction:
                         d *= ld ** times
                 tails[t] = g, d
             g, d = tails[t]
-            den = lcm(den, d)
-            parts.append((c, d, j2, k2, q2, g))
-        out = {}
-        for c, d, j2, k2, q2, g in parts:
-            f = c * (den // d)
-            accumulate(out, (((j2, k2, q2, n), f * v) for n, v in g.items()))
-        return lowest_terms(den, out)
+            parts.append((c, d, {(j2, k2, q2, n): v for n, v in g.items()}))
+        return lowest_terms(*combine(parts))
 
 
 def _apply_letter(op, g):

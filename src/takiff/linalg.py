@@ -24,6 +24,7 @@ No floats anywhere; there is no tolerance to tune.
 """
 
 import heapq
+from functools import reduce
 from math import gcd
 
 from .scalars import Q, ZERO
@@ -144,7 +145,7 @@ class Echelon:
         if not residual:
             return None, combo, mult, 0
         pivot = min(residual)
-        content = gcd(*residual.values())
+        content = reduce(gcd, residual.values(), 0)
         if residual[pivot] < 0:
             content = -content
         if content != 1:

@@ -12,10 +12,13 @@ test kills marks a fault the suite cannot see.
 copies the checkout to a temporary directory once, then, one mutant
 at a time, writes the mutated module, runs the named tests there with
 pytest and restores the module.  A mutant is killed when its tests
-fail; the survivors are printed at the end, and the exit status is 1
-if there are any.  With no NAME every mutant runs.  The run takes
-minutes, so it is not part of the test suite: ``tests/test_mutants.py``
-checks only that every anchor and every named test still resolves.
+fail, or when they run past ``TIMEOUT_S`` (a mutant that makes a loop
+endless); the survivors are printed at the end with the number of
+timeout kills, and the exit status is 1 if there are any survivors.
+With no NAME every mutant runs.  The run takes minutes, so it is not
+part of the test suite: ``tests/test_mutants.py`` checks only that
+every anchor and every named test still resolves, and how a timeout
+is counted.
 """
 
 import os
@@ -28,6 +31,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "takiff"
+# seconds one mutant's tests may run.  On unmutated code each mutant's
+# pytest run takes a few seconds, most of it start-up, so only a hang
+# or a runaway (a window that lost its bound grows without limit)
+# reaches it.
+TIMEOUT_S = 60
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,9 @@ MUTANTS = (
     Mutant("induced-tail-memo-drops-i", "induced.py",
            "t = m2, p2, i2, i", "t = m2, p2, i2",
            ("tests/test_induced.py::test_tail_memo_is_exact_in_any_order",)),
+    Mutant("induced-image-part-drops-the-tail-den", "induced.py",
+           "parts.append((c, d, {", "parts.append((c, 1, {",
+           ("tests/test_induced.py::test_tail_memo_is_exact_in_any_order",)),
     # the int letters: the route agreement, the compile guard, the
     # ERROR record check_phi writes for a refused word, and borel_act's c0
     Mutant("route-agreement-drops-the-letter-den", "induced.py",
@@ -179,6 +190,12 @@ MUTANTS = (
            "if pivots[new] == pivots[0]:",
            ("tests/test_tensor.py::test_closure_finds_the_target_when_its_key_becomes_a_pivot",
             "tests/test_tensor.py::test_degenerate_point_is_never_certified")),
+    # the content fold starts at 0, so a lone entry gives its absolute
+    # value (reduce with no start would return the entry itself)
+    Mutant("insert-content-fold-has-no-start", "linalg.py",
+           "reduce(gcd, residual.values(), 0)",
+           "reduce(gcd, residual.values())",
+           ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
     # a residual of content 1 is stored as passed, any other divided
     Mutant("insert-stores-a-residual-of-content-above-1", "linalg.py",
            "if content != 1:", "if content == -1:",
@@ -305,6 +322,11 @@ MUTANTS = (
     Mutant("depth-bound-one-past-the-margin", "cli.py",
            "step = 2", "step = 1",
            ("tests/test_cli.py::test_a_depth_past_the_packing_bound_is_one_error_record",)),
+    # a flag with its own default would drift from JobConfig's
+    Mutant("depth-flag-keeps-its-own-default", "cli.py",
+           'parser.add_argument("--depth", type=int)',
+           'parser.add_argument("--depth", type=int, default=5)',
+           ("tests/test_cli.py::test_suite_commands_without_flags_run_the_job_defaults",)),
     Mutant("induced-depth-bound-off-by-one", "cli.py",
            "(KEY_FIELD - step) // r", "(KEY_FIELD - step) // r + 1",
            ("tests/test_cli.py::test_a_depth_past_the_family_bound_is_one_error_record",)),
@@ -330,8 +352,9 @@ def mutated(m, text):
 
 
 def run(mutants):
-    """Run each mutant's tests on a mutated copy; return the survivors."""
-    survivors = []
+    """Run each mutant's tests on a mutated copy; return the survivors
+    and the number of mutants killed by the timeout."""
+    survivors, timeouts = [], 0
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                     ".hypothesis", "out")
     with tempfile.TemporaryDirectory(prefix="takiff-mutants-") as tmp:
@@ -347,17 +370,21 @@ def run(mutants):
             try:
                 code = subprocess.run(
                     [sys.executable, "-m", "pytest", "-q", "-x",
-                     "-p", "no:cacheprovider", *m.tests],
-                    cwd=copy, env=env, capture_output=True).returncode
+                     "-p", "no:cacheprovider", *m.tests], cwd=copy, env=env,
+                    capture_output=True, timeout=TIMEOUT_S).returncode
+            except subprocess.TimeoutExpired:
+                code = None
+                timeouts += 1
             finally:
                 path.write_text(text)
             # pytest exits 1 when a test failed; 0 means every test passed,
             # and anything else (no test collected, usage error) kills nothing
-            status = {0: "SURVIVED", 1: "killed"}.get(code, f"error {code}")
+            status = {0: "SURVIVED", 1: "killed",
+                      None: "killed (timeout)"}.get(code, f"error {code}")
             print(f"{m.name}: {status}", flush=True)
-            if code != 1:
+            if code not in (1, None):
                 survivors.append(m.name)
-    return survivors
+    return survivors, timeouts
 
 
 def main(names):
@@ -365,8 +392,10 @@ def main(names):
     unknown = [n for n in names if n not in by_name]
     if unknown:
         sys.exit(f"unknown mutants: {', '.join(unknown)}")
-    survivors = run([by_name[n] for n in names] if names else MUTANTS)
-    print(f"survivors: {', '.join(survivors) or 'none'}")
+    survivors, timeouts = run([by_name[n] for n in names] if names
+                              else MUTANTS)
+    print(f"survivors: {', '.join(survivors) or 'none'} "
+          f"({timeouts} killed by timeout)")
     return 1 if survivors else 0
 
 

@@ -8,8 +8,10 @@ import pytest
 
 from takiff import (ERROR, GENERATORS, BiPoly, FamilyParams, HighestWeight,
                     JobConfig, PolyParseError, TensorModule, UniPoly,
-                    act_eval, build_hw_module, ind_window_basis, run_suite)
-from takiff.cli import _check_sizes, _depth_reach, _suite_kwargs, build_parser
+                    Report, act_eval, build_hw_module, ind_window_basis,
+                    run_suite)
+from takiff import cli
+from takiff.cli import SUITES, _check_sizes, _depth_reach
 from takiff.induced import InducedAction, PhiValues, borel_spec_for
 from takiff.tensor import KEY_FIELD
 
@@ -358,11 +360,45 @@ def test_empty_sizes_exit_one_with_an_error_record():
         assert payload["summary"]["pass"] == 0
 
 
-@pytest.mark.parametrize("argv", [["verify", "irreducible"],
-                                  ["induced", "verify"]])
-def test_every_job_field_is_forwarded_from_the_flags(argv):
-    args = build_parser().parse_args(argv + ["--depth", "3", "--rng", "7"])
-    kwargs = _suite_kwargs(args)
-    fields = set(JobConfig.FIELDS) - {"suite"}
-    assert set(kwargs) == fields
-    assert kwargs["depth"] == 3 and kwargs["rng"] == 7
+# a value other than JobConfig's default for every field but the suite
+TYPED = {"family": "omega", "lam": "-1/2", "a": "1", "b": "3",
+         "beta": "hb + 1", "eta": "1", "theta": "2", "depth": 3, "seeds": 4,
+         "rng": 7, "mu1": "0,1", "mu2": "-2", "g": "hb", "r": 3,
+         "max_level": 2, "out": "report.json"}
+
+
+def job_of(monkeypatch, argv):
+    """The JobConfig that main hands to run_suite for argv."""
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return Report(suite=config.suite)
+
+    monkeypatch.setattr(cli, "run_suite", capture)
+    monkeypatch.setattr(cli, "_emit", lambda report, out, started: 0)
+    assert cli.main(argv) == 0
+    (config,) = seen
+    return {name: getattr(config, name) for name in JobConfig.FIELDS}
+
+
+@pytest.mark.parametrize("argv, suite", [(["verify", "irreducible"],
+                                          "irreducible"),
+                                         (["induced", "verify"], "induced")])
+def test_every_typed_flag_reaches_the_job(monkeypatch, argv, suite):
+    defaults = JobConfig(suite)
+    assert set(TYPED) == set(JobConfig.FIELDS) - {"suite"}
+    assert all(getattr(defaults, k) != v for k, v in TYPED.items())
+    flags = [f"--{'lambda' if k == 'lam' else k.replace('_', '-')}={v}"
+             for k, v in TYPED.items()]
+    assert job_of(monkeypatch, argv + flags) == {"suite": suite, **TYPED}
+
+
+@pytest.mark.parametrize("argv, suite", [(["verify", s], s) for s in SUITES]
+                         + [(["singular"], "singular"),
+                            (["induced", "verify"], "induced")])
+def test_suite_commands_without_flags_run_the_job_defaults(monkeypatch, argv,
+                                                           suite):
+    defaults = JobConfig(suite)
+    assert job_of(monkeypatch, argv) == {
+        name: getattr(defaults, name) for name in JobConfig.FIELDS}

@@ -1,11 +1,14 @@
 """The mutant catalogue cannot rot: every anchor occurs exactly once in
 src/takiff, in the module it names, and every test it names exists.
-Running the mutants is left to ``python tests/mutants.py``."""
+Running the mutants is left to ``python tests/mutants.py``; here a
+mutant whose tests time out is run with a stand-in for pytest."""
 
 import re
+import subprocess
 
 import pytest
 
+import mutants
 from mutants import MUTANTS, ROOT, SRC, mutated
 
 
@@ -32,3 +35,15 @@ def test_named_tests_exist(mutant):
         source = (ROOT / path).read_text()
         test = re.sub(r"\[.*\]$", "", name)
         assert re.search(rf"^def {test}\(", source, re.M), node
+
+
+def test_a_mutant_whose_tests_time_out_is_killed(monkeypatch, capsys):
+    def hang(cmd, **kwargs):
+        assert kwargs["timeout"] == mutants.TIMEOUT_S
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(mutants.subprocess, "run", hang)
+    name = MUTANTS[0].name
+    assert mutants.main([name]) == 0
+    assert capsys.readouterr().out == (f"{name}: killed (timeout)\n"
+                                       "survivors: none (1 killed by timeout)\n")
