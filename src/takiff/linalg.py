@@ -24,7 +24,6 @@ No floats anywhere; there is no tolerance to tune.
 """
 
 import heapq
-from functools import reduce
 from math import gcd
 
 from .scalars import Q, ZERO
@@ -138,18 +137,17 @@ class Echelon:
         Returns (row_index, combo, mult, content), all ints, with
         mult > 0 and mult * vec == content * rows[row_index] +
         sum(combo[i] * rows[i]), and no zero in combo.  row_index is None
-        (and content 0) when vec was already in the span.  A residual of
-        content 1 is stored as it is.  A one-key row joins ``unit_of``.
+        (and content 0) when vec was already in the span.  The residual
+        is stored in lowest terms over its pivot entry (``lowest_terms``),
+        so as it is when its content is 1.  A one-key row joins ``unit_of``.
         """
         residual, mult, combo = self._eliminate(vec)
         if not residual:
             return None, combo, mult, 0
         pivot = min(residual)
-        content = reduce(gcd, residual.values(), 0)
-        if residual[pivot] < 0:
-            content = -content
-        if content != 1:
-            residual = {k: c // content for k, c in residual.items()}
+        lead = residual[pivot]
+        unit, residual = lowest_terms(lead, residual)
+        content = lead // unit
         idx = len(self.rows)
         self.rows.append(residual)
         self.pivots.append(pivot)

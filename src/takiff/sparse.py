@@ -54,10 +54,10 @@ def clear_denominators(vec):
     denominator, and ints, a new dict, maps each key with a nonzero value
     to the int den * value.  An int is a rational of denominator 1.
 
-    Here and in ``Echelon.insert`` gcd and lcm are folded with reduce,
-    not called on *values: in a long closure run a star call's resident
-    set crept up where the fold's stayed flat, at an equal pass time.
-    (``lowest_terms`` loops, to stop at gcd 1.)
+    lcm is folded with reduce here, and gcd by ``lowest_terms``'s loop,
+    which ``Echelon.insert`` runs too; neither is called on *values: in
+    a long closure run a star call's resident set crept up where the
+    loop's stayed flat, at an equal pass time.
     """
     den = reduce(lcm, (c.denominator for c in vec.values()), 1)
     return den, {k: c.numerator * (den // c.denominator)

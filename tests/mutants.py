@@ -181,8 +181,14 @@ MUTANTS = (
     Mutant("unit-strip-flips-the-sign", "linalg.py",
            "combo[ri] = residual.pop(k)", "combo[ri] = -residual.pop(k)",
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
+    # insert makes its residual primitive through lowest_terms, with the
+    # pivot entry as the den, so the stored pivot is positive and the
+    # content carries the pivot's sign
     Mutant("echelon-stores-a-negative-pivot", "linalg.py",
-           "if residual[pivot] < 0:", "if residual[pivot] > 0:",
+           "lowest_terms(lead, residual)", "lowest_terms(abs(lead), residual)",
+           ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
+    Mutant("insert-content-drops-the-pivot-sign", "linalg.py",
+           "content = lead // unit", "content = abs(lead) // unit",
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
     # the closure's found test, read off the pivot of the row just stored
     Mutant("closure-found-compares-the-seed-pivot", "tensor.py",
@@ -190,15 +196,8 @@ MUTANTS = (
            "if pivots[new] == pivots[0]:",
            ("tests/test_tensor.py::test_closure_finds_the_target_when_its_key_becomes_a_pivot",
             "tests/test_tensor.py::test_degenerate_point_is_never_certified")),
-    # the content fold starts at 0, so a lone entry gives its absolute
-    # value (reduce with no start would return the entry itself)
-    Mutant("insert-content-fold-has-no-start", "linalg.py",
-           "reduce(gcd, residual.values(), 0)",
-           "reduce(gcd, residual.values())",
-           ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
-    # a residual of content 1 is stored as passed, any other divided
     Mutant("insert-stores-a-residual-of-content-above-1", "linalg.py",
-           "if content != 1:", "if content == -1:",
+           "unit, residual = lowest_terms(", "unit, _ = lowest_terms(",
            ("tests/test_linalg.py::test_echelon_is_fraction_free_and_exact",)),
     Mutant("echelon-pivots-on-the-largest-key", "linalg.py",
            "pivot = min(residual)", "pivot = max(residual)",
